@@ -2,11 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <iomanip>
-#include <map>
+#include <limits>
+#include <numeric>
 #include <ostream>
 #include <sstream>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 
+#include "hbosim/common/error.hpp"
 #include "hbosim/common/stats.hpp"
 #include "hbosim/common/table.hpp"
 #include "hbosim/telemetry/telemetry.hpp"
@@ -20,6 +26,17 @@ constexpr const char* kUntagged = "(untagged)";
 /// Service below this (seconds of rate-1 work in a window) is floating-
 /// point residue from clamped accrual, not real attained service.
 constexpr double kServiceEps = 1e-12;
+
+const char* tag_name(const char* cls) {
+  return cls != nullptr ? cls : kUntagged;
+}
+
+/// Orders dense class ids by class name.
+auto by_class_name(const std::vector<const char*>& names) {
+  return [&names](std::uint32_t a, std::uint32_t b) {
+    return std::strcmp(names[a], names[b]) < 0;
+  };
+}
 
 LatencyDist summarize_dist(std::vector<double> values) {
   LatencyDist out;
@@ -36,28 +53,26 @@ LatencyDist summarize_dist(std::vector<double> values) {
   return out;
 }
 
-double jain_index(const std::map<std::string, double>& service) {
-  double sum = 0.0, sum_sq = 0.0;
-  std::size_t n = 0;
-  for (const auto& [cls, x] : service) {
-    if (x <= kServiceEps) continue;
-    sum += x;
-    sum_sq += x * x;
-    ++n;
-  }
-  if (n == 0 || sum_sq <= 0.0) return 1.0;
-  return (sum * sum) / (static_cast<double>(n) * sum_sq);
-}
-
 /// Replay bookkeeping for one in-service job.
 struct LiveJob {
-  const char* cls = nullptr;
-  double demand = 0.0;
-  double cores = 0.0;
-  double submit_s = 0.0;
-  double solo_rate = 0.0;
-  double remaining = 0.0;
+  JobId id = 0;
+  std::size_t rec = 0;     ///< Index of the job's record in jobs_.
+  std::uint32_t cls = 0;   ///< Dense class id.
+  double remaining = 0.0;  ///< Demand not yet served.
 };
+
+void finalize(SchedJobRecord& rec, double end_s, bool completed) {
+  rec.end_s = end_s;
+  rec.turnaround_s = end_s - rec.submit_s;
+  if (rec.ideal_s > 0.0) {
+    rec.wait_s = std::max(0.0, rec.turnaround_s - rec.ideal_s);
+    rec.slowdown = rec.turnaround_s / rec.ideal_s;
+  } else {
+    rec.wait_s = rec.turnaround_s;
+    rec.slowdown = 1.0;
+  }
+  rec.completed = completed;
+}
 
 }  // namespace
 
@@ -67,7 +82,6 @@ SchedAnalyzer::SchedAnalyzer(const SchedTrace& trace, SchedAnalyzerConfig cfg)
   health_.dropped_events = trace.total_dropped();
   replay(trace);
   summarize();
-  detect_starvation();
   health_.jobs = 0;
   for (const SchedResourceStats& r : resources_) health_.jobs += r.jobs;
   health_.worst_p99_slowdown = 0.0;
@@ -84,24 +98,75 @@ SchedAnalyzer::SchedAnalyzer(const SchedTrace& trace, SchedAnalyzerConfig cfg)
 
 void SchedAnalyzer::replay(const SchedTrace& trace) {
   const double window_s = cfg_.fairness_window_s;
-  resource_names_.resize(trace.resources());
-  resources_.resize(trace.resources());
+  const std::size_t n_res = trace.resources();
+  resource_names_.resize(n_res);
+  resources_.resize(n_res);
+  resource_jobs_.assign(n_res + 1, 0);
+  // Each job leaves a Submit and a Complete or Cancel record.
+  jobs_.reserve(static_cast<std::size_t>(
+      (trace.total_recorded() - trace.total_dropped()) / 2));
+  job_class_.reserve(jobs_.capacity());
 
-  for (std::size_t r = 0; r < trace.resources(); ++r) {
+  // Dense class ids in first-appearance order, keyed by pointer for speed
+  // and by name for identity: two copies of one tag are one class.
+  std::unordered_map<const char*, std::uint32_t> class_by_ptr;
+  std::unordered_map<std::string_view, std::uint32_t> class_by_name;
+  auto class_id = [&](const char* cls) {
+    if (const auto it = class_by_ptr.find(cls); it != class_by_ptr.end())
+      return it->second;
+    const char* name = tag_name(cls);
+    const auto [it, fresh] = class_by_name.try_emplace(
+        std::string_view(name),
+        static_cast<std::uint32_t>(class_names_.size()));
+    if (fresh) class_names_.push_back(name);
+    class_by_ptr.emplace(cls, it->second);
+    return it->second;
+  };
+
+  std::vector<LiveJob> live;          // in service, in submission (id) order
+  std::vector<double> service;        // open window's service per class id
+  std::vector<std::uint32_t> served;  // classes with service in that window
+
+  for (std::size_t r = 0; r < n_res; ++r) {
     const auto rid = static_cast<std::uint16_t>(r);
     resource_names_[r] = trace.resource_name(rid);
     resources_[r].resource = resource_names_[r];
-    const std::vector<SchedEvent> events = trace.events(rid);
-    if (events.empty()) continue;
+    resource_jobs_[r] = jobs_.size();
+    const SchedTrace::Runs runs = trace.runs(rid);
+    if (runs.older.empty()) continue;
 
-    std::map<JobId, LiveJob> live;
-    // Per-class attained service, bucketed into tumbling windows keyed by
-    // floor(t / window_s). Keyed by class *name* (not interned pointer)
-    // so iteration — and therefore every floating-point summation order
-    // downstream — is independent of allocation addresses.
-    std::map<std::uint64_t, std::map<std::string, double>> window_service;
+    live.clear();
     double share = 0.0;
-    double t_prev = events.front().time;
+    double t_prev = runs.older.front().time;
+    std::uint64_t open = 0;  // tumbling window `service` accrues into
+
+    // Close the open window: its Jain index over the classes that attained
+    // service. Classes are summed in name order, so no floating-point
+    // summation order depends on class ids or allocation addresses.
+    auto close_window = [&] {
+      std::sort(served.begin(), served.end(), by_class_name(class_names_));
+      double sum = 0.0, sum_sq = 0.0, total = 0.0;
+      std::size_t n = 0;
+      for (const std::uint32_t c : served) {
+        const double x = std::exchange(service[c], 0.0);
+        total += x;
+        if (x > kServiceEps) {
+          sum += x;
+          sum_sq += x * x;
+          ++n;
+        }
+      }
+      served.clear();
+      if (n == 0) return;
+      FairnessWindow w;
+      w.resource = rid;
+      w.begin_s = static_cast<double>(open) * window_s;
+      w.end_s = w.begin_s + window_s;
+      w.jain = (sum * sum) / (static_cast<double>(n) * sum_sq);
+      w.classes = n;
+      windows_.push_back(w);
+      resources_[r].service_s += total;
+    };
 
     // Exact replay: between consecutive records the active set and the
     // per-job rate are constant (every rate-changing operation emits a
@@ -117,12 +182,17 @@ void SchedAnalyzer::replay(const SchedTrace& trace) {
         const double t_next = std::min(to, wend);
         const double dt = t_next - t;
         if (dt > 0.0 && share > 0.0) {
-          auto& bucket = window_service[widx];
-          for (auto& [id, job] : live) {
+          if (widx != open) {
+            close_window();
+            open = widx;
+          }
+          for (LiveJob& job : live) {
             const double used = std::min(share * dt, job.remaining);
             if (used > 0.0) {
               job.remaining -= used;
-              bucket[job.cls != nullptr ? job.cls : kUntagged] += used;
+              // Zero until the class first accrues in this window.
+              if (service[job.cls] == 0.0) served.push_back(job.cls);
+              service[job.cls] += used;
             }
           }
         }
@@ -131,167 +201,146 @@ void SchedAnalyzer::replay(const SchedTrace& trace) {
       }
     };
 
-    auto finalize = [&](const LiveJob& job, JobId id, double end_s,
-                        bool completed) {
-      SchedJobRecord rec;
-      rec.resource = rid;
-      rec.job = id;
-      rec.cls = job.cls;
-      rec.submit_s = job.submit_s;
-      rec.end_s = end_s;
-      rec.demand = job.demand;
-      rec.cores = job.cores;
-      rec.turnaround_s = end_s - job.submit_s;
-      rec.ideal_s = job.solo_rate > 0.0 ? job.demand / job.solo_rate : 0.0;
-      if (rec.ideal_s > 0.0) {
-        rec.wait_s = std::max(0.0, rec.turnaround_s - rec.ideal_s);
-        rec.slowdown = rec.turnaround_s / rec.ideal_s;
-      } else {
-        rec.wait_s = rec.turnaround_s;
-        rec.slowdown = 1.0;
-      }
-      rec.completed = completed;
-      jobs_.push_back(rec);
-    };
-
-    for (const SchedEvent& ev : events) {
+    auto visit = [&](const SchedEvent& ev) {
       accrue(t_prev, ev.time);
       t_prev = ev.time;
       switch (ev.kind) {
         case SchedEventKind::Submit: {
-          LiveJob job;
-          job.cls = ev.cls;
-          job.demand = ev.demand;
-          job.cores = ev.cores;
-          job.submit_s = ev.time;
-          job.solo_rate = ev.solo_rate;
-          job.remaining = ev.demand;
-          live[ev.job] = job;
-          share = ev.share;
+          // Records are appended at Submit, so jobs_ comes out in
+          // (resource, submit, id) order without a sort.
+          HB_REQUIRE(jobs_.size() == resource_jobs_[r] ||
+                         ev.job > jobs_.back().job,
+                     "sched trace job ids must increase with submission on "
+                     "each resource");
+          const std::uint32_t c = class_id(ev.cls);
+          if (c >= service.size()) service.resize(c + 1, 0.0);
+          live.push_back({ev.job, jobs_.size(), c, ev.demand});
+          SchedJobRecord rec;
+          rec.resource = rid;
+          rec.job = ev.job;
+          rec.cls = ev.cls;
+          rec.submit_s = ev.time;
+          rec.demand = ev.demand;
+          rec.cores = ev.cores;
+          rec.ideal_s = ev.solo_rate > 0.0 ? ev.demand / ev.solo_rate : 0.0;
+          jobs_.push_back(rec);
+          job_class_.push_back(c);
           break;
         }
         case SchedEventKind::Complete:
         case SchedEventKind::Cancel: {
-          auto it = live.find(ev.job);
-          if (it != live.end()) {
-            finalize(it->second, ev.job, ev.time,
+          const auto it = std::lower_bound(
+              live.begin(), live.end(), ev.job,
+              [](const LiveJob& j, JobId id) { return j.id < id; });
+          if (it != live.end() && it->id == ev.job) {
+            finalize(jobs_[it->rec], ev.time,
                      ev.kind == SchedEventKind::Complete);
             live.erase(it);
           }
           // else: the Submit fell off a wrapped ring — the job is not
           // reconstructable; the drop counter already accounts for it.
-          share = ev.share;
           break;
         }
         case SchedEventKind::Rescale:
-          share = ev.share;
           break;
       }
-    }
+      share = ev.share;
+    };
+    for (const SchedEvent& ev : runs.older) visit(ev);
+    for (const SchedEvent& ev : runs.newer) visit(ev);
+    close_window();
     // Jobs still in service when the trace ended: recorded for the Gantt
     // (end = last event time) but excluded from wait/slowdown stats.
-    for (const auto& [id, job] : live) finalize(job, id, t_prev, false);
-
-    // Windowed fairness for this resource.
-    for (const auto& [widx, service] : window_service) {
-      std::size_t classes = 0;
-      for (const auto& [cls, x] : service)
-        if (x > kServiceEps) ++classes;
-      if (classes == 0) continue;
-      FairnessWindow w;
-      w.resource = rid;
-      w.begin_s = static_cast<double>(widx) * window_s;
-      w.end_s = w.begin_s + window_s;
-      w.jain = jain_index(service);
-      w.classes = classes;
-      windows_.push_back(w);
-      double total = 0.0;
-      for (const auto& [cls, x] : service) total += x;
-      resources_[r].service_s += total;
-    }
+    for (const LiveJob& job : live) finalize(jobs_[job.rec], t_prev, false);
   }
-
-  std::stable_sort(jobs_.begin(), jobs_.end(),
-                   [](const SchedJobRecord& a, const SchedJobRecord& b) {
-                     if (a.resource != b.resource) return a.resource < b.resource;
-                     if (a.submit_s != b.submit_s) return a.submit_s < b.submit_s;
-                     return a.job < b.job;
-                   });
+  resource_jobs_[n_res] = jobs_.size();
 }
 
 void SchedAnalyzer::summarize() {
+  const std::size_t n_classes = class_names_.size();
+  // Class ids in name order: the per-class tables list classes by name.
+  std::vector<std::uint32_t> by_name(n_classes);
+  std::iota(by_name.begin(), by_name.end(), 0u);
+  std::sort(by_name.begin(), by_name.end(), by_class_name(class_names_));
+
+  std::vector<double> threshold(n_classes);
   for (std::size_t r = 0; r < resources_.size(); ++r) {
     SchedResourceStats& rs = resources_[r];
     std::vector<double> waits, slowdowns;
-    // Class name -> (waits, slowdowns, attained). std::map: deterministic
-    // name order in the output regardless of intern addresses.
-    std::map<std::string, std::pair<std::vector<double>, std::vector<double>>>
-        per_class;
-    std::map<std::string, double> attained;
-    for (const SchedJobRecord& j : jobs_) {
-      if (j.resource != r || !j.completed) continue;
-      waits.push_back(j.wait_s);
-      slowdowns.push_back(j.slowdown);
-      const std::string cls = j.cls != nullptr ? j.cls : kUntagged;
-      per_class[cls].first.push_back(j.wait_s);
-      per_class[cls].second.push_back(j.slowdown);
-      attained[cls] += j.demand;
+    std::vector<std::vector<double>> class_waits(n_classes);
+    std::vector<std::vector<double>> class_slowdowns(n_classes);
+    std::vector<double> attained(n_classes, 0.0);
+    for (std::size_t j = resource_jobs_[r]; j < resource_jobs_[r + 1]; ++j) {
+      const SchedJobRecord& job = jobs_[j];
+      if (!job.completed) continue;
+      const std::uint32_t c = job_class_[j];
+      waits.push_back(job.wait_s);
+      slowdowns.push_back(job.slowdown);
+      class_waits[c].push_back(job.wait_s);
+      class_slowdowns[c].push_back(job.slowdown);
+      attained[c] += job.demand;
     }
     rs.jobs = waits.size();
-    rs.wait = summarize_dist(waits);
-    rs.slowdown = summarize_dist(slowdowns);
-    for (auto& [cls, ws] : per_class) {
+    rs.wait = summarize_dist(std::move(waits));
+    rs.slowdown = summarize_dist(std::move(slowdowns));
+    for (const std::uint32_t c : by_name) {
+      threshold[c] = std::numeric_limits<double>::infinity();
+      if (class_waits[c].empty()) continue;
       SchedClassStats cs;
-      cs.cls = cls;
-      cs.jobs = ws.first.size();
-      cs.attained_service_s = attained[cls];
-      cs.wait = summarize_dist(ws.first);
-      cs.slowdown = summarize_dist(ws.second);
+      cs.cls = class_names_[c];
+      cs.jobs = class_waits[c].size();
+      cs.attained_service_s = attained[c];
+      cs.wait = summarize_dist(std::move(class_waits[c]));
+      cs.slowdown = summarize_dist(std::move(class_slowdowns[c]));
       cs.median_wait_s = cs.wait.p50;
+      threshold[c] =
+          cfg_.starvation_k * std::max(cs.median_wait_s, cfg_.min_wait_floor_s);
       rs.classes.push_back(std::move(cs));
     }
+    detect_starvation(r, threshold);
   }
 }
 
-void SchedAnalyzer::detect_starvation() {
-  for (std::size_t r = 0; r < resources_.size(); ++r) {
-    const SchedResourceStats& rs = resources_[r];
-    for (const SchedClassStats& cs : rs.classes) {
-      const double threshold =
-          cfg_.starvation_k * std::max(cs.median_wait_s, cfg_.min_wait_floor_s);
-      for (const SchedJobRecord& j : jobs_) {
-        if (j.resource != r || !j.completed) continue;
-        const std::string cls = j.cls != nullptr ? j.cls : kUntagged;
-        if (cls != cs.cls || j.wait_s <= threshold) continue;
-        StarvedJob sj;
-        sj.job = j;
-        sj.threshold_s = threshold;
-        // The job's wait grows monotonically from 0 once its ideal
-        // service time has elapsed, so it crossed the threshold at:
-        sj.flagged_at_s = j.submit_s + j.ideal_s + threshold;
-        for (const SchedJobRecord& other : jobs_) {
-          if (other.resource != j.resource) continue;
-          if (other.resource == j.resource && other.job == j.job) continue;
-          if (other.submit_s <= sj.flagged_at_s &&
-              sj.flagged_at_s < other.end_s) {
-            sj.contenders.emplace_back(
-                other.job,
-                other.cls != nullptr ? other.cls : kUntagged);
-          }
-        }
-        std::sort(sj.contenders.begin(), sj.contenders.end());
-        starved_.push_back(std::move(sj));
-      }
+void SchedAnalyzer::detect_starvation(std::size_t r,
+                                      const std::vector<double>& threshold) {
+  const std::size_t begin = resource_jobs_[r], end = resource_jobs_[r + 1];
+  const std::size_t first = starved_.size();
+  for (std::size_t j = begin; j < end; ++j) {
+    const SchedJobRecord& job = jobs_[j];
+    const double limit = threshold[job_class_[j]];
+    if (!job.completed || job.wait_s <= limit) continue;
+    StarvedJob sj;
+    sj.job = job;
+    sj.threshold_s = limit;
+    // The job's wait grows monotonically from 0 once its ideal service
+    // time has elapsed, so it crossed the threshold at:
+    sj.flagged_at_s = job.submit_s + job.ideal_s + limit;
+    starved_.push_back(std::move(sj));
+  }
+
+  // Contenders: one sweep over the flagging instants in time order. Jobs
+  // join the active list in submit (= id) order once the sweep passes
+  // their submit time and leave it for good once they ended, so the cost
+  // is O(jobs + contenders reported) after sorting the flagged jobs.
+  std::vector<std::size_t> queries(starved_.size() - first);
+  std::iota(queries.begin(), queries.end(), first);
+  std::sort(queries.begin(), queries.end(),
+            [this](std::size_t a, std::size_t b) {
+              return starved_[a].flagged_at_s < starved_[b].flagged_at_s;
+            });
+  std::vector<std::size_t> active;
+  std::size_t next = begin;
+  for (const std::size_t q : queries) {
+    StarvedJob& sj = starved_[q];
+    const double t = sj.flagged_at_s;
+    while (next < end && jobs_[next].submit_s <= t) active.push_back(next++);
+    std::erase_if(active, [&](std::size_t j) { return jobs_[j].end_s <= t; });
+    sj.contenders.reserve(active.size());
+    for (const std::size_t j : active) {
+      if (jobs_[j].job != sj.job.job)
+        sj.contenders.emplace_back(jobs_[j].job, tag_name(jobs_[j].cls));
     }
   }
-  std::stable_sort(starved_.begin(), starved_.end(),
-                   [](const StarvedJob& a, const StarvedJob& b) {
-                     if (a.job.resource != b.job.resource)
-                       return a.job.resource < b.job.resource;
-                     if (a.job.submit_s != b.job.submit_s)
-                       return a.job.submit_s < b.job.submit_s;
-                     return a.job.job < b.job.job;
-                   });
 }
 
 void SchedAnalyzer::write_gantt_csv(std::ostream& os) const {
@@ -307,10 +356,10 @@ void SchedAnalyzer::write_gantt_csv(std::ostream& os) const {
   };
   for (const SchedJobRecord& j : jobs_) {
     csv.row(std::vector<std::string>{
-        resource_names_[j.resource], std::to_string(j.job),
-        j.cls != nullptr ? j.cls : kUntagged, fmt(j.submit_s), fmt(j.end_s),
-        fmt(j.demand), fmt(j.cores), fmt(j.ideal_s), fmt(j.wait_s),
-        fmt(j.slowdown), j.completed ? "1" : "0"});
+        resource_names_[j.resource], std::to_string(j.job), tag_name(j.cls),
+        fmt(j.submit_s), fmt(j.end_s), fmt(j.demand), fmt(j.cores),
+        fmt(j.ideal_s), fmt(j.wait_s), fmt(j.slowdown),
+        j.completed ? "1" : "0"});
   }
 }
 
@@ -403,8 +452,7 @@ void SchedAnalyzer::print_report(std::ostream& os) const {
     for (const StarvedJob* sjp : ranked) {
       const StarvedJob& sj = *sjp;
       os << "    " << resource_names_[sj.job.resource] << " job "
-         << sj.job.job << " ["
-         << (sj.job.cls != nullptr ? sj.job.cls : kUntagged) << "] waited "
+         << sj.job.job << " [" << tag_name(sj.job.cls) << "] waited "
          << std::fixed << std::setprecision(2) << sj.job.wait_s * 1e3
          << " ms (threshold " << sj.threshold_s * 1e3 << " ms), "
          << sj.contenders.size() << " contenders at t=" << std::setprecision(3)

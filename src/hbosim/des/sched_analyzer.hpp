@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hbosim/des/sched_trace.hpp"
@@ -27,6 +28,12 @@
 ///
 /// Everything here runs after the simulation completed; the analyzer
 /// never touches a Simulator and cannot perturb results.
+///
+/// The replay is one pass over the stream. Each record walks the jobs in
+/// service (a handful per unit in a fleet session) and credits their
+/// service to dense class ids. Jobs are stored in submission order as
+/// they are admitted, so no sort is needed, and starvation contenders come
+/// from one sweep over the flagging instants.
 
 namespace hbosim::des {
 
@@ -94,8 +101,9 @@ struct StarvedJob {
   double threshold_s = 0.0;   ///< k x max(class median wait, floor).
   double flagged_at_s = 0.0;  ///< Instant the job's wait crossed it.
   /// Jobs in service on the same resource at flagged_at_s (the
-  /// contenders the starving job was losing to), as (id, class) pairs.
-  std::vector<std::pair<JobId, std::string>> contenders;
+  /// contenders the starving job was losing to), as (id, class tag)
+  /// pairs in id order; untagged jobs carry "(untagged)".
+  std::vector<std::pair<JobId, const char*>> contenders;
 };
 
 /// Compact roll-up of one trace's forensics — what a fleet carries per
@@ -153,11 +161,15 @@ class SchedAnalyzer {
  private:
   void replay(const SchedTrace& trace);
   void summarize();
-  void detect_starvation();
+  /// Flag resource `r`'s starving jobs against per-class-id thresholds.
+  void detect_starvation(std::size_t r, const std::vector<double>& threshold);
 
   SchedAnalyzerConfig cfg_;
   std::vector<std::string> resource_names_;
   std::vector<SchedJobRecord> jobs_;
+  std::vector<std::uint32_t> job_class_;    ///< Class id of each jobs_ entry.
+  std::vector<std::size_t> resource_jobs_;  ///< jobs_ start per resource, + end.
+  std::vector<const char*> class_names_;    ///< Class id -> tag.
   std::vector<SchedResourceStats> resources_;
   std::vector<FairnessWindow> windows_;
   std::vector<StarvedJob> starved_;

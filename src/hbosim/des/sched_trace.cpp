@@ -12,6 +12,9 @@ std::size_t round_up_pow2(std::size_t n) {
   while (p < n) p <<= 1;
   return p;
 }
+
+/// First allocation of a ring that starts recording.
+constexpr std::size_t kFirstSlots = 64;
 }  // namespace
 
 const char* sched_event_kind_name(SchedEventKind kind) {
@@ -34,16 +37,24 @@ std::uint16_t SchedTrace::register_resource(const std::string& name) {
   HB_REQUIRE(rings_.size() < 0xFFFFu, "too many sched-traced resources");
   ResourceRing ring;
   ring.name = name;
-  // Slots are materialized up front: record() on the steady state is then
-  // a store + increment, never an allocation.
-  ring.slots.resize(capacity_);
   rings_.push_back(std::move(ring));
   return static_cast<std::uint16_t>(rings_.size() - 1);
 }
 
 void SchedTrace::record(const SchedEvent& ev) {
   ResourceRing& ring = rings_.at(ev.resource);
-  ring.slots[ring.pushed & (capacity_ - 1)] = ev;
+  std::vector<SchedEvent>& slots = ring.slots;
+  if (slots.size() < capacity_) {
+    // Still filling (so slots.size() == pushed): grow by doubling, never
+    // past the ring capacity.
+    if (slots.size() == slots.capacity()) {
+      slots.reserve(
+          std::min(capacity_, std::max(kFirstSlots, 2 * slots.size())));
+    }
+    slots.push_back(ev);
+  } else {
+    slots[ring.pushed & (capacity_ - 1)] = ev;
+  }
   ++ring.pushed;
 }
 
@@ -51,14 +62,13 @@ const std::string& SchedTrace::resource_name(std::uint16_t resource) const {
   return rings_.at(resource).name;
 }
 
-std::vector<SchedEvent> SchedTrace::events(std::uint16_t resource) const {
+SchedTrace::Runs SchedTrace::runs(std::uint16_t resource) const {
   const ResourceRing& ring = rings_.at(resource);
-  const std::uint64_t kept = std::min<std::uint64_t>(ring.pushed, capacity_);
-  std::vector<SchedEvent> out;
-  out.reserve(static_cast<std::size_t>(kept));
-  for (std::uint64_t i = ring.pushed - kept; i < ring.pushed; ++i)
-    out.push_back(ring.slots[i & (capacity_ - 1)]);
-  return out;
+  const std::span<const SchedEvent> slots(ring.slots);
+  if (ring.pushed <= capacity_) return {slots, {}};
+  // Wrapped: the next write position holds the oldest retained record.
+  const auto head = static_cast<std::size_t>(ring.pushed & (capacity_ - 1));
+  return {slots.subspan(head), slots.first(head)};
 }
 
 std::uint64_t SchedTrace::recorded(std::uint16_t resource) const {
@@ -81,6 +91,13 @@ std::uint64_t SchedTrace::total_dropped() const {
   for (std::size_t i = 0; i < rings_.size(); ++i)
     total += dropped(static_cast<std::uint16_t>(i));
   return total;
+}
+
+std::size_t SchedTrace::memory_bytes() const {
+  std::size_t bytes = 0;
+  for (const ResourceRing& ring : rings_)
+    bytes += ring.slots.capacity() * sizeof(SchedEvent);
+  return bytes;
 }
 
 }  // namespace hbosim::des

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,9 +27,11 @@
 /// simulation — attaching a trace changes no simulated result (pinned by
 /// parity tests).
 ///
-/// Events live in fixed-capacity per-resource rings (oldest records are
-/// overwritten when a run outgrows the ring); the drop count is kept so
-/// the analyzer can report truncated coverage instead of silently
+/// Events live in per-resource rings that grow on demand, doubling up to
+/// a fixed power-of-two capacity; past it the oldest records are
+/// overwritten. A trace therefore holds memory in proportion to what it
+/// recorded, never capacity x resources up front. The drop count is kept
+/// so the analyzer can report truncated coverage instead of silently
 /// under-counting.
 
 namespace hbosim::des {
@@ -50,11 +53,10 @@ const char* sched_event_kind_name(SchedEventKind kind);
 /// AFTER the event applied — the invariant the exact replay rests on.
 /// Submit additionally snapshots `solo_rate`, the rate this job would
 /// have received on an otherwise-empty resource, which defines its ideal
-/// (contention-free) service time `demand / solo_rate`.
+/// (contention-free) service time `demand / solo_rate`. Fields are laid
+/// out widest first so a record fills one 64-byte cache line.
 struct SchedEvent {
   SimTime time = 0.0;
-  SchedEventKind kind = SchedEventKind::Submit;
-  std::uint16_t resource = 0;    ///< Id from SchedTrace::register_resource.
   JobId job = 0;                 ///< 0 for Rescale records.
   const char* cls = nullptr;     ///< Job-class tag (interned); may be null.
   double demand = 0.0;           ///< Rate-1 seconds requested (Submit only).
@@ -62,6 +64,8 @@ struct SchedEvent {
   double share = 0.0;            ///< Per-job rate after the event.
   double solo_rate = 0.0;        ///< Contention-free rate (Submit only).
   std::uint32_t active_jobs = 0; ///< Jobs in service after the event.
+  std::uint16_t resource = 0;    ///< Id from SchedTrace::register_resource.
+  SchedEventKind kind = SchedEventKind::Submit;
 };
 
 struct SchedTraceConfig {
@@ -69,9 +73,10 @@ struct SchedTraceConfig {
   /// SchedTrace always records; `enabled` decides whether the fleet
   /// creates and attaches one per session at all.
   bool enabled = false;
-  /// Ring slots per resource (rounded up to a power of two). At the
-  /// default 65536 a 60 s session traces every AI phase with room to
-  /// spare; mega-fleet smoke runs can shrink it.
+  /// Ring capacity per resource (rounded up to a power of two). Rings
+  /// grow on demand, so this caps a trace's memory rather than reserving
+  /// it; at the default 65536 a 60 s session traces every AI phase with
+  /// room to spare.
   std::size_t capacity_per_resource = 1u << 16;
   /// Drop the PsResource depth-counter decimation to 1 (exact counters)
   /// on traced sessions, so the telemetry depth series lines up with the
@@ -91,7 +96,7 @@ class SchedTrace {
 
   /// Register a resource stream and return its id (stable for the trace's
   /// lifetime). Idempotence is the caller's job: PsResource registers
-  /// itself once per attached trace.
+  /// itself once per attached trace. Allocates no ring storage.
   std::uint16_t register_resource(const std::string& name);
 
   void record(const SchedEvent& ev);
@@ -99,10 +104,16 @@ class SchedTrace {
   std::size_t resources() const { return rings_.size(); }
   const std::string& resource_name(std::uint16_t resource) const;
 
-  /// Retained events for one resource, oldest first. When the ring
-  /// wrapped, the earliest `dropped(resource)` records are gone — the
-  /// analyzer treats jobs whose Submit fell off as uncovered.
-  std::vector<SchedEvent> events(std::uint16_t resource) const;
+  /// Retained events of one resource, oldest first, as two contiguous
+  /// runs: all of `older`, then all of `newer` (empty until the ring
+  /// wraps). When the ring wrapped, the earliest `dropped(resource)`
+  /// records are gone — the analyzer treats jobs whose Submit fell off as
+  /// uncovered. A view into the ring, valid until the trace records again.
+  struct Runs {
+    std::span<const SchedEvent> older;
+    std::span<const SchedEvent> newer;
+  };
+  Runs runs(std::uint16_t resource) const;
 
   /// Total records ever offered to / lost from one resource's ring.
   std::uint64_t recorded(std::uint16_t resource) const;
@@ -111,10 +122,13 @@ class SchedTrace {
   std::uint64_t total_recorded() const;
   std::uint64_t total_dropped() const;
 
+  /// Bytes of ring storage allocated so far, across resources.
+  std::size_t memory_bytes() const;
+
  private:
   struct ResourceRing {
     std::string name;
-    std::vector<SchedEvent> slots;  // capacity is a power of two
+    std::vector<SchedEvent> slots;  // grows on demand up to capacity_
     std::uint64_t pushed = 0;       // total records ever pushed
   };
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -355,7 +356,7 @@ TEST(PsResource, SchedTraceCapturesSubmitFieldsAndOrdering) {
   res.submit(0.2, 1.0, [] {}, "second");
   sim.run();
 
-  const std::vector<SchedEvent> events = trace.events(0);
+  const std::span<const SchedEvent> events = trace.runs(0).older;
   ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(events[0].kind, SchedEventKind::Submit);
   EXPECT_STREQ(events[0].cls, "first");
