@@ -10,10 +10,10 @@
 //   - the analyzer reproduces closed-form answers on synthetic schedules
 //     (slowdown 2 for two equal jobs, Jain 0.9 for a 2-vs-1 class split,
 //     one known starvation victim with nine contenders);
-//   - throughput stays above very generous floors (a regression that
-//     trips these is catastrophic, not noise), and the analyzer replays
-//     the churn trace several times faster than the traced run recorded
-//     it (a same-run ratio, so it holds on any machine).
+//   - event-loop and PsResource churn throughput stay above floors set
+//     about 3x under the committed BENCH_des.json numbers, and the
+//     analyzer replays the churn trace faster than the traced run
+//     recorded it (a same-run ratio, so it holds on any machine).
 //
 // Usage: bench_des [--smoke] [--json <path>]
 //   --smoke   smaller job counts (CI)
@@ -39,10 +39,20 @@ using namespace hbosim;
 
 /// Least ratio of analyzer replay speed to traced recording speed. Both
 /// walk the jobs in service on every record, so the ratio does not depend
-/// on the machine's speed. Measured 7-9x at smoke size and 13-15x at
-/// full; the analyzer that kept string-keyed class maps replayed at
-/// 0.8-1.7x.
+/// on the machine's speed. Measured 2.8-4.3x at smoke size and 3.4-4.0x
+/// at full size with the flat PsResource job list; 6.7-10x and 13-18x
+/// while recording still went through a std::map node per job, and
+/// 0.8-1.7x for the analyzer that kept string-keyed class maps.
 constexpr double kMinReplayVsRecord = 2.0;
+
+/// Throughput floors, about 3x under the committed numbers (Release,
+/// GCC 12.2, 4-core x86-64 VM shared with other jobs): the event loop
+/// ran 15-31 M events/s, churn 18-28 k jobs/s at smoke size and
+/// 6.6-8.4 k jobs/s at full size, where the saturated GPU holds more live
+/// jobs per event.
+constexpr double kMinEventsPerSec = 5e6;
+constexpr double kMinSmokeChurnJobsPerSec = 7e3;
+constexpr double kMinFullChurnJobsPerSec = 2.5e3;
 
 double now_wall() {
   return std::chrono::duration<double>(
@@ -289,10 +299,11 @@ int main(int argc, char** argv) {
   std::string gate_detail;
   const bool closed_form = closed_form_gates(gate_detail);
 
-  // Throughput floors far under what even a debug build measures: they
-  // only trip on catastrophic regressions, never on machine noise. The
-  // replay ratio compares two timings of the same run.
-  const bool fast_enough = eps > 1e5 && aps > 1e3 && base_jps > 1e2 &&
+  // The replay ratio compares two timings of the same run.
+  const double churn_floor =
+      smoke ? kMinSmokeChurnJobsPerSec : kMinFullChurnJobsPerSec;
+  const bool fast_enough = eps > kMinEventsPerSec && aps > 1e3 &&
+                           base_jps > churn_floor &&
                            replay_vs_record > kMinReplayVsRecord;
 
   benchutil::section("recap");

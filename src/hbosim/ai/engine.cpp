@@ -65,6 +65,7 @@ void InferenceEngine::set_delegate(TaskId id, soc::Delegate delegate) {
              st.task.model + " cannot run on " + soc::delegate_name(delegate));
   st.task.delegate = delegate;  // picked up when the next plan is built
   st.span_name = inference_span_name(st.task);
+  st.plan_stale = true;
 }
 
 const AiTask& InferenceEngine::task(TaskId id) const { return state(id).task; }
@@ -93,7 +94,10 @@ void InferenceEngine::start() {
 void InferenceEngine::begin_inference(TaskId id) {
   TaskState& st = state(id);
   st.pending_event = 0;
-  st.plan = build_exec_plan(soc_.profile(), st.task.model, st.task.delegate);
+  if (st.plan_stale) {
+    st.plan = build_exec_plan(soc_.profile(), st.task.model, st.task.delegate);
+    st.plan_stale = false;
+  }
   st.phase_index = 0;
   st.inference_start = sim_.now();
   st.in_flight = true;
@@ -114,7 +118,7 @@ void InferenceEngine::begin_inference(TaskId id) {
       const double demand = plan_isolation_seconds(st.plan) * st.noise_factor;
       ++remote_attempts_;
       const RemoteResult res = remote_(st.task, demand);
-      const std::uint64_t epoch = st.epoch;
+      const std::uint32_t epoch = st.epoch;
       if (res.ok) {
         st.remote = true;
         st.pending_event =
@@ -152,7 +156,7 @@ void InferenceEngine::run_next_phase(TaskId id) {
     return;
   }
   const Phase& phase = st.plan[st.phase_index];
-  const std::uint64_t epoch = st.epoch;
+  const std::uint32_t epoch = st.epoch;
   if (phase.kind == Phase::Kind::Delay) {
     // Dispatch/communication: a fixed wall delay, not contended.
     st.pending_event = sim_.schedule_after(
@@ -166,7 +170,7 @@ void InferenceEngine::run_next_phase(TaskId id) {
   }
 }
 
-void InferenceEngine::on_phase_done(TaskId id, std::uint64_t epoch) {
+void InferenceEngine::on_phase_done(TaskId id, std::uint32_t epoch) {
   auto it = tasks_.find(id);
   if (it == tasks_.end() || it->second.epoch != epoch) return;  // stale
   TaskState& st = it->second;

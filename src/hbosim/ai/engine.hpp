@@ -124,7 +124,11 @@ class InferenceEngine {
     /// on add_task/set_delegate so the hot completion path never builds
     /// strings.
     const char* span_name = "infer";
-    ExecPlan plan;             // plan of the in-flight inference
+    /// Plan of the in-flight inference. Rebuilt at the start of an
+    /// inference only when set_delegate marked it stale: the plan is a
+    /// pure function of (device, model, delegate).
+    ExecPlan plan;
+    bool plan_stale = true;
     std::size_t phase_index = 0;
     SimTime inference_start = 0.0;
     double noise_factor = 1.0;
@@ -132,7 +136,9 @@ class InferenceEngine {
     JobId active_job = 0;      // compute phase in flight (0 = none)
     soc::Unit active_unit = soc::Unit::Cpu;
     des::EventId pending_event = 0;  // delay/gap event in flight (0 = none)
-    std::uint64_t epoch = 0;   // invalidates stale callbacks
+    /// Invalidates stale callbacks. 32 bits keep a `[this, id, epoch]`
+    /// capture within std::function's inline buffer (no heap per phase).
+    std::uint32_t epoch = 0;
     RunningStat window;
     double last_latency = 0.0;
     double edge_share = 0.0;   // fraction of inferences sent remote
@@ -143,7 +149,7 @@ class InferenceEngine {
   double next_gap();
   void begin_inference(TaskId id);
   void run_next_phase(TaskId id);
-  void on_phase_done(TaskId id, std::uint64_t epoch);
+  void on_phase_done(TaskId id, std::uint32_t epoch);
   void finish_inference(TaskId id);
   TaskState& state(TaskId id);
   const TaskState& state(TaskId id) const;

@@ -6,13 +6,15 @@
 #include <vector>
 
 /// \file arena.hpp
-/// Monotonic bump allocator for per-session DES state. A fleet worker
+/// Monotonic bump allocator for per-session state. A fleet worker
 /// simulates one session, throws everything away, and starts the next —
-/// the textbook arena lifecycle. Backing the session's event queue,
-/// pending/cancelled id sets, trace series, and solution lookup table with
-/// one resettable arena turns a malloc/free per DES event into a pointer
-/// bump, and `reset()` recycles the same blocks for the next session so
-/// steady-state fleet throughput stops touching the global allocator.
+/// the textbook arena lifecycle. Backing the session's trace series and
+/// solution lookup table (a tree node per stored solution) with one
+/// resettable arena turns their mallocs into pointer bumps, and `reset()`
+/// recycles the same blocks for the next session so steady-state fleet
+/// throughput stops touching the global allocator. The DES event queue is
+/// not arena-typed: it reuses its own vectors and allocates nothing once
+/// warm (see des/simulator.hpp).
 ///
 /// Scoping model: `ArenaScope` installs an arena as the calling thread's
 /// *current* arena; a default-constructed `ArenaAllocator` captures

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <vector>
 
 #include "hbosim/common/error.hpp"
 #include "hbosim/telemetry/telemetry.hpp"
@@ -90,7 +89,7 @@ void PsResource::advance_progress() {
   const double elapsed = now - last_update_;
   if (elapsed > 0.0 && current_rate_ > 0.0) {
     const double progress = elapsed * current_rate_;
-    for (auto& [id, job] : jobs_) {
+    for (Job& job : jobs_) {
       const double used = std::min(progress, job.remaining);
       job.remaining -= used;
       work_done_ += used;
@@ -108,7 +107,7 @@ void PsResource::reschedule() {
   if (jobs_.empty() || current_rate_ <= 0.0) return;
 
   double min_remaining = std::numeric_limits<double>::infinity();
-  for (const auto& [id, job] : jobs_)
+  for (const Job& job : jobs_)
     min_remaining = std::min(min_remaining, job.remaining);
   const double eta = std::max(min_remaining, 0.0) / current_rate_;
   pending_event_ =
@@ -121,23 +120,27 @@ void PsResource::on_completion_event() {
 
   // Collect everything that is done before invoking callbacks: a callback
   // may submit new work to this same resource (pipelined phases), so the
-  // internal state must be consistent first.
-  struct Finished {
-    JobId id;
-    const char* cls;
-    Completion done;
-  };
-  std::vector<Finished> finished;
-  for (auto it = jobs_.begin(); it != jobs_.end();) {
-    if (it->second.remaining <= kEpsilon) {
-      finished.push_back(
-          Finished{it->first, it->second.cls, std::move(it->second.done)});
-      requested_cores_ -= it->second.cores;
-      it = jobs_.erase(it);
+  // internal state must be consistent first. The reused buffer is moved
+  // out for the duration, so a callback that re-enters cannot clobber it.
+  std::vector<Finished> finished = std::move(finished_);
+  const SimTime now = sim_.now();
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < jobs_.size(); ++i) {
+    Job& job = jobs_[i];
+    // Done when the residue is below the epsilon, or when it is too small
+    // to move the clock: once half an ulp of `now` exceeds the epsilon
+    // (past 2^14 s at rate <= 1) a re-derived ETA would land on `now`
+    // again and the job would never finish.
+    if (job.remaining <= kEpsilon ||
+        now + job.remaining / current_rate_ == now) {
+      finished.push_back(Finished{job.id, job.cls, std::move(job.done)});
+      requested_cores_ -= job.cores;
     } else {
-      ++it;
+      if (kept != i) jobs_[kept] = std::move(job);
+      ++kept;
     }
   }
+  jobs_.erase(jobs_.begin() + static_cast<std::ptrdiff_t>(kept), jobs_.end());
   if (jobs_.empty()) requested_cores_ = 0.0;  // absorb fp residue
   reschedule();
   if (SchedTrace* trace = sched()) {
@@ -148,9 +151,11 @@ void PsResource::on_completion_event() {
                    0.0);
   }
   if (telemetry::enabled() && !finished.empty()) trace_depth();
-  for (auto& f : finished) {
+  for (Finished& f : finished) {
     if (f.done) f.done();
   }
+  finished.clear();
+  finished_ = std::move(finished);
 }
 
 JobId PsResource::submit(double demand, double cores, Completion done,
@@ -160,7 +165,7 @@ JobId PsResource::submit(double demand, double cores, Completion done,
   advance_progress();
   const JobId id = next_job_id_++;
   const double effective = std::max(demand, kEpsilon);
-  jobs_.emplace(id, Job{effective, effective, cores, cls, std::move(done)});
+  jobs_.push_back(Job{id, effective, cores, cls, std::move(done)});
   requested_cores_ += cores;
   reschedule();
   if (SchedTrace* trace = sched()) {
@@ -182,11 +187,13 @@ JobId PsResource::submit(double demand, Completion done, const char* cls) {
 }
 
 bool PsResource::cancel(JobId id) {
-  auto it = jobs_.find(id);
-  if (it == jobs_.end()) return false;
+  const auto it = std::lower_bound(
+      jobs_.begin(), jobs_.end(), id,
+      [](const Job& job, JobId key) { return job.id < key; });
+  if (it == jobs_.end() || it->id != id) return false;
   advance_progress();
-  requested_cores_ -= it->second.cores;
-  const char* cls = it->second.cls;
+  requested_cores_ -= it->cores;
+  const char* cls = it->cls;
   jobs_.erase(it);
   if (jobs_.empty()) requested_cores_ = 0.0;
   reschedule();
@@ -200,8 +207,7 @@ double PsResource::settled_work_done() const {
   double extra = 0.0;
   if (elapsed > 0.0 && current_rate_ > 0.0) {
     const double progress = elapsed * current_rate_;
-    for (const auto& [id, job] : jobs_)
-      extra += std::min(progress, job.remaining);
+    for (const Job& job : jobs_) extra += std::min(progress, job.remaining);
   }
   return work_done_ + extra;
 }

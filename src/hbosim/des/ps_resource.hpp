@@ -2,8 +2,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "hbosim/des/sched_trace.hpp"
 #include "hbosim/des/simulator.hpp"
@@ -73,7 +73,8 @@ class PsResource {
   /// inference holds several cores; accelerator kernels hold 1). When the
   /// sum of requested cores exceeds the available capacity every job
   /// slows down by the same factor. `done` is invoked (once) when the job
-  /// completes. Returns a handle for cancel().
+  /// completes; it may submit to or cancel on this resource but must not
+  /// destroy it. Returns a handle for cancel().
   ///
   /// `cls` optionally tags the job with a class for scheduler forensics
   /// (the AI engine passes its interned "model@delegate" span name). The
@@ -116,10 +117,15 @@ class PsResource {
 
  private:
   struct Job {
+    JobId id;
     double remaining;  // seconds of rate-1 service left
-    double demand;     // seconds of rate-1 service requested at submit
     double cores;      // capacity units held while running
     const char* cls;   // forensics class tag (may be null)
+    Completion done;
+  };
+  struct Finished {
+    JobId id;
+    const char* cls;
     Completion done;
   };
 
@@ -156,7 +162,13 @@ class PsResource {
   double background_ = 0.0;
   double max_background_ = 0.95;
 
-  std::map<JobId, Job> jobs_;  // ordered: deterministic iteration
+  /// Live jobs in ascending id (= submission) order. Every walk visits
+  /// them in that order, which keeps the floating-point sums
+  /// deterministic. Fleet sessions hold under one live job per unit on
+  /// average and six at most, so a flat vector beats any tree or heap.
+  std::vector<Job> jobs_;
+  /// Completion buffer reused across events (see on_completion_event).
+  std::vector<Finished> finished_;
   double requested_cores_ = 0.0;
   JobId next_job_id_ = 1;
   SimTime last_update_ = 0.0;

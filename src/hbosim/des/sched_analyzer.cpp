@@ -168,11 +168,36 @@ void SchedAnalyzer::replay(const SchedTrace& trace) {
       resources_[r].service_s += total;
     };
 
+    // Serve `progress` to every live job: share * dt clamped to its
+    // remaining demand — the same arithmetic PsResource::advance_progress
+    // performs, re-derived offline. Neighbouring jobs often share a class
+    // (a saturated unit is mostly one model's backlog), so that class's
+    // running sum stays in `sum` until the class changes; each class
+    // still adds its jobs' service in job order, so no sum changes.
+    auto serve = [&](double progress) {
+      if (live.empty()) return;
+      std::uint32_t cls = live.front().cls;
+      double sum = service[cls];
+      for (LiveJob& job : live) {
+        const double used = std::min(progress, job.remaining);
+        if (used > 0.0) {
+          job.remaining -= used;
+          if (job.cls != cls) {
+            service[cls] = sum;
+            cls = job.cls;
+            sum = service[cls];
+          }
+          // Zero until the class first accrues in this window.
+          if (sum == 0.0) served.push_back(cls);
+          sum += used;
+        }
+      }
+      service[cls] = sum;
+    };
+
     // Exact replay: between consecutive records the active set and the
     // per-job rate are constant (every rate-changing operation emits a
-    // record), so each live job accrues share * dt, clamped to its
-    // remaining demand — the same arithmetic PsResource::advance_progress
-    // performs, re-derived offline.
+    // record), so the interval is served window by window.
     auto accrue = [&](double from, double to) {
       double t = from;
       while (t < to) {
@@ -186,15 +211,7 @@ void SchedAnalyzer::replay(const SchedTrace& trace) {
             close_window();
             open = widx;
           }
-          for (LiveJob& job : live) {
-            const double used = std::min(share * dt, job.remaining);
-            if (used > 0.0) {
-              job.remaining -= used;
-              // Zero until the class first accrues in this window.
-              if (service[job.cls] == 0.0) served.push_back(job.cls);
-              service[job.cls] += used;
-            }
-          }
+          serve(share * dt);
         }
         if (t_next <= t) break;  // window_s underflow guard
         t = t_next;

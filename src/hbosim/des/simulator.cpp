@@ -1,5 +1,7 @@
 #include "hbosim/des/simulator.hpp"
 
+#include <algorithm>
+
 #include "hbosim/common/error.hpp"
 #include "hbosim/telemetry/telemetry.hpp"
 
@@ -8,10 +10,18 @@ namespace hbosim::des {
 EventId Simulator::schedule_at(SimTime at, Handler fn) {
   HB_REQUIRE(at >= now_, "cannot schedule an event in the past");
   HB_REQUIRE(fn != nullptr, "event handler must be callable");
-  const EventId id = next_id_++;
-  queue_.push(Event{at, id, std::move(fn)});
-  pending_ids_.insert(id);
-  return id;
+  auto slot = static_cast<std::uint32_t>(slots_.size());
+  if (free_slots_.empty()) {
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  heap_.push_back(Entry{at, next_seq_++, slot, s.gen});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  return (static_cast<EventId>(s.gen) << 32) | slot;
 }
 
 EventId Simulator::schedule_after(SimDuration delay, Handler fn) {
@@ -19,31 +29,45 @@ EventId Simulator::schedule_after(SimDuration delay, Handler fn) {
   return schedule_at(now_ + delay, std::move(fn));
 }
 
+void Simulator::release(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.fn = nullptr;
+  if (++s.gen == 0) s.gen = 1;  // on wrap-around, keep ids non-zero
+  free_slots_.push_back(slot);
+}
+
 bool Simulator::cancel(EventId id) {
-  if (pending_ids_.erase(id) == 0) return false;
-  // We cannot remove from the middle of a binary heap; mark the id and drop
-  // the event when it reaches the top.
-  cancelled_.insert(id);
+  const auto slot = static_cast<std::uint32_t>(id);
+  if (slot >= slots_.size()) return false;
+  Slot& s = slots_[slot];
+  if (s.gen != static_cast<std::uint32_t>(id >> 32) || !s.fn) return false;
+  // The heap entry stays where it is: its generation no longer matches
+  // the slot's, so it is dropped when it reaches the top. The handler's
+  // captures are destroyed on return, once the queue is consistent.
+  const Handler cancelled = std::move(s.fn);
+  release(slot);
   return true;
 }
 
-void Simulator::peel_cancelled() {
-  while (!queue_.empty() && cancelled_.count(queue_.top().id) > 0) {
-    cancelled_.erase(queue_.top().id);
-    queue_.pop();
+void Simulator::peel_stale() {
+  while (!heap_.empty() &&
+         heap_.front().gen != slots_[heap_.front().slot].gen) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
   }
 }
 
 bool Simulator::step() {
-  peel_cancelled();
-  if (queue_.empty()) return false;
-  // Move (not copy) the handler out of the heap top: a copy would clone
-  // the std::function's captured state — one heap round-trip per event.
-  // Mutating top() is safe because pop() only needs the element to be
-  // destructible/assignable, which a moved-from Event is.
-  Event ev = std::move(const_cast<Event&>(queue_.top()));
-  queue_.pop();
-  pending_ids_.erase(ev.id);
+  peel_stale();
+  if (heap_.empty()) return false;
+  const Entry ev = heap_.front();
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
+  // Take the handler out and free its slot before running it: the handler
+  // may schedule events (reusing the slot or growing the slot array), and
+  // cancelling its own id from inside must find it already fired.
+  const Handler fn = std::move(slots_[ev.slot].fn);
+  release(ev.slot);
   now_ = ev.time;
   ++executed_;
   // Dispatch telemetry every 1024 events: the executed-events counter is
@@ -52,18 +76,17 @@ bool Simulator::step() {
   // The steady-state cost is one relaxed load and a predictable branch.
   if ((executed_ & 0x3FFu) == 0 && telemetry::enabled()) {
     HB_TELEM_COUNT("des.events_executed", 1024.0);
-    HB_TRACE_COUNTER("des", "des.queue_depth",
-                     static_cast<double>(pending_ids_.size()));
+    HB_TRACE_COUNTER("des", "des.queue_depth", static_cast<double>(pending()));
   }
-  ev.fn();
+  fn();
   return true;
 }
 
 void Simulator::run_until(SimTime t) {
   HB_REQUIRE(t >= now_, "run_until target is in the past");
   for (;;) {
-    peel_cancelled();
-    if (queue_.empty() || queue_.top().time > t) break;
+    peel_stale();
+    if (heap_.empty() || heap_.front().time > t) break;
     step();
   }
   now_ = t;

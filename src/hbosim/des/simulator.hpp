@@ -2,11 +2,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
-#include "hbosim/common/arena.hpp"
 #include "hbosim/common/types.hpp"
 
 /// \file simulator.hpp
@@ -15,10 +12,19 @@
 /// render frames, HBO control periods, network delays) executes as events on
 /// one Simulator, so the entire system is deterministic and runs far faster
 /// than real time.
+///
+/// The queue is a binary heap of plain (time, seq, slot, gen) entries over
+/// a free-listed slot array that holds the handlers. Both vectors grow to
+/// the session's high-water mark and are then reused, so once warm,
+/// scheduling, firing or cancelling an event allocates and hashes nothing
+/// — provided the handler's captures fit std::function's inline buffer
+/// (16 bytes in libstdc++).
 
 namespace hbosim::des {
 
-/// Identifier of a scheduled event, usable to cancel it.
+/// Handle of a scheduled event, usable to cancel it: the slot holding its
+/// handler plus that slot's generation. Never 0, so callers may use 0 as
+/// "no event".
 using EventId = std::uint64_t;
 
 class SchedTrace;
@@ -42,7 +48,8 @@ class Simulator {
   EventId schedule_after(SimDuration delay, Handler fn);
 
   /// Cancel a pending event. Returns false (no-op) if the event already
-  /// fired, was already cancelled, or never existed.
+  /// fired (an event cancelling itself from its own handler included), was
+  /// already cancelled, or never existed.
   bool cancel(EventId id);
 
   /// Execute the next pending event; returns false if the queue is empty.
@@ -58,8 +65,8 @@ class Simulator {
   /// Number of events executed so far (for tests / micro-benches).
   std::uint64_t events_executed() const { return executed_; }
 
-  /// Pending (non-cancelled) event count.
-  std::size_t pending() const { return pending_ids_.size(); }
+  /// Pending (non-cancelled) event count: the occupied slots.
+  std::size_t pending() const { return slots_.size() - free_slots_.size(); }
 
   /// Attach (or detach, with nullptr) a scheduler lifecycle trace. The
   /// Simulator does not own it; resources reach it through sched_trace()
@@ -71,38 +78,40 @@ class Simulator {
   SchedTrace* sched_trace() const { return sched_trace_; }
 
  private:
-  struct Event {
+  /// A heap entry. `gen` is the slot's generation when the event was
+  /// scheduled; once the event fires or is cancelled the slot's generation
+  /// moves on, and the entry is stale — dropped when it reaches the top.
+  struct Entry {
     SimTime time;
-    EventId id;
-    Handler fn;
+    std::uint64_t seq;  // scheduling order: FIFO among equal timestamps
+    std::uint32_t slot;
+    std::uint32_t gen;
+  };
+  struct Slot {
+    Handler fn;             // empty while the slot is free
+    std::uint32_t gen = 1;  // starts at 1 so no EventId is 0
   };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Entry& a, const Entry& b) const {
       if (a.time != b.time) return a.time > b.time;
-      return a.id > b.id;  // FIFO among equal timestamps
+      return a.seq > b.seq;
     }
   };
 
-  /// Drop cancelled events sitting at the head of the queue.
-  void peel_cancelled();
-
-  /// The queue and id sets allocate per event (hash nodes, heap growth);
-  /// under a fleet worker's ArenaScope those allocations come from the
-  /// worker's bump arena and are reclaimed wholesale between sessions.
-  /// With no arena installed the allocators degrade to the global heap —
-  /// identical behaviour either way (see common/arena.hpp).
-  using IdSet =
-      std::unordered_set<EventId, std::hash<EventId>, std::equal_to<EventId>,
-                         ArenaAllocator<EventId>>;
+  /// Drop stale entries sitting at the top of the heap.
+  void peel_stale();
+  /// Retire a slot's event (fired or cancelled): empty the slot, bump its
+  /// generation (invalidating the EventId and any heap entry) and return
+  /// it to the free list.
+  void release(std::uint32_t slot);
 
   SimTime now_ = 0.0;
-  EventId next_id_ = 1;
+  std::uint64_t next_seq_ = 0;
   SchedTrace* sched_trace_ = nullptr;  // non-owning; null = not traced
   std::uint64_t executed_ = 0;
-  std::priority_queue<Event, std::vector<Event, ArenaAllocator<Event>>, Later>
-      queue_;
-  IdSet pending_ids_;
-  IdSet cancelled_;
+  std::vector<Entry> heap_;  // min-heap on (time, seq)
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace hbosim::des

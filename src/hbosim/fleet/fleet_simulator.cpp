@@ -44,8 +44,9 @@ const Entry& pick_weighted(const std::vector<Entry>& entries,
 
 /// One bump arena per worker thread, recycled (reset, blocks kept) between
 /// the sessions that worker runs. Thread-lifetime, not session-lifetime:
-/// the steady-state fleet loop performs zero heap allocations for DES
-/// state once each worker's arena has grown to its session high-water mark.
+/// the steady-state fleet loop performs zero heap allocations for
+/// arena-typed state once each worker's arena has grown to its session
+/// high-water mark.
 Arena& session_arena() {
   static thread_local Arena arena;
   return arena;
@@ -218,9 +219,9 @@ PolicySessionOutput FleetSimulator::run_policy_session(
   Arena& arena = session_arena();
   PolicySessionOutput out;
   {
-    // Everything the session allocates through ArenaAllocator (event
-    // queue, traces, lookup table) lands in this worker's arena; the
-    // output below is plain-allocator and safely outlives the reset.
+    // Everything the session allocates through ArenaAllocator (traces,
+    // lookup table) lands in this worker's arena; the output below is
+    // plain-allocator and safely outlives the reset.
     ArenaScope scope(arena);
     out = run_policy_session_impl(spec, std::move(priors), std::move(bandit));
   }

@@ -189,8 +189,8 @@ struct FleetSpec {
   /// 10^5–10^6-session path.
   bool retain_results = true;
 
-  /// Back each session's DES state (event queue, trace buffers, lookup
-  /// table) with a per-worker bump arena that is reset between sessions on
+  /// Back each session's arena-typed state (trace buffers, lookup table)
+  /// with a per-worker bump arena that is reset between sessions on
   /// the same worker, so a long fleet run performs O(1) heap allocations
   /// per worker for that state instead of O(events) per session. Results
   /// are bit-identical either way (an allocator changes addresses, never

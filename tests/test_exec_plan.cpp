@@ -3,7 +3,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <deque>
+#include <string>
 
 #include "hbosim/ai/exec_plan.hpp"
 #include "hbosim/common/error.hpp"
@@ -41,14 +42,17 @@ TEST_P(PlanSumTest, IsolationSumEqualsProfiledLatency) {
 }
 
 std::vector<PlanCase> all_cases() {
+  // Model names must outlive the test registry; static storage (a deque
+  // never moves its elements) keeps them alive without leaking them.
+  static std::deque<std::string> models;
   std::vector<PlanCase> cases;
   const auto devices = soc::builtin_devices();
   for (int d = 0; d < static_cast<int>(devices.size()); ++d) {
     for (const std::string& model :
          devices[static_cast<std::size_t>(d)].model_names()) {
+      const char* name = models.emplace_back(model).c_str();
       for (int i = 0; i < soc::kNumDelegates; ++i) {
-        cases.push_back(PlanCase{d, strdup(model.c_str()),
-                                 soc::delegate_from_index(i)});
+        cases.push_back(PlanCase{d, name, soc::delegate_from_index(i)});
       }
     }
   }

@@ -678,15 +678,19 @@ TEST(SchedAnalyzer, MatchesReferenceOnRandomStreams) {
 
 struct Mg1Run {
   std::size_t jobs = 0;
+  std::size_t completed = 0;
   double demand_sum = 0.0;
   double work_done = 0.0;
+  double end_time = 0.0;
 };
 
 /// One M/G/1 processor-sharing queue: Poisson arrivals at `lambda`,
-/// demands drawn by `demand(rng)`, run until every job completed.
+/// demands drawn by `demand(rng)`, run until every job completed or
+/// `max_events` events fired.
 template <typename Demand>
 Mg1Run run_mg1_ps(des::SchedTrace& trace, std::uint64_t seed,
-                  std::size_t jobs, double lambda, Demand demand) {
+                  std::size_t jobs, double lambda, Demand demand,
+                  std::uint64_t max_events = UINT64_MAX) {
   des::Simulator sim;
   sim.set_sched_trace(&trace);
   des::PsResource server(sim, "server", 1.0, 1.0);
@@ -698,17 +702,17 @@ Mg1Run run_mg1_ps(des::SchedTrace& trace, std::uint64_t seed,
     t += -std::log(1.0 - rng.uniform()) / lambda;
     const double d = demand(rng);
     out.demand_sum += d;
-    sim.schedule_at(t, [&server, d] { server.submit(d, [] {}, "job"); });
+    sim.schedule_at(t, [&server, &out, d] {
+      server.submit(d, [&out] { ++out.completed; }, "job");
+    });
   }
-  sim.run();
+  sim.run(max_events);
   out.work_done = server.work_done();
+  out.end_time = sim.now();
   return out;
 }
 
-/// Exponential demand with mean 0.05 s. The oracles keep simulated time
-/// near 2 000 s: past ~16 000 s half an ulp of the clock exceeds
-/// PsResource's 1e-12 s completion epsilon, and a long stream there did
-/// not finish.
+/// Exponential demand with mean 0.05 s.
 double exponential_demand(Rng& rng) {
   return -0.05 * std::log(1.0 - rng.uniform());
 }
@@ -731,6 +735,27 @@ TEST(SchedOracles, MeanSojournMatchesMg1PsClosedForm) {
   };
   EXPECT_NEAR(mean_sojourn(exponential_demand), 0.1, 0.01);
   EXPECT_NEAR(mean_sojourn([](Rng&) { return 0.05; }), 0.1, 0.01);
+}
+
+// The same closed form at a low arrival rate, so the stream runs out to
+// ~40 000 simulated s. Past 2^14 s half an ulp of the clock exceeds
+// PsResource's 1e-12 s completion epsilon, so a residue can have an ETA
+// that rounds to `now`; it must still complete. Every job costs one
+// arrival and one completion event, so the cap turns a stalled clock into
+// a failure instead of a hang. rho = 0.025: E[T] = 0.05 / 0.975.
+TEST(SchedOracles, LongHorizonStreamCompletesAndMatchesClosedForm) {
+  const std::size_t jobs = 20000;
+  des::SchedTrace trace;
+  const Mg1Run run =
+      run_mg1_ps(trace, 7, jobs, 0.5, exponential_demand, 4 * jobs);
+  ASSERT_EQ(run.completed, jobs);
+  EXPECT_GT(run.end_time, 30000.0);
+  const des::SchedAnalyzer an(trace);
+  ASSERT_EQ(an.health().jobs, jobs);
+  double sum = 0.0;
+  for (const des::SchedJobRecord& j : an.jobs()) sum += j.turnaround_s;
+  EXPECT_NEAR(sum / static_cast<double>(jobs), 0.05 / 0.975, 0.0025);
+  EXPECT_NEAR(run.work_done, run.demand_sum, 1e-9 * run.demand_sum);
 }
 
 // Little's law holds exactly on a sample path that starts and ends empty:

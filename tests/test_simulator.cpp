@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "hbosim/common/error.hpp"
+#include "hbosim/common/rng.hpp"
 #include "hbosim/des/simulator.hpp"
 
 namespace hbosim::des {
@@ -75,6 +79,7 @@ TEST(Simulator, CancelIsIdempotentAndRejectsUnknown) {
   EXPECT_TRUE(sim.cancel(id));
   EXPECT_FALSE(sim.cancel(id));      // already cancelled
   EXPECT_FALSE(sim.cancel(999999));  // never existed
+  EXPECT_FALSE(sim.cancel(0));       // 0 is never an id
 }
 
 TEST(Simulator, CancelAfterFireReturnsFalse) {
@@ -149,6 +154,119 @@ TEST(Simulator, EventsExecutedCounter) {
   for (int i = 0; i < 5; ++i) sim.schedule_at(1.0, [] {});
   sim.run();
   EXPECT_EQ(sim.events_executed(), 5u);
+}
+
+// Event handles are slots that get reused. An id whose event was cancelled
+// or has fired must stay dead after its slot carries a new event.
+TEST(Simulator, StaleIdDoesNotCancelTheEventReusingItsSlot) {
+  Simulator sim;
+  const EventId cancelled = sim.schedule_at(1.0, [] {});
+  ASSERT_TRUE(sim.cancel(cancelled));
+  int fired = 0;
+  const EventId reuser = sim.schedule_at(2.0, [&] { ++fired; });
+  ASSERT_EQ(static_cast<std::uint32_t>(reuser),
+            static_cast<std::uint32_t>(cancelled));  // same slot
+  EXPECT_NE(reuser, cancelled);
+  EXPECT_FALSE(sim.cancel(cancelled));
+  EXPECT_EQ(sim.pending(), 1u);
+
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  const EventId next = sim.schedule_after(1.0, [&] { ++fired; });
+  ASSERT_EQ(static_cast<std::uint32_t>(next),
+            static_cast<std::uint32_t>(reuser));  // same slot again
+  EXPECT_FALSE(sim.cancel(reuser));  // fired
+  EXPECT_FALSE(sim.cancel(cancelled));
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run();
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(Simulator, EventCancellingItselfGetsFalse) {
+  Simulator sim;
+  EventId self = 0;
+  bool self_cancel = true;
+  bool child_fired = false;
+  self = sim.schedule_at(1.0, [&] {
+    // The child reuses this handler's slot; cancelling the handler's own
+    // (now stale) id must leave the child alone.
+    sim.schedule_after(1.0, [&] { child_fired = true; });
+    self_cancel = sim.cancel(self);
+  });
+  sim.run();
+  EXPECT_FALSE(self_cancel);
+  EXPECT_TRUE(child_fired);
+  EXPECT_EQ(sim.events_executed(), 2u);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+// A seeded stream of schedules (many at equal times), cancels of live,
+// fired and cancelled ids, handler-scheduled children and steps, checked
+// against a plain list that fires the earliest (time, scheduling order)
+// entry. Firing order, pending() and events_executed() must match at every
+// step, and no id is ever 0.
+TEST(Simulator, RandomScheduleCancelStreamMatchesReferenceOrder) {
+  struct RefEvent {
+    SimTime time;
+    std::size_t order;  // scheduling order, also the event's label
+  };
+  Simulator sim;
+  Rng rng(20241017);
+  std::vector<RefEvent> ref;  // the reference's pending events
+  std::vector<EventId> ids;   // by label
+  std::vector<std::size_t> fired;
+  std::uint64_t ref_executed = 0;
+
+  std::function<void(SimTime)> add = [&](SimTime at) {
+    const std::size_t label = ids.size();
+    ids.push_back(sim.schedule_at(at, [&, label] {
+      fired.push_back(label);
+      // Every fifth event schedules a child from inside its handler.
+      if (label % 5 == 0)
+        add(sim.now() + 0.25 * static_cast<double>(label % 3));
+    }));
+    EXPECT_NE(ids.back(), 0u);
+    ref.push_back({at, label});
+  };
+  auto step_and_check = [&] {
+    const auto next = std::min_element(
+        ref.begin(), ref.end(), [](const RefEvent& a, const RefEvent& b) {
+          return a.time != b.time ? a.time < b.time : a.order < b.order;
+        });
+    const RefEvent expected = *next;
+    ref.erase(next);
+    ++ref_executed;
+    ASSERT_TRUE(sim.step());
+    EXPECT_EQ(fired.back(), expected.order);
+    EXPECT_EQ(sim.now(), expected.time);
+  };
+
+  for (int op = 0; op < 20000; ++op) {
+    const double r = rng.uniform();
+    if (r < 0.45) {
+      // Quarter-second grid: plenty of equal timestamps.
+      add(sim.now() + 0.25 * static_cast<double>(rng.uniform_index(8)));
+    } else if (r < 0.65 && !ids.empty()) {
+      const std::size_t label = rng.uniform_index(ids.size());
+      const auto it =
+          std::find_if(ref.begin(), ref.end(),
+                       [&](const RefEvent& e) { return e.order == label; });
+      const bool live = it != ref.end();
+      EXPECT_EQ(sim.cancel(ids[label]), live) << "label " << label;
+      if (live) ref.erase(it);
+    } else if (ref.empty()) {
+      EXPECT_FALSE(sim.step());
+    } else {
+      step_and_check();
+    }
+    ASSERT_EQ(sim.pending(), ref.size()) << "op " << op;
+    ASSERT_EQ(sim.events_executed(), ref_executed) << "op " << op;
+  }
+  while (!ref.empty()) step_and_check();
+  EXPECT_FALSE(sim.step());
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(fired.size(), ref_executed);
+  EXPECT_GT(ref_executed, 5000u);
 }
 
 }  // namespace
