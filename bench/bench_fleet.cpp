@@ -10,8 +10,8 @@
 //   * policy layer: the same fleet in PolicyMode::Prior, reporting how
 //     much of the full-activation traffic ran with a fitted prior;
 //   * mega-fleet scaling curve: a sessions x threads grid run through the
-//     streaming path (retain_results=false, arena-backed sessions, pool
-//     on), reporting wall time, sessions/sec, peak RSS, and pool
+//     streaming path (retain_results=false, bounded in-flight window,
+//     pool on), reporting wall time, sessions/sec, peak RSS, and pool
 //     hit/contention rates — the 10^5-session regime.
 //
 // Usage: bench_fleet [--smoke] [--json <path>] [--gate <committed.json>]
@@ -214,7 +214,7 @@ int main(int argc, char** argv) {
 
   // --- mega-fleet streaming scaling curve ----------------------------------
   // The 10^5-session regime: retain_results=false (P² roll-up, bounded
-  // in-flight window), arena-backed sessions, shared pool on. Runs LAST so
+  // in-flight window), shared pool on. Runs LAST so
   // the process's VmHWM (monotone) reflects the mega fleet, which is the
   // largest phase — that is the peak-RSS figure the gate bounds.
   benchutil::section("mega-fleet streaming path (retain_results=false)");

@@ -46,10 +46,11 @@
 //                          per-tenant resolution knob under congestion
 //                          budgets. Implies --edge (wifi preset unless
 //                          --edge chose one) and disables the shared
-//                          solution pool (the allocator owns the epoch
-//                          barrier). Prints the market roll-up: admission
-//                          rate, resolution distribution, decided link /
-//                          compute load, and the posted price.
+//                          solution pool (its warm starts depend on session
+//                          completion order). Combines with --policy prior.
+//                          Prints the market roll-up: admission rate,
+//                          resolution distribution, decided link / compute
+//                          load, and the posted price.
 //
 //   --offload              put the edge inside every session's HBO decision
 //                          space (hbosim::offload): sessions search the
@@ -205,9 +206,9 @@ int main(int argc, char** argv) {
     spec.market.enabled = true;
     spec.market.allocator.policy =
         marketsvc::market_policy_from_name(market_policy);
-    // Eight tenants contend per allocation round; the allocator owns the
-    // epoch barrier, so the shared pool (whose warm starts depend on
-    // session completion order) stays off.
+    // Eight tenants contend per allocation round. The shared pool stays
+    // off: its warm starts depend on session completion order, which
+    // would break the market's 1-vs-N-thread bit-identity.
     spec.market.epoch_sessions = 8;
     spec.use_shared_pool = false;
   }

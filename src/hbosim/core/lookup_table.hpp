@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "hbosim/app/mar_app.hpp"
-#include "hbosim/common/arena.hpp"
 
 /// \file lookup_table.hpp
 /// Section VI's proposed fast-path for dynamic environments: remember the
@@ -55,13 +54,7 @@ class SolutionLookupTable {
   std::uint64_t misses() const { return misses_; }
 
  private:
-  // Tree nodes come from the session arena when a fleet worker's
-  // ArenaScope is active (heap otherwise); the StoredSolution payloads a
-  // session hands outward (pool publishes) are plain-allocator copies, so
-  // nothing arena-backed escapes the session.
-  std::map<EnvironmentKey, StoredSolution, std::less<EnvironmentKey>,
-           ArenaAllocator<std::pair<const EnvironmentKey, StoredSolution>>>
-      entries_;
+  std::map<EnvironmentKey, StoredSolution> entries_;
   mutable std::uint64_t hits_ = 0;
   mutable std::uint64_t misses_ = 0;
 };

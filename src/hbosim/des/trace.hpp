@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "hbosim/common/arena.hpp"
 #include "hbosim/common/types.hpp"
 
 /// \file trace.hpp
@@ -28,10 +27,8 @@ struct TracePoint {
 /// Stable handle for a recorder series; valid until clear().
 using SeriesId = std::size_t;
 
-/// One recorded series. Point storage grows per sample, so it routes
-/// through the session arena when a fleet worker's ArenaScope is active
-/// (plain heap otherwise — see common/arena.hpp).
-using TraceSeries = std::vector<TracePoint, ArenaAllocator<TracePoint>>;
+/// One recorded series.
+using TraceSeries = std::vector<TracePoint>;
 
 class TraceRecorder {
  public:

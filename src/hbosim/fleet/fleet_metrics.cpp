@@ -46,23 +46,27 @@ MetricSummary StreamingSummary::summary() const {
   return out;
 }
 
+void FleetAccumulator::push(Sample& sample, double x) {
+  if (mode_ == Mode::Exact) {
+    sample.values.push_back(x);
+  } else {
+    sample.sketch.add(x);
+  }
+}
+
+MetricSummary FleetAccumulator::summary(const Sample& sample) const {
+  return mode_ == Mode::Exact ? summarize_metric(sample.values)
+                              : sample.sketch.summary();
+}
+
 void FleetAccumulator::add(const SessionResult& s) {
   ++count_;
-  if (mode_ == Mode::Exact) {
-    quality_.push_back(s.mean_quality);
-    eps_.push_back(s.mean_latency_ratio);
-    reward_.push_back(s.mean_reward);
-    watts_.push_back(s.mean_power_w);
-    temps_.push_back(s.max_die_temp_c);
-    drains_.push_back(s.battery_drain_pct_per_hour);
-  } else {
-    s_quality_.add(s.mean_quality);
-    s_eps_.add(s.mean_latency_ratio);
-    s_reward_.add(s.mean_reward);
-    s_watts_.add(s.mean_power_w);
-    s_temps_.add(s.max_die_temp_c);
-    s_drains_.add(s.battery_drain_pct_per_hour);
-  }
+  push(quality_, s.mean_quality);
+  push(eps_, s.mean_latency_ratio);
+  push(reward_, s.mean_reward);
+  push(watts_, s.mean_power_w);
+  push(temps_, s.max_die_temp_c);
+  push(drains_, s.battery_drain_pct_per_hour);
   totals_.total_sim_seconds += s.sim_seconds;
   totals_.total_activations += s.activations;
   totals_.total_warm_starts += s.warm_starts;
@@ -81,11 +85,7 @@ void FleetAccumulator::add(const SessionResult& s) {
   if (s.market_session) {
     ++market_sessions_;
     if (s.market_denied) ++totals_.market.denied_sessions;
-    if (mode_ == Mode::Exact) {
-      market_res_.push_back(s.market_resolution);
-    } else {
-      s_market_res_.add(s.market_resolution);
-    }
+    push(market_res_, s.market_resolution);
   }
   // Offload roll-up: sums and id-order-fed summaries only, so the result
   // is identical on 1 and N fleet threads (like the market roll-up).
@@ -95,11 +95,7 @@ void FleetAccumulator::add(const SessionResult& s) {
     totals_.offload.remote_inferences += s.offload_remote;
     totals_.offload.fallbacks += s.offload_fallbacks;
     totals_.offload.radio_energy_j += s.radio_energy_j;
-    if (mode_ == Mode::Exact) {
-      edge_shares_.push_back(s.mean_edge_share);
-    } else {
-      s_edge_shares_.add(s.mean_edge_share);
-    }
+    push(edge_shares_, s.mean_edge_share);
   }
   // Power roll-up: a session that ran with a power model always draws at
   // least the base system load, so energy > 0 identifies power-enabled
@@ -128,11 +124,7 @@ void FleetAccumulator::add(const SessionResult& s) {
     totals_.sched.events += s.sched_events;
     totals_.sched.dropped_events += s.sched_dropped_events;
     if (s.sched_starved_jobs > 0) ++starved_sessions_;
-    if (mode_ == Mode::Exact) {
-      sched_p99s_.push_back(s.sched_worst_p99_slowdown);
-    } else {
-      s_sched_p99s_.add(s.sched_worst_p99_slowdown);
-    }
+    push(sched_p99s_, s.sched_worst_p99_slowdown);
   }
 }
 
@@ -162,27 +154,15 @@ FleetMetrics FleetAccumulator::finalize(
     return out;
   }
 
-  if (mode_ == Mode::Exact) {
-    out.quality = summarize_metric(quality_);
-    out.latency_ratio = summarize_metric(eps_);
-    out.reward = summarize_metric(reward_);
-  } else {
-    out.quality = s_quality_.summary();
-    out.latency_ratio = s_eps_.summary();
-    out.reward = s_reward_.summary();
-  }
+  out.quality = summary(quality_);
+  out.latency_ratio = summary(eps_);
+  out.reward = summary(reward_);
 
   if (any_power_) {
     out.power.enabled = true;
-    if (mode_ == Mode::Exact) {
-      out.power.mean_power_w = summarize_metric(watts_);
-      out.power.max_die_temp_c = summarize_metric(temps_);
-      out.power.drain_pct_per_hour = summarize_metric(drains_);
-    } else {
-      out.power.mean_power_w = s_watts_.summary();
-      out.power.max_die_temp_c = s_temps_.summary();
-      out.power.drain_pct_per_hour = s_drains_.summary();
-    }
+    out.power.mean_power_w = summary(watts_);
+    out.power.max_die_temp_c = summary(temps_);
+    out.power.drain_pct_per_hour = summary(drains_);
     out.power.throttled_session_fraction =
         static_cast<double>(throttled_sessions_) /
         static_cast<double>(count_);
@@ -192,9 +172,7 @@ FleetMetrics FleetAccumulator::finalize(
 
   if (market_sessions_ > 0) {
     out.market.enabled = true;
-    out.market.resolution = mode_ == Mode::Exact
-                                ? summarize_metric(market_res_)
-                                : s_market_res_.summary();
+    out.market.resolution = summary(market_res_);
     out.market.admission_rate =
         1.0 - static_cast<double>(out.market.denied_sessions) /
                   static_cast<double>(market_sessions_);
@@ -204,9 +182,7 @@ FleetMetrics FleetAccumulator::finalize(
 
   if (offload_sessions_ > 0) {
     out.offload.enabled = true;
-    out.offload.edge_share = mode_ == Mode::Exact
-                                 ? summarize_metric(edge_shares_)
-                                 : s_edge_shares_.summary();
+    out.offload.edge_share = summary(edge_shares_);
     if (out.offload.completed_inferences > 0) {
       out.offload.offload_rate =
           static_cast<double>(out.offload.remote_inferences) /
@@ -218,9 +194,7 @@ FleetMetrics FleetAccumulator::finalize(
 
   if (sched_sessions_ > 0) {
     out.sched.enabled = true;
-    out.sched.p99_slowdown = mode_ == Mode::Exact
-                                 ? summarize_metric(sched_p99s_)
-                                 : s_sched_p99s_.summary();
+    out.sched.p99_slowdown = summary(sched_p99s_);
     out.sched.starved_session_fraction =
         static_cast<double>(starved_sessions_) /
         static_cast<double>(sched_sessions_);

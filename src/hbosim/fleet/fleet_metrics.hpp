@@ -271,10 +271,10 @@ class StreamingSummary {
 };
 
 /// One-pass fleet roll-up fed a SessionResult at a time, in session-id
-/// order. Mode Exact retains the six metric samples per session and
-/// reproduces the historical aggregate_fleet() output bit for bit; mode
-/// Streaming holds only sketches, so memory is independent of fleet size
-/// (the 10^5+-session path). Counters sum identically in both modes.
+/// order. Mode Exact retains every per-session metric sample and
+/// summarizes it with summarize_metric(); mode Streaming holds only
+/// sketches, so memory is independent of fleet size (the 10^5+-session
+/// path). Counters sum identically in both modes.
 class FleetAccumulator {
  public:
   enum class Mode { Exact, Streaming };
@@ -305,19 +305,20 @@ class FleetAccumulator {
   std::size_t market_sessions_ = 0;   ///< Sessions run under the allocator.
   std::size_t offload_sessions_ = 0;  ///< Sessions in the 4-target space.
 
-  // Mode Exact: retained samples, summarized (sort-once) at finalize.
-  std::vector<double> quality_, eps_, reward_;
-  std::vector<double> watts_, temps_, drains_;
-  std::vector<double> sched_p99s_;
-  std::vector<double> market_res_;
-  std::vector<double> edge_shares_;
+  /// One per-session metric: the retained values (mode Exact, summarized
+  /// sort-once at finalize) or an O(1) sketch (mode Streaming).
+  struct Sample {
+    std::vector<double> values;
+    StreamingSummary sketch;
+  };
+  void push(Sample& sample, double x);
+  MetricSummary summary(const Sample& sample) const;
 
-  // Mode Streaming: O(1) sketches.
-  StreamingSummary s_quality_, s_eps_, s_reward_;
-  StreamingSummary s_watts_, s_temps_, s_drains_;
-  StreamingSummary s_sched_p99s_;
-  StreamingSummary s_market_res_;
-  StreamingSummary s_edge_shares_;
+  Sample quality_, eps_, reward_;
+  Sample watts_, temps_, drains_;
+  Sample sched_p99s_;
+  Sample market_res_;
+  Sample edge_shares_;
 };
 
 /// Roll per-session results up into fleet-wide metrics — the exact path,

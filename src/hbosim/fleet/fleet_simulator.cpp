@@ -7,7 +7,6 @@
 #include <future>
 #include <utility>
 
-#include "hbosim/common/arena.hpp"
 #include "hbosim/common/error.hpp"
 #include "hbosim/common/rng.hpp"
 #include "hbosim/common/thread_pool.hpp"
@@ -42,16 +41,6 @@ const Entry& pick_weighted(const std::vector<Entry>& entries,
   return entries.back();  // numerical edge: u*total == total
 }
 
-/// One bump arena per worker thread, recycled (reset, blocks kept) between
-/// the sessions that worker runs. Thread-lifetime, not session-lifetime:
-/// the steady-state fleet loop performs zero heap allocations for
-/// arena-typed state once each worker's arena has grown to its session
-/// high-water mark.
-Arena& session_arena() {
-  static thread_local Arena arena;
-  return arena;
-}
-
 }  // namespace
 
 std::string SessionSpec::scenario_name() const {
@@ -62,14 +51,23 @@ std::string SessionSpec::scenario_name() const {
 void FleetSpec::validate() const {
   HB_REQUIRE(sessions >= 1, "fleet needs at least one session");
   HB_REQUIRE(duration_s > 0.0, "fleet session duration must be positive");
+  HB_REQUIRE(std::isfinite(duration_s),
+             "fleet session duration must be finite — a session runs until "
+             "its simulated clock reaches it");
   auto check_weights = [](const auto& mix, const char* what) {
     double total = 0.0;
     for (const auto& e : mix) {
+      HB_REQUIRE(std::isfinite(e.weight),
+                 std::string(what) +
+                     " weight must be finite — an infinite weight breaks "
+                     "the weighted pick");
       HB_REQUIRE(e.weight >= 0.0, std::string(what) + " weight must be >= 0");
       total += e.weight;
     }
     HB_REQUIRE(mix.empty() || total > 0.0,
                std::string(what) + " mix weights sum to zero");
+    HB_REQUIRE(std::isfinite(total),
+               std::string(what) + " mix weights overflow to infinity");
   };
   check_weights(devices, "device");
   check_weights(scenarios, "scenario");
@@ -101,10 +99,11 @@ void FleetSpec::validate() const {
                "warm starts depend on session completion order, which "
                "would break the market epoch's bit-identical 1-vs-N-thread "
                "guarantee (disable one of the two)");
-    HB_REQUIRE(policy.mode == PolicyMode::Off,
-               "FleetSpec::market and FleetSpec::policy both own the "
-               "epoch barrier — run the market and the learned policy "
-               "layer in separate fleets");
+    HB_REQUIRE(policy.mode != PolicyMode::Bandit,
+               "FleetSpec::market cannot run with PolicyMode::Bandit — "
+               "BanditSession's cost omits the posted market_price, so the "
+               "allocator's Pricing signal would never reach bandit "
+               "tenants (use PolicyMode::Off or Prior with the market)");
     HB_REQUIRE(market.epoch_sessions >= 1,
                "FleetSpec::market.epoch_sessions needs at least one "
                "session per broker tick");
@@ -144,10 +143,10 @@ void FleetSpec::validate() const {
     if (policy.mode == PolicyMode::Prior) policy.prior.validate();
     if (policy.mode == PolicyMode::Bandit) {
       policy.bandit.validate();
-      // Bandit sessions have no lookup table to warm start from; a pool
-      // would silently do nothing, so reject the combination up front.
       HB_REQUIRE(!use_shared_pool,
-                 "bandit-mode fleets cannot use the shared solution pool");
+                 "bandit-mode fleets cannot use the shared solution pool — "
+                 "bandit sessions have no lookup table to warm start from, "
+                 "so the pool would silently do nothing");
     }
   }
   if (sched.enabled) {
@@ -199,13 +198,11 @@ SessionSpec FleetSimulator::session_spec(std::size_t id) const {
 }
 
 SessionResult FleetSimulator::run_session(const SessionSpec& spec) const {
-  return run_policy_session(spec, nullptr, nullptr).result;
+  return run_policy_session_impl(spec, nullptr, nullptr).result;
 }
 
 SessionResult FleetSimulator::run_session_traced(
     const SessionSpec& spec, des::SchedTrace& trace) const {
-  // No arena wrapper: this is a one-off diagnostic re-run, and the
-  // caller's trace must not depend on any worker-arena lifetime.
   return run_policy_session_impl(spec, nullptr, nullptr, &trace).result;
 }
 
@@ -213,38 +210,14 @@ PolicySessionOutput FleetSimulator::run_policy_session(
     const SessionSpec& spec,
     std::shared_ptr<const policy::PriorSnapshot> priors,
     std::shared_ptr<const policy::LinUcbBandit> bandit) const {
-  if (!spec_.use_session_arena) {
-    return run_policy_session_impl(spec, std::move(priors), std::move(bandit));
-  }
-  Arena& arena = session_arena();
-  PolicySessionOutput out;
-  {
-    // Everything the session allocates through ArenaAllocator (traces,
-    // lookup table) lands in this worker's arena; the output below is
-    // plain-allocator and safely outlives the reset.
-    ArenaScope scope(arena);
-    out = run_policy_session_impl(spec, std::move(priors), std::move(bandit));
-  }
-  arena.reset();  // recycle the blocks for this worker's next session
-  return out;
+  return run_policy_session_impl(spec, std::move(priors), std::move(bandit));
 }
 
 SessionResult FleetSimulator::run_market_session(
     const SessionSpec& spec,
     const marketsvc::TenantAllocation& alloc) const {
-  if (!spec_.use_session_arena) {
-    return run_policy_session_impl(spec, nullptr, nullptr, nullptr, &alloc)
-        .result;
-  }
-  Arena& arena = session_arena();
-  SessionResult out;
-  {
-    ArenaScope scope(arena);
-    out = run_policy_session_impl(spec, nullptr, nullptr, nullptr, &alloc)
-              .result;
-  }
-  arena.reset();
-  return out;
+  return run_policy_session_impl(spec, nullptr, nullptr, nullptr, &alloc)
+      .result;
 }
 
 PolicySessionOutput FleetSimulator::run_policy_session_impl(
@@ -280,9 +253,8 @@ PolicySessionOutput FleetSimulator::run_policy_session_impl(
       scenario::make_app(device, spec.objects, spec.tasks, spec.seed, base);
 
   // Scheduler forensics: attach a per-session lifecycle trace before any
-  // event runs. The trace is plain-heap (never arena-backed — it outlives
-  // run_session_traced's caller scope) and purely observational, so the
-  // simulated trajectory is bit-identical with and without it.
+  // event runs. The trace is purely observational, so the simulated
+  // trajectory is bit-identical with and without it.
   std::unique_ptr<des::SchedTrace> owned_trace;
   if (trace == nullptr && spec_.sched.enabled) {
     owned_trace = std::make_unique<des::SchedTrace>(spec_.sched);
@@ -532,10 +504,54 @@ FleetResult FleetSimulator::run() {
                            : FleetAccumulator::Mode::Streaming);
   if (spec_.retain_results) out.sessions.reserve(spec_.sessions);
 
+  // One loop for every fleet. Sessions run through a bounded in-flight
+  // window, submitted ahead of consumption by enough to keep every worker
+  // fed. A barrier fires where a market or policy epoch starts: it drains
+  // the window, then ticks the allocator over the epoch's tenants and/or
+  // freezes the learner, so every session of an epoch runs against the
+  // artifacts frozen at its barrier. Barrier points, artifact content and
+  // feed order are pure functions of the spec, which keeps every
+  // pool-free fleet bit-identical on 1 and N threads; an Off fleet has no
+  // barriers at all.
+  ThreadPool workers(threads);
+  const std::size_t window = std::max<std::size_t>(threads * 8, 64);
+  marketsvc::JointAllocator* allocator =
+      spec_.market.enabled ? &broker_->market() : nullptr;
+  const bool learner = prior_store_ || bandit_;
+  std::deque<std::future<PolicySessionOutput>> inflight;
+  std::shared_ptr<const std::vector<marketsvc::TenantAllocation>> allocations;
+  std::size_t market_start = 0;
+  std::shared_ptr<const policy::PriorSnapshot> priors;
+  std::shared_ptr<const policy::LinUcbBandit> frozen;
+
   // Every completed session flows through here on the main thread, in
-  // session-id order — which keeps the streaming percentiles (and any
-  // on_progress heartbeat) deterministic regardless of worker scheduling.
-  auto consume = [this, &out, &acc, t0](SessionResult r) {
+  // session-id order: it feeds the allocator and the learner, then the
+  // roll-up, which keeps the streaming percentiles (and any on_progress
+  // heartbeat) deterministic regardless of worker scheduling. get()
+  // rethrows any session failure to the caller.
+  auto consume_next = [&] {
+    PolicySessionOutput o = inflight.front().get();
+    inflight.pop_front();
+    SessionResult& r = o.result;
+    if (allocator != nullptr) {
+      marketsvc::MeasuredUsage usage;
+      usage.payload_bytes = r.edge_payload_bytes;
+      usage.requests = r.edge_requests;
+      usage.units = r.edge_units;
+      usage.service_s = r.edge_service_s;
+      usage.duration_s = r.sim_seconds;
+      allocator->observe(r.session_id, usage, r.market_resolution);
+    }
+    if (prior_store_) {
+      for (const PolicyObservation& obs : o.observations) {
+        prior_store_->record(policy::PriorKey{r.device, r.scenario, obs.env},
+                             obs.z, obs.cost);
+      }
+    }
+    if (bandit_) {
+      for (const policy::Experience& e : o.experiences)
+        bandit_->update(e.arm, e.context, e.reward);
+    }
     acc.add(r);
     if (spec_.retain_results) out.sessions.push_back(std::move(r));
     if (spec_.progress_every != 0 && spec_.on_progress &&
@@ -545,114 +561,43 @@ FleetResult FleetSimulator::run() {
     }
   };
 
-  if (spec_.market.enabled) {
-    // Market epoch loop: every epoch the broker's JointAllocator ticks
-    // once over the epoch's tenants (main thread, session-id order),
-    // the sessions run concurrently against that frozen decision vector,
-    // and at the barrier the allocator observes what each tenant actually
-    // consumed — again in session-id order. Tick inputs, decisions, and
-    // feed order are all pure functions of the spec, so a market fleet is
-    // bit-identical on 1 and N threads (same recipe as the policy loop).
-    ThreadPool workers(threads);
-    marketsvc::JointAllocator& allocator = broker_->market();
-    const std::size_t epoch = spec_.market.epoch_sessions;
-    for (std::size_t start = 0; start < spec_.sessions; start += epoch) {
-      HB_TRACE_SCOPE("fleet", "fleet.market_epoch");
-      const std::size_t end = std::min(start + epoch, spec_.sessions);
-      std::vector<marketsvc::TenantDemand> demands;
-      demands.reserve(end - start);
-      for (std::size_t id = start; id < end; ++id) {
-        marketsvc::TenantDemand d;
-        d.tenant = id;
-        demands.push_back(d);
+  for (std::size_t id = 0; id < spec_.sessions; ++id) {
+    const bool tick =
+        allocator != nullptr && id % spec_.market.epoch_sessions == 0;
+    const bool freeze = learner && id % spec_.policy.epoch_sessions == 0;
+    if (tick || freeze) {
+      HB_TRACE_SCOPE("fleet", "fleet.barrier");
+      while (!inflight.empty()) consume_next();
+      if (tick) {
+        const std::size_t end =
+            std::min(id + spec_.market.epoch_sessions, spec_.sessions);
+        std::vector<marketsvc::TenantDemand> demands(end - id);
+        for (std::size_t t = id; t < end; ++t) demands[t - id].tenant = t;
+        allocations =
+            std::make_shared<const std::vector<marketsvc::TenantAllocation>>(
+                allocator->tick(demands));
+        market_start = id;
       }
-      auto allocations =
-          std::make_shared<const std::vector<marketsvc::TenantAllocation>>(
-              allocator.tick(demands));
-      std::vector<std::future<SessionResult>> futures;
-      futures.reserve(end - start);
-      for (std::size_t id = start; id < end; ++id) {
-        futures.push_back(workers.submit(
-            [this, spec = session_spec(id), allocations, i = id - start] {
-              return run_market_session(spec, (*allocations)[i]);
-            }));
+      if (freeze) {
+        priors = prior_store_ ? prior_store_->snapshot() : nullptr;
+        frozen = bandit_
+                     ? std::make_shared<const policy::LinUcbBandit>(*bandit_)
+                     : nullptr;
+        ++policy_epochs_;
+        HB_TELEM_COUNT("fleet.policy_epochs", 1.0);
       }
-      for (std::future<SessionResult>& f : futures) {
-        SessionResult r = f.get();
-        marketsvc::MeasuredUsage usage;
-        usage.payload_bytes = r.edge_payload_bytes;
-        usage.requests = r.edge_requests;
-        usage.units = r.edge_units;
-        usage.service_s = r.edge_service_s;
-        usage.duration_s = r.sim_seconds;
-        allocator.observe(r.session_id, usage, r.market_resolution);
-        consume(std::move(r));
-      }
+    } else if (inflight.size() >= window) {
+      consume_next();
     }
-  } else if (spec_.policy.mode == PolicyMode::Off) {
-    // Bounded in-flight window: submit ahead of consumption by enough to
-    // keep every worker fed, but consume (in id order) as futures at the
-    // window's head complete, so retained memory is O(threads) — not
-    // O(sessions) — when results aren't being kept. get() rethrows any
-    // session failure to the caller.
-    ThreadPool workers(threads);
-    const std::size_t window = std::max<std::size_t>(threads * 8, 64);
-    std::deque<std::future<SessionResult>> inflight;
-    for (std::size_t id = 0; id < spec_.sessions; ++id) {
-      if (inflight.size() >= window) {
-        consume(inflight.front().get());
-        inflight.pop_front();
-      }
-      inflight.push_back(workers.submit(
-          [this, spec = session_spec(id)] { return run_session(spec); }));
-    }
-    while (!inflight.empty()) {
-      consume(inflight.front().get());
-      inflight.pop_front();
-    }
-  } else {
-    // Epoch loop: every epoch freezes the learner's state, runs its
-    // sessions concurrently against the frozen artifact, then feeds the
-    // learner from the completed sessions in session-id order. The
-    // barrier (and the id-ordered feed) is what makes a policy fleet
-    // bit-identical across thread counts.
-    ThreadPool workers(threads);
-    const std::size_t epoch = spec_.policy.epoch_sessions;
-    for (std::size_t start = 0; start < spec_.sessions; start += epoch) {
-      HB_TRACE_SCOPE("fleet", "fleet.policy_epoch");
-      const std::size_t end = std::min(start + epoch, spec_.sessions);
-      std::shared_ptr<const policy::PriorSnapshot> priors =
-          prior_store_ ? prior_store_->snapshot() : nullptr;
-      std::shared_ptr<const policy::LinUcbBandit> frozen =
-          bandit_ ? std::make_shared<const policy::LinUcbBandit>(*bandit_)
-                  : nullptr;
-      std::vector<std::future<PolicySessionOutput>> futures;
-      futures.reserve(end - start);
-      for (std::size_t id = start; id < end; ++id) {
-        futures.push_back(
-            workers.submit([this, spec = session_spec(id), priors, frozen] {
-              return run_policy_session(spec, priors, frozen);
-            }));
-      }
-      for (std::future<PolicySessionOutput>& f : futures) {
-        PolicySessionOutput o = f.get();
-        if (prior_store_) {
-          for (const PolicyObservation& obs : o.observations) {
-            prior_store_->record(
-                policy::PriorKey{o.result.device, o.result.scenario, obs.env},
-                obs.z, obs.cost);
-          }
-        }
-        if (bandit_) {
-          for (const policy::Experience& e : o.experiences)
-            bandit_->update(e.arm, e.context, e.reward);
-        }
-        consume(std::move(o.result));
-      }
-      ++policy_epochs_;
-      HB_TELEM_COUNT("fleet.policy_epochs", 1.0);
-    }
+    inflight.push_back(workers.submit([this, spec = session_spec(id), priors,
+                                       frozen, allocations,
+                                       slot = id - market_start] {
+      return run_policy_session_impl(
+          spec, priors, frozen, nullptr,
+          allocations ? &(*allocations)[slot] : nullptr);
+    }));
   }
+  while (!inflight.empty()) consume_next();
 
   const SharedSolutionPoolStats pool_stats =
       pool_ ? pool_->stats() : SharedSolutionPoolStats{};

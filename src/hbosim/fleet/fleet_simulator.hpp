@@ -31,15 +31,22 @@
 /// dependent; each warm-started trajectory is still fully deterministic
 /// given the solution it received.
 ///
-/// The learned policy layer (FleetSpec::policy) keeps the bit-identity
-/// guarantee even though sessions *learn from each other*: the fleet runs
-/// in epochs of `epoch_sessions` sessions. Every session in an epoch
-/// reads the same frozen artifact — an immutable PriorSnapshot (mode
-/// Prior) or a frozen copy of the LinUCB model (mode Bandit) — and the
-/// mutable learner is fed only at the epoch barrier, on the main thread,
-/// in session-id order. Epoch membership, snapshot content, and feed
-/// order are all pure functions of the spec, so a policy-enabled,
-/// pool-disabled fleet is bit-identical on 1 thread and on N threads.
+/// The cross-session channels — the learned policy layer
+/// (FleetSpec::policy) and the market allocator (FleetSpec::market) —
+/// keep the bit-identity guarantee even though sessions *learn from each
+/// other*. One loop runs every fleet: sessions flow through a bounded
+/// in-flight window and are consumed on the main thread in session-id
+/// order, and consuming a session feeds the allocator, the PriorStore and
+/// the LinUCB learner. A barrier fires at the first session of every
+/// market or policy epoch: it drains the window, then ticks the allocator
+/// over the epoch's tenants and/or freezes the learner into an immutable
+/// PriorSnapshot (mode Prior) or a frozen LinUCB copy (mode Bandit).
+/// Every session of an epoch reads the artifacts frozen at its barrier,
+/// even when the learner is fed mid-epoch because the epoch is longer
+/// than the window. Barrier points, artifact content and feed order are
+/// all pure functions of the spec, so a pool-disabled fleet is
+/// bit-identical on 1 thread and on N threads. An Off fleet without a
+/// market has no barriers.
 
 namespace hbosim::fleet {
 
@@ -59,7 +66,7 @@ struct ScenarioMixEntry {
 /// How (if at all) the fleet learns across sessions beyond the solution
 /// pool. See the determinism note at the top of this file.
 enum class PolicyMode {
-  Off,     ///< No policy layer; the pre-policy fleet loop, bit for bit.
+  Off,     ///< No policy layer: no learner and no policy barriers.
   Prior,   ///< HBO sessions + PriorStore-fitted GP warm-start priors.
   Bandit,  ///< Sessions run the LinUCB agent instead of HBO.
 };
@@ -73,9 +80,9 @@ struct FleetProgress {
 
 struct FleetPolicyConfig {
   PolicyMode mode = PolicyMode::Off;
-  /// Sessions per learning epoch: every epoch reads one frozen artifact,
-  /// and the learner absorbs the epoch's traffic at the barrier. Smaller
-  /// epochs learn faster but serialize more.
+  /// Sessions per learning epoch: every epoch reads the artifact frozen
+  /// at its barrier, and the learner absorbs traffic as sessions are
+  /// consumed. Smaller epochs learn faster but serialize more.
   std::size_t epoch_sessions = 32;
   policy::PriorStoreConfig prior;  ///< Mode Prior knobs.
   policy::BanditConfig bandit;     ///< Mode Bandit knobs.
@@ -84,11 +91,13 @@ struct FleetPolicyConfig {
 /// The edge as an actor (hbosim::marketsvc): per-epoch broker ticks of a
 /// cross-tenant JointAllocator decide each tenant's link share, compute
 /// share, resolution knob, and (Pricing policy) admission + price signal.
-/// Same determinism recipe as the policy layer: sessions of an epoch run
-/// against one frozen decision vector, and the allocator is ticked/fed
-/// only at the barrier, on the main thread, in session-id order — so a
-/// market fleet is bit-identical on 1 and N threads. Disabled, the fleet
-/// reproduces the mirror-based path bit for bit.
+/// Same determinism recipe as the policy layer: the allocator ticks at
+/// each market barrier, sessions of an epoch run against that frozen
+/// decision vector, and the allocator observes each tenant's usage as
+/// the main thread consumes it in session-id order — so a market fleet
+/// is bit-identical on 1 and N threads. It composes with PolicyMode::Prior
+/// (both freeze at their own barriers in the same loop). Disabled, the
+/// fleet reproduces the mirror-based path bit for bit.
 struct FleetMarketConfig {
   bool enabled = false;
   /// Tenants per broker tick (one allocation round per epoch).
@@ -121,7 +130,8 @@ struct FleetSpec {
   SharedSolutionPoolConfig pool;
 
   /// Learned policy layer (hbosim::policy): warm-start priors or the
-  /// bandit agent, trained on the fleet's own traffic at epoch barriers.
+  /// bandit agent, trained on the fleet's own traffic and frozen at epoch
+  /// barriers.
   FleetPolicyConfig policy;
 
   /// Route every session's decimation misses and shared-store fetches
@@ -189,14 +199,6 @@ struct FleetSpec {
   /// 10^5–10^6-session path.
   bool retain_results = true;
 
-  /// Back each session's arena-typed state (trace buffers, lookup table)
-  /// with a per-worker bump arena that is reset between sessions on
-  /// the same worker, so a long fleet run performs O(1) heap allocations
-  /// per worker for that state instead of O(events) per session. Results
-  /// are bit-identical either way (an allocator changes addresses, never
-  /// values); the switch exists for A/B tests and as an escape hatch.
-  bool use_session_arena = true;
-
   /// Invoke `on_progress` (on the main thread, inside run()) every this
   /// many completed sessions; 0 disables. Used by fleet_demo --stream for
   /// throughput/RSS heartbeats on multi-minute mega fleets.
@@ -226,7 +228,7 @@ struct FleetResult {
 };
 
 /// One (environment, configuration, cost) sample a prior-mode session
-/// produced, carried back to the barrier for the PriorStore feed.
+/// produced, carried back to the main thread for the PriorStore feed.
 struct PolicyObservation {
   core::EnvironmentKey env;
   std::vector<double> z;
@@ -234,8 +236,8 @@ struct PolicyObservation {
 };
 
 /// run_policy_session's return: the ordinary per-session roll-up plus the
-/// epoch traffic the main thread feeds the learner with, in session-id
-/// order, at the barrier.
+/// traffic the main thread feeds the learner with, in session-id order,
+/// as it consumes the session.
 struct PolicySessionOutput {
   SessionResult result;
   std::vector<PolicyObservation> observations;  ///< Mode Prior.
@@ -297,11 +299,11 @@ class FleetSimulator {
   const policy::LinUcbBandit* bandit() const { return bandit_.get(); }
 
  private:
-  /// The session body; run_policy_session wraps it in the per-worker
-  /// ArenaScope when FleetSpec::use_session_arena is set. A non-null
-  /// `trace` (run_session_traced) overrides the spec-owned sched trace;
-  /// a non-null `market` (run_market_session) swaps the mirror client
-  /// for the allocator's market client and applies the decision's
+  /// The session body behind every public entry point and run()'s loop,
+  /// which passes the epoch's priors, bandit and allocation together. A
+  /// non-null `trace` (run_session_traced) overrides the spec-owned sched
+  /// trace; a non-null `market` swaps the mirror client for the
+  /// allocator's market client and applies the decision's
   /// resolution/price to the session.
   PolicySessionOutput run_policy_session_impl(
       const SessionSpec& spec,
@@ -315,7 +317,7 @@ class FleetSimulator {
   std::unique_ptr<edgesvc::EdgeBroker> broker_;
   std::unique_ptr<policy::PriorStore> prior_store_;
   std::unique_ptr<policy::LinUcbBandit> bandit_;
-  std::size_t policy_epochs_ = 0;
+  std::size_t policy_epochs_ = 0;  ///< Learner freezes in the last run().
 };
 
 }  // namespace hbosim::fleet

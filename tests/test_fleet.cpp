@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <map>
 #include <thread>
+#include <vector>
 
 #include "hbosim/common/error.hpp"
 #include "hbosim/fleet/fleet_simulator.hpp"
@@ -45,6 +48,30 @@ TEST(FleetSpec, ValidateRejectsNonsense) {
 
   spec = fleet::FleetSpec{};
   spec.devices = {{"Pixel 7", -1.0}};
+  EXPECT_THROW(fleet::FleetSimulator{spec}, Error);
+
+  // Non-finite values: an infinite duration never finishes a session, and
+  // an infinite weight starves every other entry of the weighted pick.
+  const double inf = std::numeric_limits<double>::infinity();
+  spec = fleet::FleetSpec{};
+  spec.duration_s = inf;
+  EXPECT_THROW(fleet::FleetSimulator{spec}, Error);
+
+  spec = fleet::FleetSpec{};
+  spec.devices = {{"Pixel 7", inf}, {"Galaxy S22", 1.0}};
+  EXPECT_THROW(fleet::FleetSimulator{spec}, Error);
+
+  spec = fleet::FleetSpec{};
+  spec.devices = {{"Pixel 7", std::numeric_limits<double>::quiet_NaN()}};
+  EXPECT_THROW(fleet::FleetSimulator{spec}, Error);
+
+  spec = fleet::FleetSpec{};
+  spec.scenarios = {{scenario::ObjectSet::SC1, scenario::TaskSet::CF1, inf}};
+  EXPECT_THROW(fleet::FleetSimulator{spec}, Error);
+
+  // Finite weights whose sum overflows break the pick the same way.
+  spec = fleet::FleetSpec{};
+  spec.devices = {{"Pixel 7", 1e308}, {"Galaxy S22", 1e308}};
   EXPECT_THROW(fleet::FleetSimulator{spec}, Error);
 }
 
@@ -329,6 +356,33 @@ TEST(FleetSimulator, PerSessionResultsAreThreadCountInvariant) {
   EXPECT_GT(serial.metrics.reward.mean, serial.metrics.reward.min - 1.0);
 }
 
+// An Off fleet longer than the in-flight window (64 on 1 thread) consumes
+// sessions while it still submits; each one still runs exactly as a
+// standalone session with no priors, bandit or allocation attached.
+TEST(FleetSimulator, OffFleetBeyondTheWindowMatchesStandaloneSessions) {
+  const std::size_t kSessions = 70;
+  fleet::FleetSimulator fleet(fast_fleet(kSessions, 1));
+  const fleet::FleetResult result = fleet.run();
+
+  ASSERT_EQ(result.sessions.size(), kSessions);
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    const fleet::SessionResult& a = result.sessions[i];
+    const fleet::SessionResult b = fleet.run_session(fleet.session_spec(i));
+    EXPECT_EQ(a.session_id, i);
+    EXPECT_EQ(a.device, b.device) << "session " << i;
+    EXPECT_EQ(a.seed, b.seed) << "session " << i;
+    EXPECT_EQ(a.mean_quality, b.mean_quality) << "session " << i;
+    EXPECT_EQ(a.mean_latency_ratio, b.mean_latency_ratio) << "session " << i;
+    EXPECT_EQ(a.mean_reward, b.mean_reward) << "session " << i;
+    EXPECT_EQ(a.sim_seconds, b.sim_seconds) << "session " << i;
+    EXPECT_EQ(a.activations, b.activations) << "session " << i;
+    EXPECT_EQ(a.prior_activations, 0u);
+    EXPECT_FALSE(a.market_session);
+  }
+  EXPECT_FALSE(result.metrics.policy.enabled);
+  EXPECT_FALSE(result.metrics.market.enabled);
+}
+
 // The power-model variant of the invariance guarantee: per-session
 // PowerManagers rescale PsResource capacities mid-run (the governor), and
 // that feedback must still be bit-identical across thread counts because
@@ -414,6 +468,207 @@ TEST(FleetMetrics, AggregateComputesPercentilesAndThroughput) {
   EXPECT_EQ(m.total_activations, 10u);
 }
 
+/// Synthetic sessions that exercise every gated roll-up: power on all,
+/// market on even ids (some denied), offload on every third id, sched
+/// tracing on ids = 1 mod 4 (some starved). Values are spread so no two
+/// metrics share a sample.
+std::vector<fleet::SessionResult> mixed_sessions(std::size_t n) {
+  std::vector<fleet::SessionResult> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = static_cast<double>(i);
+    const double u = std::fmod(0.6180339887 * (x + 1.0), 1.0);
+    fleet::SessionResult& s = out[i];
+    s.session_id = i;
+    s.sim_seconds = 10.0 + 0.5 * u;
+    s.mean_quality = 0.4 + 0.5 * u;
+    s.mean_latency_ratio = 0.05 + 0.3 * (1.0 - u);
+    s.mean_reward = s.mean_quality - 0.5 * s.mean_latency_ratio;
+    s.activations = 3;
+    s.warm_starts = i % 3 == 0 ? 1 : 0;
+    s.energy_j = 20.0 + x;
+    s.mean_power_w = 1.5 + u;
+    s.max_die_temp_c = 50.0 + 20.0 * u;
+    s.battery_drain_pct_per_hour = 8.0 + 4.0 * u;
+    s.throttle_events = i % 5 == 0 ? 2 : 0;
+    s.min_freq_scale = 1.0 - 0.01 * x;
+    if (i % 2 == 0) {
+      s.market_session = true;
+      s.market_denied = i % 6 == 0;
+      s.market_resolution = 0.5 + 0.4 * u;
+    }
+    if (i % 3 == 0) {
+      s.offload_session = true;
+      s.offload_completed = 10;
+      s.offload_remote = i % 10;
+      s.mean_edge_share = 0.1 + 0.8 * u;
+    }
+    if (i % 4 == 1) {
+      s.sched_traced = true;
+      s.sched_jobs = 100 + i;
+      s.sched_worst_p99_slowdown = 1.0 + 3.0 * u;
+      s.sched_fairness_floor = 0.5 + 0.5 * u;
+      s.sched_starved_jobs = i % 8 == 1 ? 2 : 0;
+    }
+  }
+  return out;
+}
+
+/// Per-metric samples of `sessions`, each gated like the accumulator and
+/// kept in feed order.
+struct MixedSamples {
+  std::vector<double> quality, eps, reward, watts, temps, drains;
+  std::vector<double> resolution, edge_share, p99_slowdown;
+};
+
+MixedSamples samples_of(const std::vector<fleet::SessionResult>& sessions) {
+  MixedSamples out;
+  for (const fleet::SessionResult& s : sessions) {
+    out.quality.push_back(s.mean_quality);
+    out.eps.push_back(s.mean_latency_ratio);
+    out.reward.push_back(s.mean_reward);
+    out.watts.push_back(s.mean_power_w);
+    out.temps.push_back(s.max_die_temp_c);
+    out.drains.push_back(s.battery_drain_pct_per_hour);
+    if (s.market_session) out.resolution.push_back(s.market_resolution);
+    if (s.offload_session) out.edge_share.push_back(s.mean_edge_share);
+    if (s.sched_traced) out.p99_slowdown.push_back(s.sched_worst_p99_slowdown);
+  }
+  return out;
+}
+
+void expect_same_summary(const fleet::MetricSummary& a,
+                         const fleet::MetricSummary& b, const char* what) {
+  EXPECT_EQ(a.min, b.min) << what;
+  EXPECT_EQ(a.mean, b.mean) << what;
+  EXPECT_EQ(a.p50, b.p50) << what;
+  EXPECT_EQ(a.p90, b.p90) << what;
+  EXPECT_EQ(a.p99, b.p99) << what;
+  EXPECT_EQ(a.max, b.max) << what;
+}
+
+// Exact mode summarizes each metric with summarize_metric over exactly the
+// sessions that metric is gated on, in feed order — bit for bit.
+TEST(FleetAccumulator, ExactModeSummarizesEachGatedMetricInFeedOrder) {
+  const std::vector<fleet::SessionResult> sessions = mixed_sessions(40);
+  fleet::FleetAccumulator acc(fleet::FleetAccumulator::Mode::Exact);
+  for (const fleet::SessionResult& s : sessions) acc.add(s);
+  const fleet::FleetMetrics m = acc.finalize(4.0);
+  const MixedSamples x = samples_of(sessions);
+
+  EXPECT_FALSE(m.streamed);
+  EXPECT_EQ(m.sessions, 40u);
+  expect_same_summary(m.quality, fleet::summarize_metric(x.quality), "quality");
+  expect_same_summary(m.latency_ratio, fleet::summarize_metric(x.eps), "eps");
+  expect_same_summary(m.reward, fleet::summarize_metric(x.reward), "reward");
+  ASSERT_TRUE(m.power.enabled);
+  expect_same_summary(m.power.mean_power_w, fleet::summarize_metric(x.watts),
+                      "watts");
+  expect_same_summary(m.power.max_die_temp_c,
+                      fleet::summarize_metric(x.temps), "temps");
+  expect_same_summary(m.power.drain_pct_per_hour,
+                      fleet::summarize_metric(x.drains), "drains");
+  ASSERT_TRUE(m.market.enabled);
+  expect_same_summary(m.market.resolution,
+                      fleet::summarize_metric(x.resolution), "resolution");
+  ASSERT_TRUE(m.offload.enabled);
+  expect_same_summary(m.offload.edge_share,
+                      fleet::summarize_metric(x.edge_share), "edge share");
+  ASSERT_TRUE(m.sched.enabled);
+  expect_same_summary(m.sched.p99_slowdown,
+                      fleet::summarize_metric(x.p99_slowdown), "p99");
+
+  // Rates divide by the gated population, not the fleet size.
+  EXPECT_EQ(m.market.denied_sessions, 7u);  // ids 0, 6, ..., 36
+  EXPECT_DOUBLE_EQ(m.market.admission_rate, 1.0 - 7.0 / 20.0);
+  EXPECT_DOUBLE_EQ(m.sched.starved_session_fraction, 5.0 / 10.0);
+  EXPECT_DOUBLE_EQ(m.power.throttled_session_fraction, 8.0 / 40.0);
+  EXPECT_EQ(m.offload.completed_inferences, 140u);
+  EXPECT_DOUBLE_EQ(m.sessions_per_sec, 10.0);
+}
+
+// Streaming mode feeds the same gated samples, in the same order, to one
+// sketch per metric; every counter and rate matches the exact mode.
+TEST(FleetAccumulator, StreamingModeSketchesTheSameGatedSamples) {
+  const std::vector<fleet::SessionResult> sessions = mixed_sessions(40);
+  fleet::FleetAccumulator exact_acc(fleet::FleetAccumulator::Mode::Exact);
+  fleet::FleetAccumulator stream_acc(fleet::FleetAccumulator::Mode::Streaming);
+  for (const fleet::SessionResult& s : sessions) {
+    exact_acc.add(s);
+    stream_acc.add(s);
+  }
+  const fleet::FleetMetrics e = exact_acc.finalize(4.0);
+  const fleet::FleetMetrics m = stream_acc.finalize(4.0);
+  const MixedSamples x = samples_of(sessions);
+  auto sketch = [](const std::vector<double>& values) {
+    fleet::StreamingSummary s;
+    for (double v : values) s.add(v);
+    return s.summary();
+  };
+
+  EXPECT_TRUE(m.streamed);
+  expect_same_summary(m.quality, sketch(x.quality), "quality");
+  expect_same_summary(m.latency_ratio, sketch(x.eps), "eps");
+  expect_same_summary(m.reward, sketch(x.reward), "reward");
+  expect_same_summary(m.power.mean_power_w, sketch(x.watts), "watts");
+  expect_same_summary(m.power.max_die_temp_c, sketch(x.temps), "temps");
+  expect_same_summary(m.power.drain_pct_per_hour, sketch(x.drains),
+                      "drains");
+  expect_same_summary(m.market.resolution, sketch(x.resolution),
+                      "resolution");
+  expect_same_summary(m.offload.edge_share, sketch(x.edge_share),
+                      "edge share");
+  expect_same_summary(m.sched.p99_slowdown, sketch(x.p99_slowdown), "p99");
+
+  // A gated sketch never sees the neutral values of ungated sessions
+  // (resolution 1.0, edge share 0.0): its extremes match the exact mode.
+  EXPECT_EQ(m.market.resolution.max, e.market.resolution.max);
+  EXPECT_EQ(m.offload.edge_share.min, e.offload.edge_share.min);
+  EXPECT_LT(m.market.resolution.max, 1.0);
+  EXPECT_GT(m.offload.edge_share.min, 0.0);
+
+  EXPECT_EQ(m.sessions, e.sessions);
+  EXPECT_EQ(m.total_sim_seconds, e.total_sim_seconds);
+  EXPECT_EQ(m.total_activations, e.total_activations);
+  EXPECT_EQ(m.warm_start_rate, e.warm_start_rate);
+  EXPECT_EQ(m.power.total_energy_j, e.power.total_energy_j);
+  EXPECT_EQ(m.power.min_freq_scale, e.power.min_freq_scale);
+  EXPECT_EQ(m.power.throttled_session_fraction,
+            e.power.throttled_session_fraction);
+  EXPECT_EQ(m.market.denied_sessions, e.market.denied_sessions);
+  EXPECT_EQ(m.market.admission_rate, e.market.admission_rate);
+  EXPECT_EQ(m.offload.offload_rate, e.offload.offload_rate);
+  EXPECT_EQ(m.sched.jobs, e.sched.jobs);
+  EXPECT_EQ(m.sched.worst_p99_slowdown, e.sched.worst_p99_slowdown);
+  EXPECT_EQ(m.sched.fairness_floor, e.sched.fairness_floor);
+  EXPECT_EQ(m.sched.starved_session_fraction,
+            e.sched.starved_session_fraction);
+}
+
+// An accumulator that saw no session finalizes to a zero roll-up in both
+// modes (no empty-sample throw), keeping the pool context it was given.
+TEST(FleetAccumulator, EmptyFleetFinalizesToAZeroRollup) {
+  fleet::SharedSolutionPoolStats pool;
+  pool.stores = 3;
+  pool.hits = 2;
+  for (auto mode : {fleet::FleetAccumulator::Mode::Exact,
+                    fleet::FleetAccumulator::Mode::Streaming}) {
+    const fleet::FleetAccumulator acc(mode);
+    const fleet::FleetMetrics m = acc.finalize(1.0, pool);
+    EXPECT_EQ(m.sessions, 0u);
+    EXPECT_EQ(m.streamed, mode == fleet::FleetAccumulator::Mode::Streaming);
+    expect_same_summary(m.reward, fleet::MetricSummary{}, "reward");
+    EXPECT_EQ(m.total_sim_seconds, 0.0);
+    EXPECT_EQ(m.sessions_per_sec, 0.0);
+    EXPECT_FALSE(m.power.enabled);
+    EXPECT_FALSE(m.market.enabled);
+    EXPECT_FALSE(m.offload.enabled);
+    EXPECT_FALSE(m.sched.enabled);
+    EXPECT_FALSE(m.edge.enabled);
+    EXPECT_EQ(m.pool.stores, 3u);
+    EXPECT_EQ(m.pool.hits, 2u);
+  }
+}
+
 // retain_results=false must agree with the exact path: counters and
 // min/mean/max bitwise (both are exact sums in the same order), sketched
 // percentiles within the P² tolerance — and it must not keep per-session
@@ -485,28 +740,6 @@ TEST(FleetSimulator, StreamingMetricsAreThreadCountInvariant) {
     EXPECT_EQ((a.*field).p90, (b.*field).p90);
     EXPECT_EQ((a.*field).p99, (b.*field).p99);
     EXPECT_EQ((a.*field).max, (b.*field).max);
-  }
-}
-
-// The session arena is a pure allocation strategy: switching it off must
-// not change a single bit of any session's trajectory.
-TEST(FleetSimulator, ArenaOffMatchesArenaOn) {
-  fleet::FleetSpec on_spec = fast_fleet(16, 2);
-  fleet::FleetSpec off_spec = on_spec;
-  off_spec.use_session_arena = false;
-  const fleet::FleetResult on = fleet::FleetSimulator(on_spec).run();
-  const fleet::FleetResult off = fleet::FleetSimulator(off_spec).run();
-
-  ASSERT_EQ(on.sessions.size(), off.sessions.size());
-  for (std::size_t i = 0; i < on.sessions.size(); ++i) {
-    const fleet::SessionResult& a = on.sessions[i];
-    const fleet::SessionResult& b = off.sessions[i];
-    EXPECT_EQ(a.mean_quality, b.mean_quality) << "session " << i;
-    EXPECT_EQ(a.mean_latency_ratio, b.mean_latency_ratio) << "session " << i;
-    EXPECT_EQ(a.mean_reward, b.mean_reward) << "session " << i;
-    EXPECT_EQ(a.sim_seconds, b.sim_seconds) << "session " << i;
-    EXPECT_EQ(a.activations, b.activations) << "session " << i;
-    EXPECT_EQ(a.periods, b.periods) << "session " << i;
   }
 }
 

@@ -374,10 +374,13 @@ TEST(FleetMarket, ValidationRejectsNonsenseCombinations) {
   spec.use_shared_pool = true;
   EXPECT_THROW(spec.validate(), Error);
 
-  // The market and the learned policy layer both own the epoch barrier.
+  // Bandit sessions' cost omits the posted price, so the Pricing signal
+  // would never reach them. Learned priors compose with the market.
   spec = market_fleet(8, 1, MarketPolicy::ProportionalFair);
-  spec.policy.mode = fleet::PolicyMode::Prior;
+  spec.policy.mode = fleet::PolicyMode::Bandit;
   EXPECT_THROW(spec.validate(), Error);
+  spec.policy.mode = fleet::PolicyMode::Prior;
+  EXPECT_NO_THROW(spec.validate());
 
   spec = market_fleet(8, 1, MarketPolicy::ProportionalFair);
   spec.market.epoch_sessions = 0;
@@ -484,6 +487,132 @@ TEST(FleetMarket, PricingOverloadDeniesIntoBestEffort) {
     EXPECT_GT(s.sim_seconds, 0.0);
     EXPECT_GT(s.activations, 0u);
   }
+}
+
+// The market and the learned priors share one loop: with epochs of 3 and
+// 4 sessions their barriers interleave, and the allocator ticks and the
+// prior snapshots still replay bit-identically on 1 and 4 threads.
+TEST(FleetMarket, WithPriorsIsThreadCountInvariant) {
+  auto combined = [](std::size_t threads) {
+    fleet::FleetSpec spec = market_fleet(16, threads, MarketPolicy::Pricing);
+    spec.devices = {{"Pixel 7", 1.0}};  // concentrate traffic on few keys
+    spec.market.epoch_sessions = 3;
+    spec.policy.mode = fleet::PolicyMode::Prior;
+    spec.policy.epoch_sessions = 4;
+    spec.policy.prior.min_observations = 4;
+    return spec;
+  };
+  const fleet::FleetResult serial = fleet::FleetSimulator(combined(1)).run();
+  const fleet::FleetResult threaded = fleet::FleetSimulator(combined(4)).run();
+
+  ASSERT_EQ(serial.sessions.size(), 16u);
+  ASSERT_EQ(threaded.sessions.size(), 16u);
+  for (std::size_t i = 0; i < serial.sessions.size(); ++i) {
+    const fleet::SessionResult& a = serial.sessions[i];
+    const fleet::SessionResult& b = threaded.sessions[i];
+    EXPECT_EQ(a.mean_reward, b.mean_reward) << "session " << i;
+    EXPECT_EQ(a.market_price, b.market_price) << "session " << i;
+    EXPECT_EQ(a.market_resolution, b.market_resolution) << "session " << i;
+    EXPECT_EQ(a.prior_activations, b.prior_activations) << "session " << i;
+  }
+  EXPECT_EQ(serial.metrics.policy.epochs, 4u);  // 16 sessions / epoch of 4
+  EXPECT_EQ(serial.metrics.market.ticks, 6u);   // ceil(16 / 3)
+  EXPECT_GT(serial.metrics.policy.prior_activations, 0u);
+  EXPECT_EQ(serial.metrics.policy.prior_activations,
+            threaded.metrics.policy.prior_activations);
+
+  // A store that can never fit a prior leaves the market-only fleet
+  // untouched: the extra policy barriers move no bit.
+  fleet::FleetSpec inert = combined(2);
+  inert.policy.prior.min_observations = 1u << 20;
+  fleet::FleetSpec market_only = combined(2);
+  market_only.policy.mode = fleet::PolicyMode::Off;
+  const fleet::FleetResult a = fleet::FleetSimulator(inert).run();
+  const fleet::FleetResult b = fleet::FleetSimulator(market_only).run();
+  ASSERT_EQ(a.sessions.size(), b.sessions.size());
+  for (std::size_t i = 0; i < a.sessions.size(); ++i) {
+    EXPECT_EQ(a.sessions[i].mean_reward, b.sessions[i].mean_reward);
+    EXPECT_EQ(a.sessions[i].mean_quality, b.sessions[i].mean_quality);
+    EXPECT_EQ(a.sessions[i].activations, b.sessions[i].activations);
+    EXPECT_EQ(a.sessions[i].market_price, b.sessions[i].market_price);
+    EXPECT_EQ(a.sessions[i].market_resolution,
+              b.sessions[i].market_resolution);
+    EXPECT_EQ(a.sessions[i].edge_payload_bytes,
+              b.sessions[i].edge_payload_bytes);
+    EXPECT_EQ(a.sessions[i].prior_activations, 0u);
+  }
+  EXPECT_EQ(a.metrics.market.final_price, b.metrics.market.final_price);
+}
+
+// A market epoch longer than the in-flight window: on 1 thread (window 64)
+// the allocator observes sessions before the epoch ends, on 9 threads
+// (window 72) it observes none. Both must run every tenant on the one
+// allocation ticked at the barrier.
+TEST(FleetMarket, EpochLongerThanTheWindowRunsOnItsBarrierAllocation) {
+  auto long_epoch = [](std::size_t threads) {
+    fleet::FleetSpec spec = market_fleet(72, threads, MarketPolicy::Pricing);
+    spec.market.epoch_sessions = 72;
+    return spec;
+  };
+  const fleet::FleetResult windowed =
+      fleet::FleetSimulator(long_epoch(1)).run();
+  const fleet::FleetResult whole = fleet::FleetSimulator(long_epoch(9)).run();
+
+  ASSERT_EQ(windowed.sessions.size(), 72u);
+  ASSERT_EQ(whole.sessions.size(), 72u);
+  for (std::size_t i = 0; i < 72; ++i) {
+    const fleet::SessionResult& a = windowed.sessions[i];
+    const fleet::SessionResult& b = whole.sessions[i];
+    EXPECT_TRUE(a.market_session) << "session " << i;
+    EXPECT_EQ(a.market_denied, b.market_denied) << "session " << i;
+    EXPECT_EQ(a.market_resolution, b.market_resolution) << "session " << i;
+    EXPECT_EQ(a.market_bandwidth_frac, b.market_bandwidth_frac)
+        << "session " << i;
+    EXPECT_EQ(a.market_price, b.market_price) << "session " << i;
+    EXPECT_EQ(a.mean_reward, b.mean_reward) << "session " << i;
+    EXPECT_EQ(a.edge_payload_bytes, b.edge_payload_bytes) << "session " << i;
+    // One tick, one posted price for the whole epoch.
+    EXPECT_EQ(a.market_price, windowed.sessions[0].market_price);
+  }
+  EXPECT_EQ(windowed.metrics.market.ticks, 1u);
+  EXPECT_EQ(whole.metrics.market.ticks, 1u);
+  EXPECT_EQ(windowed.metrics.market.final_price,
+            whole.metrics.market.final_price);
+}
+
+// run() starts from a fresh broker, allocator and prior store every time,
+// so a second run on the same simulator replays the first bit for bit
+// instead of continuing its market and learner state.
+TEST(FleetMarket, RerunStartsFromAFreshMarketAndStore) {
+  fleet::FleetSpec spec = market_fleet(8, 2, MarketPolicy::Pricing);
+  spec.devices = {{"Pixel 7", 1.0}};
+  spec.market.epoch_sessions = 3;
+  spec.policy.mode = fleet::PolicyMode::Prior;
+  spec.policy.epoch_sessions = 4;
+  spec.policy.prior.min_observations = 4;
+  fleet::FleetSimulator sim(spec);
+  const fleet::FleetResult first = sim.run();
+  const fleet::FleetResult second = sim.run();
+
+  ASSERT_EQ(first.sessions.size(), second.sessions.size());
+  for (std::size_t i = 0; i < first.sessions.size(); ++i) {
+    const fleet::SessionResult& a = first.sessions[i];
+    const fleet::SessionResult& b = second.sessions[i];
+    EXPECT_EQ(a.mean_reward, b.mean_reward) << "session " << i;
+    EXPECT_EQ(a.market_price, b.market_price) << "session " << i;
+    EXPECT_EQ(a.market_resolution, b.market_resolution) << "session " << i;
+    EXPECT_EQ(a.prior_activations, b.prior_activations) << "session " << i;
+    EXPECT_EQ(a.edge_requests, b.edge_requests) << "session " << i;
+  }
+  EXPECT_EQ(first.metrics.market.ticks, 3u);  // ceil(8 / 3)
+  EXPECT_EQ(second.metrics.market.ticks, 3u);
+  EXPECT_EQ(first.metrics.policy.epochs, 2u);  // 8 / 4
+  EXPECT_EQ(second.metrics.policy.epochs, 2u);
+  EXPECT_EQ(first.metrics.policy.store_observations,
+            second.metrics.policy.store_observations);
+  EXPECT_EQ(first.metrics.market.final_price,
+            second.metrics.market.final_price);
+  EXPECT_EQ(first.metrics.edge.requests, second.metrics.edge.requests);
 }
 
 TEST(FleetMarket, DisabledMarketLeavesResultsNeutral) {

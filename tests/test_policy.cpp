@@ -450,6 +450,40 @@ TEST(FleetPolicy, PriorModeIsThreadCountInvariantAndInjectsPriors) {
     EXPECT_EQ(serial.sessions[i].prior_activations, 0u);
 }
 
+// An epoch longer than the in-flight window (64 on 1 thread) is consumed,
+// and so feeds the store, before it ends; every session of the epoch must
+// still read the empty snapshot frozen at its barrier.
+TEST(FleetPolicy, EpochLongerThanTheWindowKeepsItsFrozenSnapshot) {
+  fleet::FleetSpec spec = prior_fleet(72, 1);
+  spec.policy.epoch_sessions = 72;
+  std::size_t fed_mid_epoch = 0;
+  const fleet::FleetSimulator* sim = nullptr;
+  spec.progress_every = 1;
+  spec.on_progress = [&](const fleet::FleetProgress& p) {
+    if (p.completed == 1)
+      fed_mid_epoch = sim->prior_store()->stats().observations;
+  };
+  fleet::FleetSimulator learning(spec);
+  sim = &learning;
+  const fleet::FleetResult a = learning.run();
+
+  fleet::FleetSpec off = prior_fleet(72, 1);
+  off.policy.mode = fleet::PolicyMode::Off;
+  const fleet::FleetResult b = fleet::FleetSimulator(off).run();
+
+  EXPECT_GT(fed_mid_epoch, 0u);
+  ASSERT_EQ(a.sessions.size(), b.sessions.size());
+  for (std::size_t i = 0; i < a.sessions.size(); ++i) {
+    EXPECT_EQ(a.sessions[i].mean_quality, b.sessions[i].mean_quality);
+    EXPECT_EQ(a.sessions[i].mean_reward, b.sessions[i].mean_reward);
+    EXPECT_EQ(a.sessions[i].sim_seconds, b.sessions[i].sim_seconds);
+    EXPECT_EQ(a.sessions[i].activations, b.sessions[i].activations);
+  }
+  EXPECT_EQ(a.metrics.policy.prior_activations, 0u);
+  EXPECT_GT(a.metrics.policy.store_observations, 0u);
+  EXPECT_EQ(a.metrics.policy.epochs, 1u);
+}
+
 TEST(FleetPolicy, BanditModeIsThreadCountInvariantAndLearns) {
   auto bandit_fleet = [](std::size_t threads) {
     fleet::FleetSpec spec = fast_fleet(16, threads);
@@ -478,6 +512,45 @@ TEST(FleetPolicy, BanditModeIsThreadCountInvariantAndLearns) {
             threaded.metrics.policy.bandit_updates);
   EXPECT_EQ(serial.metrics.policy.bandit_pulls,
             serial.metrics.policy.bandit_updates);
+}
+
+// The bandit twin of EpochLongerThanTheWindowKeepsItsFrozenSnapshot: the
+// learner is updated while the 72-session epoch is still running, yet
+// every session selects arms from the untrained model copied at the
+// barrier.
+TEST(FleetPolicy, BanditEpochLongerThanTheWindowKeepsItsFrozenModel) {
+  fleet::FleetSpec spec = fast_fleet(72, 1);
+  spec.devices = {{"Pixel 7", 1.0}};
+  spec.policy.mode = fleet::PolicyMode::Bandit;
+  spec.policy.epoch_sessions = 72;
+  std::uint64_t updated_mid_epoch = 0;
+  const fleet::FleetSimulator* sim = nullptr;
+  spec.progress_every = 1;
+  spec.on_progress = [&](const fleet::FleetProgress& p) {
+    if (p.completed == 1) updated_mid_epoch = sim->bandit()->updates();
+  };
+  fleet::FleetSimulator learning(spec);
+  sim = &learning;
+  const fleet::FleetResult result = learning.run();
+
+  const auto untrained = std::make_shared<const policy::LinUcbBandit>(
+      policy::make_arm_grid(spec.session.hbo.r_min), spec.policy.bandit);
+  EXPECT_GT(updated_mid_epoch, 0u);
+  ASSERT_EQ(result.sessions.size(), 72u);
+  for (std::size_t i = 0; i < result.sessions.size(); ++i) {
+    const fleet::SessionResult& a = result.sessions[i];
+    const fleet::SessionResult b =
+        learning.run_policy_session(learning.session_spec(i), nullptr,
+                                    untrained)
+            .result;
+    EXPECT_EQ(a.mean_quality, b.mean_quality) << "session " << i;
+    EXPECT_EQ(a.mean_reward, b.mean_reward) << "session " << i;
+    EXPECT_EQ(a.sim_seconds, b.sim_seconds) << "session " << i;
+    EXPECT_EQ(a.bandit_pulls, b.bandit_pulls) << "session " << i;
+  }
+  EXPECT_EQ(result.metrics.policy.epochs, 1u);
+  EXPECT_EQ(result.metrics.policy.bandit_updates,
+            result.metrics.policy.bandit_pulls);
 }
 
 }  // namespace
