@@ -5,8 +5,10 @@
 // This is the Section VI "optimization results should be shared across
 // users" direction in action: the first session to converge in each
 // (device, scenario, environment) bucket pays the full ~20-period Bayesian
-// activation; every later session warm-starts from the pooled solution in
-// a couple of control periods.
+// activation; sessions of later pool epochs (4 sessions each) warm-start
+// from the pooled solution in a couple of control periods. The pool is
+// frozen at each epoch's barrier, so the printout is the same on any
+// thread count and on every run.
 //
 // Observability flags:
 //   --trace <file.json>    capture a Chrome/Perfetto trace of the run
@@ -45,9 +47,9 @@
 //                          assigns link shares, compute shares, and a
 //                          per-tenant resolution knob under congestion
 //                          budgets. Implies --edge (wifi preset unless
-//                          --edge chose one) and disables the shared
-//                          solution pool (its warm starts depend on session
-//                          completion order). Combines with --policy prior.
+//                          --edge chose one) and keeps the shared solution
+//                          pool, which freezes at its own barriers in the
+//                          same fleet loop. Combines with --policy prior.
 //                          Prints the market roll-up: admission rate,
 //                          resolution distribution, decided link / compute
 //                          load, and the posted price.
@@ -71,17 +73,17 @@
 //                          the worst session is deterministically re-run to
 //                          print its full forensics report. Tracing changes
 //                          no simulated result. Disables the shared solution
-//                          pool: pool warm starts depend on completion order
-//                          (see fleet_simulator.hpp), and the deep-dive
-//                          re-run must reproduce the fleet's trajectory
-//                          bit for bit.
+//                          pool: the deep-dive re-run attaches no pool
+//                          snapshot, yet must reproduce the fleet's
+//                          trajectory bit for bit.
 //   --gantt <file.csv>     with --sched: write the re-run worst session's
 //                          per-job Gantt timeline as CSV.
 //
-//   --sessions N           fleet size (default 24). Large fleets (> 96
-//                          sessions) switch to a fast session profile
-//                          (shorter duration, truncated activations) so a
-//                          10^5-session run finishes in minutes.
+//   --sessions N           fleet size (a positive integer, default 24).
+//                          Large fleets (> 96 sessions) switch to a fast
+//                          session profile (shorter duration, truncated
+//                          activations) so a 10^5-session run finishes in
+//                          minutes.
 //
 //   --stream               run the streaming roll-up path
 //                          (retain_results=false): per-session results are
@@ -92,7 +94,8 @@
 //                          The per-session table is skipped (nothing is
 //                          retained to print).
 
-#include <cstdlib>
+#include <charconv>
+#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -128,8 +131,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--metrics" && i + 1 < argc) {
       metrics_path = argv[++i];
     } else if (arg == "--sessions" && i + 1 < argc) {
-      sessions_override = static_cast<std::size_t>(std::atoll(argv[++i]));
-      if (sessions_override == 0) {
+      const char* count = argv[++i];
+      const char* end = count + std::strlen(count);
+      const auto parsed = std::from_chars(count, end, sessions_override);
+      if (parsed.ec != std::errc() || parsed.ptr != end ||
+          sessions_override == 0) {
         std::cerr << "--sessions needs a positive count\n";
         return 2;
       }
@@ -192,6 +198,9 @@ int main(int argc, char** argv) {
   spec.duration_s = 40.0;
   spec.base_seed = 2024;
   spec.use_shared_pool = true;
+  // Freeze the pool every 4 sessions: at the default 32-session epoch the
+  // whole 24-session demo would read the empty first snapshot.
+  spec.policy.epoch_sessions = 4;
   // Shorten activations so the demo runs in seconds.
   spec.session.hbo.n_initial = 3;
   spec.session.hbo.n_iterations = 4;
@@ -206,11 +215,8 @@ int main(int argc, char** argv) {
     spec.market.enabled = true;
     spec.market.allocator.policy =
         marketsvc::market_policy_from_name(market_policy);
-    // Eight tenants contend per allocation round. The shared pool stays
-    // off: its warm starts depend on session completion order, which
-    // would break the market's 1-vs-N-thread bit-identity.
+    // Eight tenants contend per allocation round.
     spec.market.epoch_sessions = 8;
-    spec.use_shared_pool = false;
   }
   if (policy_mode != "off") {
     spec.policy.mode = policy_mode == "prior" ? fleet::PolicyMode::Prior
@@ -251,8 +257,8 @@ int main(int argc, char** argv) {
   }
   if (use_sched) {
     spec.sched.enabled = true;
-    // Pool warm starts depend on worker completion order, which would
-    // make the worst-session re-run below diverge from the fleet run.
+    // The worst-session re-run below attaches no pool snapshot, so a
+    // pooled fleet's warm starts would make it diverge from the fleet run.
     spec.use_shared_pool = false;
   }
   if (use_offload) {

@@ -57,8 +57,10 @@ struct SessionActivation {
 /// consulted when the session's own lookup table misses; `publish` is
 /// called after every full activation with the solution that was stored
 /// locally. Either hook may be empty. The hooks are invoked on whatever
-/// thread runs the session, so a shared store behind them must be
-/// thread-safe (see fleet::SharedSolutionPool).
+/// thread runs the session. The fleet's hooks never touch shared mutable
+/// state: `fetch` reads an immutable fleet::PoolSnapshot and `publish`
+/// appends to the session's own output, which the main thread files into
+/// fleet::SharedSolutionPool.
 struct SolutionStoreHooks {
   std::function<std::optional<StoredSolution>(const EnvironmentKey&)> fetch;
   std::function<void(const EnvironmentKey&, const StoredSolution&)> publish;

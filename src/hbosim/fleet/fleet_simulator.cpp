@@ -5,6 +5,7 @@
 #include <cmath>
 #include <deque>
 #include <future>
+#include <optional>
 #include <utility>
 
 #include "hbosim/common/error.hpp"
@@ -94,11 +95,6 @@ void FleetSpec::validate() const {
                "JointAllocator allocates the shared edge box, so there is "
                "nothing to allocate without one (set use_edge_service and "
                "FleetSpec::edge, or disable FleetSpec::market)");
-    HB_REQUIRE(!use_shared_pool,
-               "FleetSpec::market cannot run with use_shared_pool — pool "
-               "warm starts depend on session completion order, which "
-               "would break the market epoch's bit-identical 1-vs-N-thread "
-               "guarantee (disable one of the two)");
     HB_REQUIRE(policy.mode != PolicyMode::Bandit,
                "FleetSpec::market cannot run with PolicyMode::Bandit — "
                "BanditSession's cost omits the posted market_price, so the "
@@ -137,9 +133,11 @@ void FleetSpec::validate() const {
                "simplex and has no edge coordinate (use PolicyMode::Off "
                "or Prior with offload)");
   }
-  if (policy.mode != PolicyMode::Off) {
+  if (policy.mode != PolicyMode::Off || use_shared_pool) {
     HB_REQUIRE(policy.epoch_sessions >= 1,
-               "policy epochs need at least one session");
+               "policy epochs need at least one session — the policy layer "
+               "and the shared pool freeze every policy.epoch_sessions "
+               "sessions");
     if (policy.mode == PolicyMode::Prior) policy.prior.validate();
     if (policy.mode == PolicyMode::Bandit) {
       policy.bandit.validate();
@@ -224,7 +222,8 @@ PolicySessionOutput FleetSimulator::run_policy_session_impl(
     const SessionSpec& spec,
     std::shared_ptr<const policy::PriorSnapshot> priors,
     std::shared_ptr<const policy::LinUcbBandit> bandit,
-    des::SchedTrace* trace, const marketsvc::TenantAllocation* market) const {
+    des::SchedTrace* trace, const marketsvc::TenantAllocation* market,
+    const PoolSnapshot* pool) const {
   const auto t0 = std::chrono::steady_clock::now();
 
   // Telemetry: name this worker's wall-clock track, route the session's
@@ -313,8 +312,8 @@ PolicySessionOutput FleetSimulator::run_policy_session_impl(
 
   if (bandit) {
     // Agent mode: the LinUCB loop replaces HBO entirely. Selection runs
-    // against the frozen epoch model; the pulls travel back to the
-    // barrier as Experience for the main-thread learner feed.
+    // against the frozen epoch model; the pulls travel back as Experience
+    // for the main-thread learner feed.
     policy::BanditSessionConfig bcfg;
     bcfg.hbo = spec_.session.hbo;
     bcfg.hbo.seed = spec.seed;
@@ -338,26 +337,31 @@ PolicySessionOutput FleetSimulator::run_policy_session_impl(
     // budget at the posted price, so expensive epochs steer the optimizer
     // toward leaner configurations (0 under PF/MaxMin — no cost change).
     if (market != nullptr) cfg.hbo.market_price = market->price;
-    if (pool_) cfg.use_lookup_table = true;
+    if (pool != nullptr) cfg.use_lookup_table = true;
     core::MonitoredSession session(*app, cfg);
     if (edge_client) session.set_edge(edge_client.get());
 
-    if (pool_) {
-      // Bind this session's pool coordinates once; the environment part of
-      // the key varies per activation.
-      const PoolKey base{spec.device, spec.scenario_name(), {}};
-      SharedSolutionPool* pool = pool_.get();
+    if (pool != nullptr) {
+      // Fetches read the epoch's frozen snapshot; publishes travel back to
+      // the main thread, which files them as it consumes this session.
       core::SolutionStoreHooks hooks;
-      hooks.fetch = [pool, base](const core::EnvironmentKey& env) {
+      hooks.fetch = [pool, &output,
+                     base = PoolKey{spec.device, spec.scenario_name(), {}}](
+                        const core::EnvironmentKey& env)
+          -> std::optional<core::StoredSolution> {
         PoolKey key = base;
         key.env = env;
-        return pool->fetch(key);
+        const auto hit = pool->find(key.str());
+        if (hit == pool->end()) {
+          ++output.pool_misses;
+          return std::nullopt;
+        }
+        ++output.pool_hits;
+        return hit->second;
       };
-      hooks.publish = [pool, base](const core::EnvironmentKey& env,
-                                   const core::StoredSolution& solution) {
-        PoolKey key = base;
-        key.env = env;
-        pool->publish(key, solution);
+      hooks.publish = [&output](const core::EnvironmentKey& env,
+                                const core::StoredSolution& solution) {
+        output.published.push_back(PooledSolution{env, solution});
       };
       session.set_solution_store(std::move(hooks));
     }
@@ -365,7 +369,7 @@ PolicySessionOutput FleetSimulator::run_policy_session_impl(
     if (priors) {
       // Prior mode: full activations consult the frozen epoch snapshot
       // (exact environment first, pooled scenario fallback). Reads only —
-      // the store itself is fed at the barrier.
+      // the main thread feeds the store as it consumes each session.
       core::PolicyHooks hooks;
       hooks.prior = [priors, device = spec.device,
                      scenario = spec.scenario_name()](
@@ -474,9 +478,8 @@ PolicySessionOutput FleetSimulator::run_policy_session_impl(
 
 FleetResult FleetSimulator::run() {
   HB_TRACE_SCOPE("fleet", "fleet.run");
-  pool_.reset();
-  if (spec_.use_shared_pool)
-    pool_ = std::make_unique<SharedSolutionPool>(spec_.pool);
+  std::optional<SharedSolutionPool> pool;
+  if (spec_.use_shared_pool) pool.emplace();
   broker_.reset();
   if (spec_.use_edge_service) {
     broker_ =
@@ -506,26 +509,29 @@ FleetResult FleetSimulator::run() {
 
   // One loop for every fleet. Sessions run through a bounded in-flight
   // window, submitted ahead of consumption by enough to keep every worker
-  // fed. A barrier fires where a market or policy epoch starts: it drains
-  // the window, then ticks the allocator over the epoch's tenants and/or
-  // freezes the learner, so every session of an epoch runs against the
-  // artifacts frozen at its barrier. Barrier points, artifact content and
-  // feed order are pure functions of the spec, which keeps every
-  // pool-free fleet bit-identical on 1 and N threads; an Off fleet has no
-  // barriers at all.
+  // fed. A barrier fires where a market or learner epoch starts: it
+  // drains the window, then ticks the allocator over the epoch's tenants
+  // and/or freezes the learners (pool, priors, bandit), so every session
+  // of an epoch runs against the artifacts frozen at its barrier. Barrier
+  // points, artifact content and feed order are pure functions of the
+  // spec, which keeps every fleet bit-identical on 1 and N threads; a
+  // fleet without pool, policy layer or market has no barriers at all.
   ThreadPool workers(threads);
   const std::size_t window = std::max<std::size_t>(threads * 8, 64);
   marketsvc::JointAllocator* allocator =
       spec_.market.enabled ? &broker_->market() : nullptr;
-  const bool learner = prior_store_ || bandit_;
+  const bool learner = prior_store_ || bandit_ || pool;
   std::deque<std::future<PolicySessionOutput>> inflight;
   std::shared_ptr<const std::vector<marketsvc::TenantAllocation>> allocations;
   std::size_t market_start = 0;
   std::shared_ptr<const policy::PriorSnapshot> priors;
   std::shared_ptr<const policy::LinUcbBandit> frozen;
+  std::shared_ptr<const PoolSnapshot> pool_snapshot;
+  std::uint64_t pool_hits = 0;
+  std::uint64_t pool_misses = 0;
 
   // Every completed session flows through here on the main thread, in
-  // session-id order: it feeds the allocator and the learner, then the
+  // session-id order: it feeds the allocator and the learners, then the
   // roll-up, which keeps the streaming percentiles (and any on_progress
   // heartbeat) deterministic regardless of worker scheduling. get()
   // rethrows any session failure to the caller.
@@ -551,6 +557,12 @@ FleetResult FleetSimulator::run() {
     if (bandit_) {
       for (const policy::Experience& e : o.experiences)
         bandit_->update(e.arm, e.context, e.reward);
+    }
+    if (pool) {
+      for (const PooledSolution& p : o.published)
+        pool->publish(PoolKey{r.device, r.scenario, p.env}, p.solution);
+      pool_hits += o.pool_hits;
+      pool_misses += o.pool_misses;
     }
     acc.add(r);
     if (spec_.retain_results) out.sessions.push_back(std::move(r));
@@ -583,6 +595,7 @@ FleetResult FleetSimulator::run() {
         frozen = bandit_
                      ? std::make_shared<const policy::LinUcbBandit>(*bandit_)
                      : nullptr;
+        if (pool) pool_snapshot = pool->snapshot();
         ++policy_epochs_;
         HB_TELEM_COUNT("fleet.policy_epochs", 1.0);
       }
@@ -590,17 +603,21 @@ FleetResult FleetSimulator::run() {
       consume_next();
     }
     inflight.push_back(workers.submit([this, spec = session_spec(id), priors,
-                                       frozen, allocations,
+                                       frozen, allocations, pool_snapshot,
                                        slot = id - market_start] {
       return run_policy_session_impl(
           spec, priors, frozen, nullptr,
-          allocations ? &(*allocations)[slot] : nullptr);
+          allocations ? &(*allocations)[slot] : nullptr, pool_snapshot.get());
     }));
   }
   while (!inflight.empty()) consume_next();
 
-  const SharedSolutionPoolStats pool_stats =
-      pool_ ? pool_->stats() : SharedSolutionPoolStats{};
+  SharedSolutionPoolStats pool_stats;
+  if (pool) {
+    pool_stats = pool->stats();
+    pool_stats.hits = pool_hits;
+    pool_stats.misses = pool_misses;
+  }
   const edgesvc::EdgeFleetStats edge_stats =
       broker_ ? broker_->stats() : edgesvc::EdgeFleetStats{};
   out.metrics = acc.finalize(seconds_since(t0), pool_stats,

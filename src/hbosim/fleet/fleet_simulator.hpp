@@ -23,30 +23,27 @@
 /// and rolls their results up into FleetMetrics.
 ///
 /// Determinism: session i's device, scenario, seed, and entire simulated
-/// trajectory are pure functions of (spec, base_seed, i). Worker threads
-/// never share mutable state unless the SharedSolutionPool is enabled, so
-/// a pool-disabled fleet produces bit-identical per-session results on 1
-/// thread and on N threads. With the pool enabled, *which* sessions warm
-/// start depends on completion order and is therefore scheduling-
-/// dependent; each warm-started trajectory is still fully deterministic
-/// given the solution it received.
+/// trajectory are pure functions of (spec, base_seed, i) and of the
+/// cross-session artifacts frozen for its epoch, so every fleet produces
+/// bit-identical per-session results on 1 thread and on N threads.
 ///
-/// The cross-session channels — the learned policy layer
+/// The cross-session channels — the shared solution pool
+/// (FleetSpec::use_shared_pool), the learned policy layer
 /// (FleetSpec::policy) and the market allocator (FleetSpec::market) —
-/// keep the bit-identity guarantee even though sessions *learn from each
-/// other*. One loop runs every fleet: sessions flow through a bounded
-/// in-flight window and are consumed on the main thread in session-id
-/// order, and consuming a session feeds the allocator, the PriorStore and
-/// the LinUCB learner. A barrier fires at the first session of every
-/// market or policy epoch: it drains the window, then ticks the allocator
-/// over the epoch's tenants and/or freezes the learner into an immutable
-/// PriorSnapshot (mode Prior) or a frozen LinUCB copy (mode Bandit).
-/// Every session of an epoch reads the artifacts frozen at its barrier,
-/// even when the learner is fed mid-epoch because the epoch is longer
-/// than the window. Barrier points, artifact content and feed order are
-/// all pure functions of the spec, so a pool-disabled fleet is
-/// bit-identical on 1 thread and on N threads. An Off fleet without a
-/// market has no barriers.
+/// keep that guarantee even though sessions *learn from each other*. One
+/// loop runs every fleet: sessions flow through a bounded in-flight window
+/// and are consumed on the main thread in session-id order, and consuming
+/// a session publishes its solutions into the pool and feeds the
+/// allocator, the PriorStore and the LinUCB learner. A barrier fires at
+/// the first session of every market or learner epoch: it drains the
+/// window, then ticks the allocator over the epoch's tenants and/or
+/// freezes the learners — the pool into an immutable PoolSnapshot, the
+/// store into a PriorSnapshot (mode Prior), the bandit into a frozen
+/// LinUCB copy (mode Bandit). Every session of an epoch reads the
+/// artifacts frozen at its barrier, even when the learners are fed
+/// mid-epoch because the epoch is longer than the window. Barrier points,
+/// artifact content and feed order are all pure functions of the spec. A
+/// fleet with no pool, no policy layer and no market has no barriers.
 
 namespace hbosim::fleet {
 
@@ -66,7 +63,7 @@ struct ScenarioMixEntry {
 /// How (if at all) the fleet learns across sessions beyond the solution
 /// pool. See the determinism note at the top of this file.
 enum class PolicyMode {
-  Off,     ///< No policy layer: no learner and no policy barriers.
+  Off,     ///< No policy layer; only a shared pool sets learner barriers.
   Prior,   ///< HBO sessions + PriorStore-fitted GP warm-start priors.
   Bandit,  ///< Sessions run the LinUCB agent instead of HBO.
 };
@@ -80,9 +77,10 @@ struct FleetProgress {
 
 struct FleetPolicyConfig {
   PolicyMode mode = PolicyMode::Off;
-  /// Sessions per learning epoch: every epoch reads the artifact frozen
-  /// at its barrier, and the learner absorbs traffic as sessions are
-  /// consumed. Smaller epochs learn faster but serialize more.
+  /// Sessions per learning epoch, for the policy layer and the shared
+  /// pool alike: every epoch reads the artifacts frozen at its barrier,
+  /// and the learners absorb traffic as sessions are consumed. Smaller
+  /// epochs learn faster but serialize more.
   std::size_t epoch_sessions = 32;
   policy::PriorStoreConfig prior;  ///< Mode Prior knobs.
   policy::BanditConfig bandit;     ///< Mode Bandit knobs.
@@ -96,8 +94,9 @@ struct FleetPolicyConfig {
 /// decision vector, and the allocator observes each tenant's usage as
 /// the main thread consumes it in session-id order — so a market fleet
 /// is bit-identical on 1 and N threads. It composes with PolicyMode::Prior
-/// (both freeze at their own barriers in the same loop). Disabled, the
-/// fleet reproduces the mirror-based path bit for bit.
+/// and the shared pool (each freezes at its own barriers in the same
+/// loop). Disabled, the fleet reproduces the mirror-based path bit for
+/// bit.
 struct FleetMarketConfig {
   bool enabled = false;
   /// Tenants per broker tick (one allocation round per epoch).
@@ -126,8 +125,10 @@ struct FleetSpec {
   /// Defaults to SC1/SC2 × CF1/CF2, equally weighted.
   std::vector<ScenarioMixEntry> scenarios;
 
+  /// Cross-session warm starts: sessions fetch from the pool snapshot
+  /// frozen at their epoch's learner barrier (policy.epoch_sessions), and
+  /// the main thread publishes their solutions as it consumes them.
   bool use_shared_pool = false;
-  SharedSolutionPoolConfig pool;
 
   /// Learned policy layer (hbosim::policy): warm-start priors or the
   /// bandit agent, trained on the fleet's own traffic and frozen at epoch
@@ -235,13 +236,25 @@ struct PolicyObservation {
   double cost = 0.0;
 };
 
+/// One solution a pooled session published, carried back to the main
+/// thread, which files it under (device, scenario, env).
+struct PooledSolution {
+  core::EnvironmentKey env;
+  core::StoredSolution solution;
+};
+
 /// run_policy_session's return: the ordinary per-session roll-up plus the
-/// traffic the main thread feeds the learner with, in session-id order,
+/// traffic the main thread feeds the learners with, in session-id order,
 /// as it consumes the session.
 struct PolicySessionOutput {
   SessionResult result;
   std::vector<PolicyObservation> observations;  ///< Mode Prior.
   std::vector<policy::Experience> experiences;  ///< Mode Bandit.
+  /// Pooled fleets: published solutions in publish order, and fetches
+  /// against the epoch's snapshot.
+  std::vector<PooledSolution> published;
+  std::uint64_t pool_hits = 0;
+  std::uint64_t pool_misses = 0;
 };
 
 class FleetSimulator {
@@ -252,15 +265,18 @@ class FleetSimulator {
   /// (spec, id); independent of threads and of other sessions.
   SessionSpec session_spec(std::size_t id) const;
 
-  /// Simulate one session to completion on the calling thread.
+  /// Simulate one session to completion on the calling thread, with no
+  /// frozen artifact attached (no pool snapshot, priors, bandit or market
+  /// decision): a pure function of (spec, seed), whatever run() did.
   SessionResult run_session(const SessionSpec& spec) const;
 
   /// Re-run one session with the caller's SchedTrace attached (regardless
-  /// of FleetSpec::sched.enabled) and return its result. Because every
-  /// session is a pure function of (spec, seed) and tracing never feeds
-  /// back, this reproduces the fleet run's trajectory exactly — the
-  /// deterministic deep-dive behind `fleet_demo --sched`, which re-runs
-  /// the worst session to print its full forensics report.
+  /// of FleetSpec::sched.enabled) and return its result. Like
+  /// run_session() it attaches no frozen artifact, and tracing never
+  /// feeds back, so for a fleet without pool, policy or market it
+  /// reproduces the fleet run's trajectory exactly — the deterministic
+  /// deep-dive behind `fleet_demo --sched`, which re-runs the worst
+  /// session to print its full forensics report.
   SessionResult run_session_traced(const SessionSpec& spec,
                                    des::SchedTrace& trace) const;
 
@@ -289,8 +305,6 @@ class FleetSimulator {
   FleetResult run();
 
   const FleetSpec& spec() const { return spec_; }
-  /// Null unless use_shared_pool; reset at the start of every run().
-  const SharedSolutionPool* pool() const { return pool_.get(); }
   /// Null unless use_edge_service; reset at the start of every run().
   const edgesvc::EdgeBroker* edge_broker() const { return broker_.get(); }
   /// Null unless policy mode Prior; reset at the start of every run().
@@ -300,20 +314,21 @@ class FleetSimulator {
 
  private:
   /// The session body behind every public entry point and run()'s loop,
-  /// which passes the epoch's priors, bandit and allocation together. A
-  /// non-null `trace` (run_session_traced) overrides the spec-owned sched
-  /// trace; a non-null `market` swaps the mirror client for the
-  /// allocator's market client and applies the decision's
-  /// resolution/price to the session.
+  /// which passes the epoch's priors, bandit, allocation and pool
+  /// snapshot together. A non-null `trace` (run_session_traced) overrides
+  /// the spec-owned sched trace; a non-null `market` swaps the mirror
+  /// client for the allocator's market client and applies the decision's
+  /// resolution/price to the session; a non-null `pool` turns the lookup
+  /// table on and backs its misses with the snapshot.
   PolicySessionOutput run_policy_session_impl(
       const SessionSpec& spec,
       std::shared_ptr<const policy::PriorSnapshot> priors,
       std::shared_ptr<const policy::LinUcbBandit> bandit,
       des::SchedTrace* trace = nullptr,
-      const marketsvc::TenantAllocation* market = nullptr) const;
+      const marketsvc::TenantAllocation* market = nullptr,
+      const PoolSnapshot* pool = nullptr) const;
 
   FleetSpec spec_;
-  std::unique_ptr<SharedSolutionPool> pool_;
   std::unique_ptr<edgesvc::EdgeBroker> broker_;
   std::unique_ptr<policy::PriorStore> prior_store_;
   std::unique_ptr<policy::LinUcbBandit> bandit_;

@@ -1,10 +1,5 @@
 #include "hbosim/fleet/shared_pool.hpp"
 
-#include <functional>
-
-#include "hbosim/common/error.hpp"
-#include "hbosim/telemetry/telemetry.hpp"
-
 namespace hbosim::fleet {
 
 std::string PoolKey::str() const {
@@ -14,101 +9,33 @@ std::string PoolKey::str() const {
                             "task" + std::to_string(env.taskset_hash)});
 }
 
-SharedSolutionPool::SharedSolutionPool(SharedSolutionPoolConfig cfg)
-    : cfg_(cfg) {
-  HB_REQUIRE(cfg_.shards >= 1, "pool needs at least one shard");
-  HB_REQUIRE(cfg_.capacity >= 1, "pool capacity must be positive");
-  // Ceil-divide so the total capacity never rounds below the configured
-  // value; the real total is per_shard * shards.
-  const std::size_t per_shard =
-      (cfg_.capacity + cfg_.shards - 1) / cfg_.shards;
-  shards_.reserve(cfg_.shards);
-  for (std::size_t i = 0; i < cfg_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(per_shard));
-  }
-}
-
-SharedSolutionPool::Shard& SharedSolutionPool::shard_for(
-    const std::string& flat_key) const {
-  return *shards_[std::hash<std::string>{}(flat_key) % shards_.size()];
-}
-
-std::unique_lock<std::mutex> SharedSolutionPool::lock_shard(Shard& shard) {
-  shard.lock_acquisitions.fetch_add(1, std::memory_order_relaxed);
-  std::unique_lock<std::mutex> lock(shard.mu, std::try_to_lock);
-  if (!lock.owns_lock()) {
-    shard.lock_contentions.fetch_add(1, std::memory_order_relaxed);
-    lock.lock();
-  }
-  return lock;
-}
-
-std::optional<core::StoredSolution> SharedSolutionPool::fetch(
-    const PoolKey& key) {
-  // The span covers the wait on the shard lock too, so pool contention
-  // between fleet workers shows up directly as widened pool.fetch scopes
-  // in the trace.
-  HB_TRACE_SCOPE("fleet", "pool.fetch");
-  const std::string k = key.str();
-  Shard& shard = shard_for(k);
-  const auto lock = lock_shard(shard);
-  if (const core::StoredSolution* found = shard.cache.get(k)) {
-    shard.hits.fetch_add(1, std::memory_order_relaxed);
-    HB_TELEM_COUNT("pool.hits", 1.0);
-    return *found;
-  }
-  shard.misses.fetch_add(1, std::memory_order_relaxed);
-  HB_TELEM_COUNT("pool.misses", 1.0);
-  return std::nullopt;
-}
-
 void SharedSolutionPool::publish(const PoolKey& key,
                                  const core::StoredSolution& solution) {
-  HB_TRACE_SCOPE("fleet", "pool.publish");
+  ++stores_;
   const std::string k = key.str();
-  Shard& shard = shard_for(k);
-  const auto lock = lock_shard(shard);
-  shard.stores.fetch_add(1, std::memory_order_relaxed);
-  HB_TELEM_COUNT("pool.stores", 1.0);
-  if (const core::StoredSolution* existing = shard.cache.get(k)) {
+  // get() also refreshes the key's recency on a losing collision.
+  if (const core::StoredSolution* existing = cache_.get(k)) {
     if (existing->cost <= solution.cost) return;  // keep the better entry
   }
-  shard.cache.put(k, solution);
+  cache_.put(k, solution);
+  frozen_.reset();
+}
+
+std::shared_ptr<const PoolSnapshot> SharedSolutionPool::snapshot() {
+  if (!frozen_) {
+    PoolSnapshot entries;
+    cache_.for_each_entry(
+        [&](const auto& k, const auto& s) { entries.emplace(k, s); });
+    frozen_ = std::make_shared<const PoolSnapshot>(std::move(entries));
+  }
+  return frozen_;
 }
 
 SharedSolutionPoolStats SharedSolutionPool::stats() const {
   SharedSolutionPoolStats out;
-  out.shards = shards_.size();
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const SharedSolutionPoolStats s = shard_stats(i);
-    out.size += s.size;
-    out.hits += s.hits;
-    out.misses += s.misses;
-    out.stores += s.stores;
-    out.evictions += s.evictions;
-    out.lock_acquisitions += s.lock_acquisitions;
-    out.lock_contentions += s.lock_contentions;
-  }
-  return out;
-}
-
-SharedSolutionPoolStats SharedSolutionPool::shard_stats(
-    std::size_t shard) const {
-  HB_REQUIRE(shard < shards_.size(), "pool shard index out of range");
-  const Shard& s = *shards_[shard];
-  // Plain lock, NOT lock_shard(): stats reads must not perturb the
-  // traffic counters they report, or stats() == sum(shard_stats()) would
-  // never hold exactly.
-  const std::lock_guard<std::mutex> lock(s.mu);
-  SharedSolutionPoolStats out;
-  out.shards = 1;
-  out.size = s.cache.size();
-  out.evictions = s.cache.evictions();
-  out.hits = s.hits.load(std::memory_order_relaxed);
-  out.misses = s.misses.load(std::memory_order_relaxed);
-  out.stores = s.stores.load(std::memory_order_relaxed);
-  out.lock_acquisitions = s.lock_acquisitions.load(std::memory_order_relaxed);
-  out.lock_contentions = s.lock_contentions.load(std::memory_order_relaxed);
+  out.size = cache_.size();
+  out.stores = stores_;
+  out.evictions = cache_.evictions();
   return out;
 }
 

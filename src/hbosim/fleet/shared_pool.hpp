@@ -1,12 +1,9 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <vector>
+#include <unordered_map>
 
 #include "hbosim/core/lookup_table.hpp"
 #include "hbosim/edge/cache.hpp"
@@ -18,15 +15,11 @@
 /// conditions — the paper's "optimization results should be shared across
 /// users" direction, made concrete.
 ///
-/// The pool is N-way sharded: each shard is an independently mutex-guarded
-/// LRU (reusing the edge cache mechanics and key scheme), selected by
-/// hashing the flattened key. At fleet scale (10^5+ sessions on many
-/// workers) a single pool mutex serializes every warm-start fetch and
-/// publish; striping the locks cuts the collision probability by the
-/// shard count while keeping each shard's semantics exactly those of the
-/// original single-lock pool — lower-cost-wins on key collision, LRU
-/// eviction within the shard. Traffic counters are per-shard atomics, so
-/// stats() aggregates without stopping the world.
+/// One writer: the fleet's main thread publishes each session's solutions
+/// as it consumes the session, in session-id order, and freezes the pool
+/// into an immutable PoolSnapshot at every learner barrier. Sessions only
+/// read snapshots, so the pool needs no locks and a pooled fleet is
+/// bitwise identical on any thread count.
 
 namespace hbosim::fleet {
 
@@ -43,91 +36,44 @@ struct PoolKey {
   std::string str() const;
 };
 
-struct SharedSolutionPoolConfig {
-  /// Max remembered (device, scenario, environment) entries across all
-  /// shards; the least recently touched entry *within a shard* is evicted
-  /// beyond the shard's share. Rounded up to a multiple of `shards`.
-  std::size_t capacity = 4096;
-  /// Independently locked stripes. 1 reproduces the original single-lock
-  /// pool (one global LRU order); more shards trade global LRU precision
-  /// for an N-fold cut in lock collisions.
-  std::size_t shards = 8;
-};
+/// The pool's contents frozen at one barrier, keyed by PoolKey::str().
+using PoolSnapshot = std::unordered_map<std::string, core::StoredSolution>;
 
 struct SharedSolutionPoolStats {
   std::size_t size = 0;
+  /// Session fetches against frozen snapshots, tallied by the fleet;
+  /// SharedSolutionPool::stats() leaves them 0.
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::uint64_t stores = 0;
+  std::uint64_t stores = 0;  ///< publish() calls.
   std::uint64_t evictions = 0;
-
-  std::size_t shards = 0;  ///< Stripe count (0 in a zeroed stats value).
-  /// Lock-contention telemetry: every fetch/publish/stats acquisition is
-  /// counted, and acquisitions that found the shard lock already held
-  /// (try_lock failed, had to block) are counted separately — the
-  /// scaling bench's direct measure of pool serialization.
-  std::uint64_t lock_acquisitions = 0;
-  std::uint64_t lock_contentions = 0;
 
   /// Fraction of fetches served, in [0, 1]; 0 when nothing was fetched.
   double hit_rate() const {
     const std::uint64_t total = hits + misses;
     return total ? static_cast<double>(hits) / static_cast<double>(total) : 0.0;
   }
-
-  /// Fraction of lock acquisitions that had to block, in [0, 1].
-  double contention_rate() const {
-    return lock_acquisitions ? static_cast<double>(lock_contentions) /
-                                   static_cast<double>(lock_acquisitions)
-                             : 0.0;
-  }
 };
 
 class SharedSolutionPool {
  public:
-  explicit SharedSolutionPool(SharedSolutionPoolConfig cfg = {});
+  explicit SharedSolutionPool(std::size_t capacity = 4096) : cache_(capacity) {}
 
-  /// Thread-safe lookup; refreshes the entry's recency on a hit.
-  std::optional<core::StoredSolution> fetch(const PoolKey& key);
-
-  /// Thread-safe insert. On collision the lower-cost solution wins (same
-  /// policy as the per-session table); insertion beyond the shard's
-  /// capacity evicts the shard's least recently used entry.
+  /// On collision the lower-cost solution wins (same policy as the
+  /// per-session table), and either way the key becomes the most recent.
+  /// Beyond capacity the least recently published key is evicted.
   void publish(const PoolKey& key, const core::StoredSolution& solution);
 
-  /// Aggregated across shards. Counters are exact (atomic sums); `size`
-  /// and `evictions` are read under each shard's lock in turn, so the
-  /// total is a consistent per-shard snapshot (sufficient for roll-ups —
-  /// the pool is quiescent when fleet metrics are taken).
+  /// The current contents, frozen (never null); rebuilt only after a
+  /// publish changed them.
+  std::shared_ptr<const PoolSnapshot> snapshot();
+
   SharedSolutionPoolStats stats() const;
 
-  std::size_t shard_count() const { return shards_.size(); }
-  /// One shard's traffic; stats() equals the field-wise sum over shards
-  /// (pinned by the fleet test suite under TSan).
-  SharedSolutionPoolStats shard_stats(std::size_t shard) const;
-
  private:
-  struct Shard {
-    explicit Shard(std::size_t capacity) : cache(capacity) {}
-    mutable std::mutex mu;
-    edge::BasicLruCache<core::StoredSolution> cache;
-    // fetch()/publish() traffic counted here, not via the LRU's counters:
-    // publish() probes the cache too, which would skew a fetch hit rate.
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> misses{0};
-    std::atomic<std::uint64_t> stores{0};
-    std::atomic<std::uint64_t> lock_acquisitions{0};
-    std::atomic<std::uint64_t> lock_contentions{0};
-  };
-
-  Shard& shard_for(const std::string& flat_key) const;
-  /// Lock a shard, counting the acquisition and whether it had to block.
-  static std::unique_lock<std::mutex> lock_shard(Shard& shard);
-
-  SharedSolutionPoolConfig cfg_;
-  // unique_ptr: Shard is immovable (mutex + atomics) but the stripe count
-  // is a runtime config value.
-  std::vector<std::unique_ptr<Shard>> shards_;
+  edge::BasicLruCache<core::StoredSolution> cache_;
+  std::uint64_t stores_ = 0;
+  std::shared_ptr<const PoolSnapshot> frozen_;  ///< Null once stale.
 };
 
 }  // namespace hbosim::fleet

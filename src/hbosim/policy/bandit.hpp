@@ -20,7 +20,7 @@
 /// ties break on the lowest arm index, and updates are plain rank-one
 /// linear algebra with no randomness. Fleets freeze a copy of the model
 /// per epoch; sessions select against the frozen copy and the learner is
-/// updated only at epoch barriers in session-id order.
+/// updated only on the fleet's main thread, in session-id order.
 
 namespace hbosim::policy {
 

@@ -26,7 +26,7 @@
 ///     benches and the baselines wrapper use this.
 ///   - Frozen (model constructor): pulls select against an immutable
 ///     model and are recorded as Experience; a fleet drains
-///     experiences() at epoch barriers in session-id order and trains
+///     experiences() on its main thread in session-id order and trains
 ///     the shared learner there, keeping N-thread runs bit-identical to
 ///     1-thread runs.
 

@@ -25,9 +25,10 @@
 /// arXiv:2508.08627).
 ///
 /// Determinism contract (the hard part, and the point): sessions never
-/// read live mutable store state. The fleet feeds record() only at epoch
-/// barriers, in session-id order, and hands sessions an immutable
-/// PriorSnapshot fitted from that epoch-frozen state. All fitting,
+/// read live mutable store state. The fleet feeds record() on its main
+/// thread, in session-id order, as it consumes each session, and at every
+/// epoch barrier hands the next epoch's sessions an immutable
+/// PriorSnapshot fitted from the state at that barrier. All fitting,
 /// subsampling, and tie-breaking is a pure function of (config seed,
 /// record order), so 1-thread and N-thread fleets see bit-identical
 /// priors — and therefore bit-identical trajectories.
@@ -148,8 +149,8 @@ class PriorStore {
   explicit PriorStore(PriorStoreConfig cfg = {});
 
   /// File one observed (z, cost) under its key. Thread-safe, but fleets
-  /// call it single-threaded at epoch barriers in session-id order — the
-  /// determinism contract is about *when* this runs, not its locking.
+  /// call it from the main thread in session-id order — the determinism
+  /// contract is about the order of calls, not their locking.
   void record(const PriorKey& key, std::span<const double> z, double cost);
 
   /// Fit every key with enough history and freeze the result. The

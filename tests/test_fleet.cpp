@@ -7,7 +7,6 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <thread>
 #include <vector>
 
 #include "hbosim/common/error.hpp"
@@ -104,61 +103,66 @@ TEST(FleetSimulator, ZeroWeightEntriesAreNeverPicked) {
 
 TEST(SharedSolutionPool, FetchPublishCountersAndCollisionPolicy) {
   fleet::SharedSolutionPool pool;
-  fleet::PoolKey key{"Pixel 7", "SC2/CF2", {12, 4, 99}};
+  const fleet::PoolKey key{"Pixel 7", "SC2/CF2", {12, 4, 99}};
 
-  EXPECT_FALSE(pool.fetch(key).has_value());
+  const auto empty = pool.snapshot();
+  ASSERT_NE(empty, nullptr);
+  EXPECT_TRUE(empty->empty());
   pool.publish(key, {{0.5, 0.5, 0.0, 0.8}, -1.0});
-  const auto hit = pool.fetch(key);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_DOUBLE_EQ(hit->cost, -1.0);
+  // A snapshot is frozen: the publish above does not reach it.
+  EXPECT_TRUE(empty->empty());
+  const auto first = pool.snapshot();
+  ASSERT_EQ(first->count(key.str()), 1u);
+  EXPECT_DOUBLE_EQ(first->at(key.str()).cost, -1.0);
 
   // Collision: the worse (higher-cost) solution is ignored, the better
   // one replaces.
   pool.publish(key, {{1.0, 0.0, 0.0, 1.0}, -0.5});
-  EXPECT_DOUBLE_EQ(pool.fetch(key)->cost, -1.0);
+  EXPECT_DOUBLE_EQ(pool.snapshot()->at(key.str()).cost, -1.0);
   pool.publish(key, {{1.0, 0.0, 0.0, 1.0}, -2.0});
-  EXPECT_DOUBLE_EQ(pool.fetch(key)->cost, -2.0);
+  EXPECT_DOUBLE_EQ(pool.snapshot()->at(key.str()).cost, -2.0);
+  EXPECT_DOUBLE_EQ(first->at(key.str()).cost, -1.0);
 
+  // The pool sees publishes only; fetches are the fleet's to count.
   const fleet::SharedSolutionPoolStats stats = pool.stats();
   EXPECT_EQ(stats.size, 1u);
-  EXPECT_EQ(stats.hits, 3u);
-  EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.stores, 3u);
-  EXPECT_NEAR(stats.hit_rate(), 0.75, 1e-12);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.hits + stats.misses, 0u);
+  EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.0);
 
   // Distinct devices / scenarios / environments do not alias.
-  EXPECT_FALSE(pool.fetch({"Galaxy S22", "SC2/CF2", {12, 4, 99}}).has_value());
-  EXPECT_FALSE(pool.fetch({"Pixel 7", "SC1/CF2", {12, 4, 99}}).has_value());
-  EXPECT_FALSE(pool.fetch({"Pixel 7", "SC2/CF2", {13, 4, 99}}).has_value());
+  const auto snap = pool.snapshot();
+  for (const fleet::PoolKey& other :
+       {fleet::PoolKey{"Galaxy S22", "SC2/CF2", {12, 4, 99}},
+        fleet::PoolKey{"Pixel 7", "SC1/CF2", {12, 4, 99}},
+        fleet::PoolKey{"Pixel 7", "SC2/CF2", {13, 4, 99}}})
+    EXPECT_EQ(snap->count(other.str()), 0u) << other.str();
 }
 
 TEST(SharedSolutionPool, EvictsLeastRecentlyUsedAtCapacity) {
-  fleet::SharedSolutionPoolConfig cfg;
-  cfg.capacity = 2;
-  cfg.shards = 1;  // one stripe -> one global LRU order to script against
-  fleet::SharedSolutionPool pool(cfg);
-  fleet::PoolKey a{"d", "s", {1, 0, 0}};
-  fleet::PoolKey b{"d", "s", {2, 0, 0}};
-  fleet::PoolKey c{"d", "s", {3, 0, 0}};
+  fleet::SharedSolutionPool pool(2);
+  const fleet::PoolKey a{"d", "s", {1, 0, 0}};
+  const fleet::PoolKey b{"d", "s", {2, 0, 0}};
+  const fleet::PoolKey c{"d", "s", {3, 0, 0}};
   pool.publish(a, {{}, -1.0});
   pool.publish(b, {{}, -1.0});
-  EXPECT_TRUE(pool.fetch(a).has_value());  // refresh a; b is now LRU
-  pool.publish(c, {{}, -1.0});             // evicts b
+  pool.publish(a, {{}, -2.0});  // refresh a; b is now LRU
+  pool.publish(c, {{}, -1.0});  // evicts b
   EXPECT_EQ(pool.stats().evictions, 1u);
-  EXPECT_TRUE(pool.fetch(a).has_value());
-  EXPECT_FALSE(pool.fetch(b).has_value());
-  EXPECT_TRUE(pool.fetch(c).has_value());
+  const auto snap = pool.snapshot();
+  EXPECT_EQ(snap->size(), 2u);
+  EXPECT_EQ(snap->count(a.str()), 1u);
+  EXPECT_EQ(snap->count(b.str()), 0u);
+  EXPECT_EQ(snap->count(c.str()), 1u);
 }
 
-// A scripted interleaving of publishes and fetches across more keys than
-// the pool holds: fetch-refreshes must steer eviction order exactly, and
-// the lower-cost-wins collision policy must hold mid-stream. Pins the
-// single-threaded semantics the concurrent smoke below relies on.
+// A scripted run of publishes and snapshots across more keys than the
+// pool holds: only publishes move recency — winning or losing a collision
+// alike — and reading a snapshot never does. Snapshots are shared until a
+// publish changes the contents.
 TEST(SharedSolutionPool, InterleavedFetchPublishEvictionOrderIsDeterministic) {
-  fleet::SharedSolutionPoolConfig cfg;
-  cfg.capacity = 3;
-  cfg.shards = 1;  // one stripe -> one global LRU order to script against
-  fleet::SharedSolutionPool pool(cfg);
+  fleet::SharedSolutionPool pool(3);
   auto key = [](std::uint64_t i) {
     return fleet::PoolKey{"d", "s", {i, 0, 0}};
   };
@@ -166,124 +170,31 @@ TEST(SharedSolutionPool, InterleavedFetchPublishEvictionOrderIsDeterministic) {
   pool.publish(key(1), {{}, -1.0});
   pool.publish(key(2), {{}, -1.0});
   pool.publish(key(3), {{}, -1.0});
-  // Touch 1 and 2; 3 becomes LRU despite being the newest insert.
-  EXPECT_TRUE(pool.fetch(key(1)).has_value());
-  EXPECT_TRUE(pool.fetch(key(2)).has_value());
-  pool.publish(key(4), {{}, -1.0});  // evicts 3
-  EXPECT_FALSE(pool.fetch(key(3)).has_value());
+  const auto frozen = pool.snapshot();
+  EXPECT_EQ(pool.snapshot(), frozen);  // unchanged: the same snapshot
+  // Reading key 1 from the snapshot does not refresh it...
+  EXPECT_EQ(frozen->count(key(1).str()), 1u);
+  pool.publish(key(4), {{}, -1.0});  // ...so it is the one evicted
+  const auto after = pool.snapshot();
+  EXPECT_NE(after, frozen);
+  EXPECT_EQ(after->count(key(1).str()), 0u);
+  EXPECT_EQ(frozen->count(key(1).str()), 1u);  // the old epoch still has it
 
-  // A losing collision (higher cost) keeps the better entry but touches
-  // the key's recency (the collision probe); re-touch 2 and 4 so 1 is
-  // back at LRU before the next insert.
-  pool.publish(key(1), {{}, -0.1});
-  EXPECT_DOUBLE_EQ(pool.fetch(key(2))->cost, -1.0);  // refresh 2
-  EXPECT_TRUE(pool.fetch(key(4)).has_value());       // refresh 4
-  pool.publish(key(5), {{}, -1.0});                  // evicts 1
-  EXPECT_FALSE(pool.fetch(key(1)).has_value());
-  EXPECT_DOUBLE_EQ(pool.fetch(key(2))->cost, -1.0);
+  // A losing collision (higher cost) keeps the better entry but refreshes
+  // the key, so 3 is now the LRU entry.
+  pool.publish(key(2), {{}, -0.1});
+  EXPECT_EQ(pool.snapshot(), after);  // contents unchanged
+  pool.publish(key(5), {{}, -1.0});   // evicts 3
+  const auto last = pool.snapshot();
+  EXPECT_EQ(last->count(key(3).str()), 0u);
+  EXPECT_DOUBLE_EQ(last->at(key(2).str()).cost, -1.0);
+  EXPECT_EQ(last->count(key(4).str()), 1u);
+  EXPECT_EQ(last->count(key(5).str()), 1u);
 
   const fleet::SharedSolutionPoolStats stats = pool.stats();
   EXPECT_EQ(stats.size, 3u);
   EXPECT_EQ(stats.evictions, 2u);
   EXPECT_EQ(stats.stores, 6u);
-  EXPECT_EQ(stats.misses, 2u);
-}
-
-// Multi-thread smoke for the pool's locking, exercised under TSan by the
-// CI sanitizer job: writers publish improving solutions while readers
-// fetch; afterwards every surviving entry holds the best cost published
-// for its key and the counters balance.
-TEST(SharedSolutionPool, ConcurrentFetchPublishSmoke) {
-  fleet::SharedSolutionPoolConfig cfg;
-  cfg.capacity = 16;  // smaller than the key range -> eviction under load
-  fleet::SharedSolutionPool pool(cfg);
-  constexpr int kThreads = 4;
-  constexpr int kOpsPerThread = 500;
-  constexpr std::uint64_t kKeys = 24;
-
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&pool, t] {
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        const fleet::PoolKey key{
-            "d", "s", {static_cast<std::uint64_t>((t * 7 + i) % kKeys), 0, 0}};
-        if (i % 3 == 0) {
-          pool.publish(key, {{0.5, 0.5, 0.0, 0.8}, -1.0 - 0.001 * i});
-        } else {
-          const auto hit = pool.fetch(key);
-          if (hit) EXPECT_LE(hit->cost, -1.0);
-        }
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-
-  const fleet::SharedSolutionPoolStats stats = pool.stats();
-  EXPECT_LE(stats.size, 16u);
-  EXPECT_EQ(stats.stores,
-            static_cast<std::uint64_t>(kThreads) * ((kOpsPerThread + 2) / 3));
-  EXPECT_EQ(stats.hits + stats.misses,
-            static_cast<std::uint64_t>(kThreads) * kOpsPerThread -
-                stats.stores);
-}
-
-// The sharded-stats contract, exercised under TSan by the CI sanitizer
-// job: after concurrent traffic, the aggregated stats() equal the
-// field-wise sum of every shard's own counters, and the lock telemetry
-// accounts for exactly one acquisition per fetch/publish.
-TEST(SharedSolutionPool, ShardedStatsMatchShardTraffic) {
-  fleet::SharedSolutionPoolConfig cfg;
-  cfg.capacity = 32;
-  cfg.shards = 4;
-  fleet::SharedSolutionPool pool(cfg);
-  constexpr int kThreads = 4;
-  constexpr int kOpsPerThread = 400;
-  constexpr std::uint64_t kKeys = 48;
-
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&pool, t] {
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        const fleet::PoolKey key{
-            "d", "s", {static_cast<std::uint64_t>((t * 5 + i) % kKeys), 0, 0}};
-        if (i % 4 == 0) {
-          pool.publish(key, {{0.5, 0.5, 0.0, 0.8}, -1.0 - 0.001 * i});
-        } else {
-          pool.fetch(key);
-        }
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-
-  ASSERT_EQ(pool.shard_count(), 4u);
-  fleet::SharedSolutionPoolStats summed;
-  for (std::size_t s = 0; s < pool.shard_count(); ++s) {
-    const fleet::SharedSolutionPoolStats shard = pool.shard_stats(s);
-    summed.size += shard.size;
-    summed.hits += shard.hits;
-    summed.misses += shard.misses;
-    summed.stores += shard.stores;
-    summed.evictions += shard.evictions;
-    summed.lock_acquisitions += shard.lock_acquisitions;
-    summed.lock_contentions += shard.lock_contentions;
-  }
-  const fleet::SharedSolutionPoolStats total = pool.stats();
-  EXPECT_EQ(total.shards, 4u);
-  EXPECT_EQ(total.size, summed.size);
-  EXPECT_EQ(total.hits, summed.hits);
-  EXPECT_EQ(total.misses, summed.misses);
-  EXPECT_EQ(total.stores, summed.stores);
-  EXPECT_EQ(total.evictions, summed.evictions);
-  EXPECT_EQ(total.lock_acquisitions, summed.lock_acquisitions);
-  EXPECT_EQ(total.lock_contentions, summed.lock_contentions);
-  // One lock acquisition per operation, no more, no fewer (stats reads
-  // must not perturb the telemetry they report).
-  constexpr std::uint64_t kOps =
-      static_cast<std::uint64_t>(kThreads) * kOpsPerThread;
-  EXPECT_EQ(total.lock_acquisitions, kOps);
-  EXPECT_LE(total.lock_contentions, total.lock_acquisitions);
-  EXPECT_EQ(total.hits + total.misses + total.stores, kOps);
 }
 
 // SolutionLookupTable::replace under an interleaved fetch/store sequence:
@@ -422,26 +333,98 @@ TEST(FleetSimulator, PowerModelKeepsThreadCountInvariance) {
   EXPECT_GT(serial.metrics.power.throttled_session_fraction, 0.0);
 }
 
+/// A pooled fleet on one (device, scenario) key with a pool epoch of 4,
+/// lenient enough that pooled configurations pass the warm-start check.
+fleet::FleetSpec pooled_fleet(std::size_t sessions, std::size_t threads) {
+  fleet::FleetSpec spec = fast_fleet(sessions, threads);
+  spec.devices = {{"Pixel 7", 1.0}};  // one key -> guaranteed sharing
+  spec.use_shared_pool = true;
+  spec.policy.epoch_sessions = 4;
+  spec.session.warm_start_tolerance = 10.0;  // accept pooled configs
+  return spec;
+}
+
 // Enabling the shared pool lets later sessions warm-start from earlier
 // sessions' solutions: nonzero hit rate, nonzero shared warm starts.
 TEST(FleetSimulator, SharedPoolProducesCrossSessionWarmStarts) {
-  fleet::FleetSpec spec = fast_fleet(12, 2);
-  spec.devices = {{"Pixel 7", 1.0}};  // one key -> guaranteed sharing
-  spec.use_shared_pool = true;
-  spec.session.warm_start_tolerance = 10.0;  // accept pooled configs
-  fleet::FleetSimulator fleet(spec);
+  fleet::FleetSimulator fleet(pooled_fleet(12, 2));
   const fleet::FleetResult result = fleet.run();
 
   const fleet::SharedSolutionPoolStats pool = result.metrics.pool;
   EXPECT_GT(pool.stores, 0u);
   EXPECT_GT(pool.hits, 0u);
+  EXPECT_GT(pool.misses, 0u);  // epoch 0 reads the empty snapshot
   EXPECT_GT(pool.hit_rate(), 0.0);
   EXPECT_GT(result.metrics.total_shared_warm_starts, 0u);
+  // Every shared warm start was served by a snapshot hit.
+  EXPECT_GE(pool.hits, result.metrics.total_shared_warm_starts);
   EXPECT_GT(result.metrics.warm_start_rate, 0.0);
   // Only sessions after the first publisher can share; the first full
   // activation is always a miss.
   EXPECT_LT(result.metrics.total_shared_warm_starts,
             result.metrics.total_activations);
+}
+
+void expect_same_session(const fleet::SessionResult& a,
+                         const fleet::SessionResult& b) {
+  EXPECT_EQ(a.session_id, b.session_id);
+  EXPECT_EQ(a.periods, b.periods) << "session " << a.session_id;
+  EXPECT_EQ(a.activations, b.activations) << "session " << a.session_id;
+  EXPECT_EQ(a.warm_starts, b.warm_starts) << "session " << a.session_id;
+  EXPECT_EQ(a.shared_warm_starts, b.shared_warm_starts)
+      << "session " << a.session_id;
+  EXPECT_EQ(a.mean_quality, b.mean_quality) << "session " << a.session_id;
+  EXPECT_EQ(a.mean_latency_ratio, b.mean_latency_ratio)
+      << "session " << a.session_id;
+  EXPECT_EQ(a.mean_reward, b.mean_reward) << "session " << a.session_id;
+  EXPECT_EQ(a.sim_seconds, b.sim_seconds) << "session " << a.session_id;
+}
+
+// run_session() is a pure function of the spec: a pooled run() before it
+// leaves nothing behind for it to read or write.
+TEST(FleetSimulator, RunSessionAfterPooledRunMatchesFreshSimulator) {
+  const fleet::FleetSpec spec = pooled_fleet(12, 2);
+  const fleet::FleetSimulator fresh(spec);
+  const fleet::SessionResult before = fresh.run_session(fresh.session_spec(3));
+
+  fleet::FleetSimulator used(spec);
+  const fleet::FleetResult result = used.run();
+  ASSERT_GT(result.metrics.total_shared_warm_starts, 0u);
+  const fleet::SessionResult after = used.run_session(used.session_spec(3));
+  expect_same_session(before, after);
+  EXPECT_EQ(after.shared_warm_starts, 0u);
+}
+
+// The pool is frozen at each learner barrier and fed in session-id order,
+// so a pooled fleet is bit-identical on 1 and 4 threads: the same
+// sessions warm start from the same solutions, and the pool ends equal.
+TEST(FleetSimulator, SharedPoolFleetIsThreadCountInvariant) {
+  const std::size_t kSessions = 40;
+  const fleet::FleetResult serial =
+      fleet::FleetSimulator(pooled_fleet(kSessions, 1)).run();
+  const fleet::FleetResult threaded =
+      fleet::FleetSimulator(pooled_fleet(kSessions, 4)).run();
+
+  ASSERT_EQ(serial.sessions.size(), kSessions);
+  ASSERT_EQ(threaded.sessions.size(), kSessions);
+  std::size_t first_epoch_shared = 0, later_shared = 0;
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    expect_same_session(serial.sessions[i], threaded.sessions[i]);
+    (i < 4 ? first_epoch_shared : later_shared) +=
+        serial.sessions[i].shared_warm_starts;
+  }
+  // Epoch 0 reads the empty snapshot; later epochs read its solutions.
+  EXPECT_EQ(first_epoch_shared, 0u);
+  EXPECT_GT(later_shared, 0u);
+
+  const fleet::SharedSolutionPoolStats& a = serial.metrics.pool;
+  const fleet::SharedSolutionPoolStats& b = threaded.metrics.pool;
+  EXPECT_EQ(a.size, b.size);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.stores, b.stores);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_GT(a.hits, 0u);
 }
 
 TEST(FleetMetrics, AggregateComputesPercentilesAndThroughput) {

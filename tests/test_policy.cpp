@@ -384,6 +384,12 @@ TEST(FleetPolicy, ValidateRejectsNonsense) {
   spec.policy.mode = fleet::PolicyMode::Bandit;
   spec.use_shared_pool = true;
   EXPECT_THROW(fleet::FleetSimulator{spec}, Error);
+
+  // The pool freezes on the policy epoch even with the policy layer off.
+  spec = fast_fleet(4, 1);
+  spec.use_shared_pool = true;
+  spec.policy.epoch_sessions = 0;
+  EXPECT_THROW(fleet::FleetSimulator{spec}, Error);
 }
 
 // Bitwise-parity pin: a Prior-mode fleet whose store can never fit a
