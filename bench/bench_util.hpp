@@ -1,7 +1,10 @@
 #pragma once
 
+#include <ctime>
 #include <iostream>
+#include <sstream>
 #include <string>
+#include <thread>
 
 /// Shared pretty-printing for the reproduction harnesses. Each bench
 /// prints the paper artefact it regenerates, the measured series/rows,
@@ -24,6 +27,22 @@ inline void recap_line(const std::string& metric, const std::string& paper,
                        const std::string& measured) {
   std::cout << "  " << metric << ": paper=" << paper
             << "  measured=" << measured << "\n";
+}
+
+/// The host a bench ran on, as a JSON object for its summary: core count,
+/// compiler, build type, source revision and UTC date — what a reader
+/// needs before comparing its numbers with another run's.
+inline std::string host_json() {
+  char date[32];
+  const std::time_t now = std::time(nullptr);
+  std::strftime(date, sizeof date, "%Y-%m-%dT%H:%M:%SZ", std::gmtime(&now));
+  std::ostringstream os;
+  os << "{\"nproc\": " << std::thread::hardware_concurrency()
+     << ", \"compiler\": \"" << HBOSIM_BENCH_COMPILER
+     << "\", \"build_type\": \"" << HBOSIM_BENCH_BUILD_TYPE
+     << "\", \"git_revision\": \"" << HBOSIM_BENCH_REVISION
+     << "\", \"date\": \"" << date << "\"}";
+  return os.str();
 }
 
 }  // namespace benchutil

@@ -66,13 +66,15 @@
 //                          consumed, and the projected hours-of-AR-per-
 //                          charge figure the frontier bench optimizes.
 //
-//   --sched                scheduler forensics (des::SchedAnalyzer): every
-//                          session records a per-job lifecycle trace, the
-//                          fleet prints the SchedHealth roll-up (worst p99
-//                          slowdown, fairness floor, starvation count), and
-//                          the worst session is deterministically re-run to
-//                          print its full forensics report. Tracing changes
-//                          no simulated result. Disables the shared solution
+//   --sched                scheduler forensics: every session folds its
+//                          per-job lifecycle records into a des::SchedMeter
+//                          as they happen, the fleet prints the SchedHealth
+//                          roll-up (worst p99 slowdown, fairness floor,
+//                          starvation count), and the worst session is
+//                          deterministically re-run with a SchedTrace to
+//                          print the des::SchedAnalyzer's full forensics
+//                          report. Metering and tracing change no
+//                          simulated result. Disables the shared solution
 //                          pool: the deep-dive re-run attaches no pool
 //                          snapshot, yet must reproduce the fleet's
 //                          trajectory bit for bit.

@@ -58,6 +58,20 @@ double percentile_sorted(const std::vector<double>& sorted, double p) {
   return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
+double percentile_select(std::vector<double>& values, double p) {
+  HB_REQUIRE(!values.empty(), "percentile of an empty sample");
+  HB_REQUIRE(p >= 0.0 && p <= 100.0, "percentile p must be in [0,100]");
+  // percentile_sorted's rank, order statistics and interpolation.
+  const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(rank));
+  const auto at = values.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(values.begin(), at, values.end());
+  const double hi = std::ceil(rank) > static_cast<double>(lo)
+                        ? *std::min_element(at + 1, values.end())
+                        : *at;
+  return *at + (hi - *at) * (rank - static_cast<double>(lo));
+}
+
 P2Quantile::P2Quantile(double p) : p_(p) {
   HB_REQUIRE(p > 0.0 && p < 1.0, "P2Quantile quantile must be in (0,1)");
 }

@@ -57,6 +57,10 @@ double percentile(std::vector<double> values, double p);
 /// empty/range checks; the precondition is not re-verified.
 double percentile_sorted(const std::vector<double>& sorted, double p);
 
+/// percentile() by selection in O(n), bitwise percentile_sorted's: the
+/// same two order statistics and interpolation. Reorders `values`.
+double percentile_select(std::vector<double>& values, double p);
+
 /// Streaming quantile estimate via the P² algorithm (Jain & Chlamtac,
 /// CACM 1985): five markers track (min, p/2, p, (1+p)/2, max) heights and
 /// are nudged by parabolic interpolation as observations arrive — O(1)

@@ -44,18 +44,18 @@ void PsResource::set_trace_decimation(std::uint32_t every) {
   trace_decimation_ = every;
 }
 
-SchedTrace* PsResource::sched() const {
-  SchedTrace* trace = sim_.sched_trace();
-  if (trace == nullptr) return nullptr;
-  if (trace != sched_trace_) {
-    // First event under this trace: register our per-resource stream.
-    sched_trace_ = trace;
-    sched_resource_ = trace->register_resource(name_);
+SchedSink* PsResource::sched() const {
+  SchedSink* sink = sim_.sched_trace();
+  if (sink == nullptr) return nullptr;
+  if (sink != sched_trace_) {
+    // First event under this sink: register our per-resource stream.
+    sched_trace_ = sink;
+    sched_resource_ = sink->register_resource(name_);
   }
-  return trace;
+  return sink;
 }
 
-void PsResource::sched_record(SchedTrace& trace, SchedEventKind kind,
+void PsResource::sched_record(SchedSink& sink, SchedEventKind kind,
                               JobId job, const char* cls, double demand,
                               double cores, double solo_rate) const {
   SchedEvent ev;
@@ -71,7 +71,7 @@ void PsResource::sched_record(SchedTrace& trace, SchedEventKind kind,
   ev.share = current_rate_;
   ev.solo_rate = solo_rate;
   ev.active_jobs = static_cast<std::uint32_t>(jobs_.size());
-  trace.record(ev);
+  sink.record(ev);
 }
 
 double PsResource::shared_rate(double total_cores) const {
@@ -143,11 +143,11 @@ void PsResource::on_completion_event() {
   jobs_.erase(jobs_.begin() + static_cast<std::ptrdiff_t>(kept), jobs_.end());
   if (jobs_.empty()) requested_cores_ = 0.0;  // absorb fp residue
   reschedule();
-  if (SchedTrace* trace = sched()) {
+  if (SchedSink* sink = sched()) {
     // Record completions before the callbacks run: a callback's re-submit
     // lands after them in the stream, matching simulated causality.
     for (const Finished& f : finished)
-      sched_record(*trace, SchedEventKind::Complete, f.id, f.cls, 0.0, 0.0,
+      sched_record(*sink, SchedEventKind::Complete, f.id, f.cls, 0.0, 0.0,
                    0.0);
   }
   if (telemetry::enabled() && !finished.empty()) trace_depth();
@@ -168,11 +168,11 @@ JobId PsResource::submit(double demand, double cores, Completion done,
   jobs_.push_back(Job{id, effective, cores, cls, std::move(done)});
   requested_cores_ += cores;
   reschedule();
-  if (SchedTrace* trace = sched()) {
+  if (SchedSink* sink = sched()) {
     // Admission doubles as start-of-service under processor sharing.
     // solo_rate: what this job would get on the otherwise-empty resource
     // (its contention-free ideal), at the background level it saw.
-    sched_record(*trace, SchedEventKind::Submit, id, cls, effective, cores,
+    sched_record(*sink, SchedEventKind::Submit, id, cls, effective, cores,
                  shared_rate(cores));
   }
   if (telemetry::enabled()) {
@@ -197,8 +197,8 @@ bool PsResource::cancel(JobId id) {
   jobs_.erase(it);
   if (jobs_.empty()) requested_cores_ = 0.0;
   reschedule();
-  if (SchedTrace* trace = sched())
-    sched_record(*trace, SchedEventKind::Cancel, id, cls, 0.0, 0.0, 0.0);
+  if (SchedSink* sink = sched())
+    sched_record(*sink, SchedEventKind::Cancel, id, cls, 0.0, 0.0, 0.0);
   return true;
 }
 
@@ -218,8 +218,8 @@ void PsResource::set_capacity(double capacity) {
   advance_progress();
   capacity_ = capacity;
   reschedule();
-  if (SchedTrace* trace = sched())
-    sched_record(*trace, SchedEventKind::Rescale, 0, nullptr, 0.0, 0.0, 0.0);
+  if (SchedSink* sink = sched())
+    sched_record(*sink, SchedEventKind::Rescale, 0, nullptr, 0.0, 0.0, 0.0);
 }
 
 void PsResource::set_max_rate_per_job(double max_rate) {
@@ -228,8 +228,8 @@ void PsResource::set_max_rate_per_job(double max_rate) {
   advance_progress();
   max_rate_per_job_ = max_rate;
   reschedule();
-  if (SchedTrace* trace = sched())
-    sched_record(*trace, SchedEventKind::Rescale, 0, nullptr, 0.0, 0.0, 0.0);
+  if (SchedSink* sink = sched())
+    sched_record(*sink, SchedEventKind::Rescale, 0, nullptr, 0.0, 0.0, 0.0);
 }
 
 void PsResource::set_background_utilization(double u) {
@@ -239,8 +239,8 @@ void PsResource::set_background_utilization(double u) {
   advance_progress();
   background_ = clamped;
   reschedule();
-  if (SchedTrace* trace = sched())
-    sched_record(*trace, SchedEventKind::Rescale, 0, nullptr, 0.0, 0.0, 0.0);
+  if (SchedSink* sink = sched())
+    sched_record(*sink, SchedEventKind::Rescale, 0, nullptr, 0.0, 0.0, 0.0);
 }
 
 void PsResource::set_max_background(double u) {

@@ -79,7 +79,7 @@ class PsResource {
   /// `cls` optionally tags the job with a class for scheduler forensics
   /// (the AI engine passes its interned "model@delegate" span name). The
   /// pointer is stored as-is — it must outlive the job — and is only ever
-  /// read by an attached SchedTrace; it has no effect on scheduling.
+  /// read by an attached SchedSink; it has no effect on scheduling.
   JobId submit(double demand, double cores, Completion done,
                const char* cls = nullptr);
   JobId submit(double demand, Completion done, const char* cls = nullptr);
@@ -141,11 +141,11 @@ class PsResource {
   /// (no-op without an active session).
   void trace_depth() const;
 
-  /// The Simulator's attached SchedTrace, or null. Registers this
-  /// resource's stream on first sight of a given trace.
-  SchedTrace* sched() const;
+  /// The Simulator's attached SchedSink, or null. Registers this
+  /// resource's stream on first sight of a given sink.
+  SchedSink* sched() const;
   /// Record one lifecycle event (call only with sched() != null).
-  void sched_record(SchedTrace& trace, SchedEventKind kind, JobId job,
+  void sched_record(SchedSink& sink, SchedEventKind kind, JobId job,
                     const char* cls, double demand, double cores,
                     double solo_rate) const;
 
@@ -155,7 +155,7 @@ class PsResource {
   const char* traced_cores_name_;  ///< Interned "<name>.requested_cores".
   mutable std::uint32_t trace_decimator_ = 0;
   std::uint32_t trace_decimation_ = 16;
-  mutable SchedTrace* sched_trace_ = nullptr;   ///< Last trace registered with.
+  mutable SchedSink* sched_trace_ = nullptr;    ///< Last sink registered with.
   mutable std::uint16_t sched_resource_ = 0;    ///< Our stream id in it.
   double capacity_;
   double max_rate_per_job_;

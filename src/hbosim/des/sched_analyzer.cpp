@@ -45,34 +45,220 @@ LatencyDist summarize_dist(std::vector<double> values) {
   double acc = 0.0;
   for (double v : values) acc += v;
   out.mean = acc / static_cast<double>(values.size());
-  std::sort(values.begin(), values.end());
-  out.max = values.back();
-  out.p50 = percentile_sorted(values, 50.0);
-  out.p95 = percentile_sorted(values, 95.0);
-  out.p99 = percentile_sorted(values, 99.0);
+  out.max = *std::max_element(values.begin(), values.end());
+  out.p50 = percentile_select(values, 50.0);
+  out.p95 = percentile_select(values, 95.0);
+  out.p99 = percentile_select(values, 99.0);
   return out;
 }
 
-/// Replay bookkeeping for one in-service job.
-struct LiveJob {
-  JobId id = 0;
-  std::size_t rec = 0;     ///< Index of the job's record in jobs_.
-  std::uint32_t cls = 0;   ///< Dense class id.
-  double remaining = 0.0;  ///< Demand not yet served.
+/// The starvation rule, for the analyzer and the meter alike: a completed
+/// job starves when its wait exceeds k x max(class median wait, floor).
+double starvation_limit(const SchedAnalyzerConfig& cfg, double median_s) {
+  return cfg.starvation_k * std::max(median_s, cfg.min_wait_floor_s);
+}
+bool starves(double wait_s, double limit_s) { return wait_s > limit_s; }
+
+/// Dense class ids in first-appearance order, keyed by pointer for speed
+/// and by name for identity: two copies of one tag are one class.
+struct ClassTable {
+  std::unordered_map<const char*, std::uint32_t> by_ptr;
+  std::unordered_map<std::string_view, std::uint32_t> by_name;
+  std::vector<const char*> names;  ///< Class id -> tag.
+
+  std::uint32_t id(const char* cls) {
+    if (const auto it = by_ptr.find(cls); it != by_ptr.end())
+      return it->second;
+    const char* name = tag_name(cls);
+    const auto [it, fresh] = by_name.try_emplace(
+        std::string_view(name), static_cast<std::uint32_t>(names.size()));
+    if (fresh) names.push_back(name);
+    by_ptr.emplace(cls, it->second);
+    return it->second;
+  }
 };
 
-void finalize(SchedJobRecord& rec, double end_s, bool completed) {
-  rec.end_s = end_s;
-  rec.turnaround_s = end_s - rec.submit_s;
-  if (rec.ideal_s > 0.0) {
-    rec.wait_s = std::max(0.0, rec.turnaround_s - rec.ideal_s);
-    rec.slowdown = rec.turnaround_s / rec.ideal_s;
-  } else {
-    rec.wait_s = rec.turnaround_s;
-    rec.slowdown = 1.0;
+/// The exact replay of one resource's stream, shared by SchedAnalyzer (fed
+/// from a ring) and SchedMeter (fed as records happen). Between records
+/// the active set and per-job rate are constant (every rate change emits
+/// a record), so each interval is served window by window.
+class Replay {
+ public:
+  /// A job in service; its record waits in recs_, so the walk stays small.
+  struct Job {
+    JobId id = 0;
+    double remaining = 0.0;   ///< Demand not yet served.
+    std::uint32_t cls = 0;    ///< Dense class id.
+    std::uint32_t slot = 0;   ///< Its record in recs_.
+    std::size_t ordinal = 0;  ///< Admission order on the resource.
+  };
+
+  Replay(ClassTable& classes, double window_s, std::uint16_t resource)
+      : classes_(&classes), window_s_(window_s), resource_(resource) {}
+
+  /// Apply one record; `closed(rec, job)` sees each job it ends.
+  template <typename Closed>
+  void step(const SchedEvent& ev, Closed&& closed) {
+    accrue(ev.time);
+    t_prev_ = ev.time;
+    switch (ev.kind) {
+      case SchedEventKind::Submit: {
+        HB_REQUIRE(admitted_ == 0 || ev.job > last_id_,
+                   "sched trace job ids must increase with submission on "
+                   "each resource");
+        last_id_ = ev.job;
+        const std::uint32_t c = classes_->id(ev.cls);
+        if (c >= service_.size()) service_.resize(c + 1, 0.0);
+        if (free_.empty()) {
+          free_.push_back(static_cast<std::uint32_t>(recs_.size()));
+          recs_.emplace_back();
+        }
+        live_.push_back({ev.job, ev.demand, c, free_.back(), admitted_++});
+        free_.pop_back();
+        recs_[live_.back().slot] = {
+            .resource = resource_, .job = ev.job, .cls = ev.cls,
+            .submit_s = ev.time, .demand = ev.demand, .cores = ev.cores,
+            .ideal_s = ev.solo_rate > 0.0 ? ev.demand / ev.solo_rate : 0.0};
+        break;
+      }
+      case SchedEventKind::Complete:
+      case SchedEventKind::Cancel: {
+        const auto it = std::lower_bound(
+            live_.begin(), live_.end(), ev.job,
+            [](const Job& j, JobId id) { return j.id < id; });
+        if (it != live_.end() && it->id == ev.job) {
+          close(*it, ev.time, ev.kind == SchedEventKind::Complete, closed);
+          live_.erase(it);
+        }
+        // else: the Submit fell off a wrapped ring — the job is not
+        // reconstructable; the drop counter already accounts for it.
+        break;
+      }
+      case SchedEventKind::Rescale:
+        break;
+    }
+    share_ = ev.share;
   }
-  rec.completed = completed;
-}
+
+  /// End of stream: close the open window; jobs still in service close
+  /// uncompleted at the last record's time.
+  template <typename Closed>
+  void finish(Closed&& closed) {
+    close_window();
+    for (const Job& job : live_) close(job, t_prev_, false, closed);
+    live_.clear();
+  }
+
+  std::vector<FairnessWindow> windows;  ///< Closed windows with service.
+  double service_s = 0.0;               ///< Service delivered, by window.
+
+ private:
+  /// Finalize a job leaving service, hand it to `closed`, free its slot.
+  template <typename Closed>
+  void close(const Job& job, double end_s, bool completed, Closed& closed) {
+    SchedJobRecord& rec = recs_[job.slot];
+    rec.end_s = end_s;
+    rec.turnaround_s = end_s - rec.submit_s;
+    if (rec.ideal_s > 0.0) {
+      rec.wait_s = std::max(0.0, rec.turnaround_s - rec.ideal_s);
+      rec.slowdown = rec.turnaround_s / rec.ideal_s;
+    } else {
+      rec.wait_s = rec.turnaround_s;
+      rec.slowdown = 1.0;
+    }
+    rec.completed = completed;
+    closed(rec, job);
+    free_.push_back(job.slot);
+  }
+
+  void accrue(double to) {
+    if (live_.empty()) return;  // the open window closes at next service
+    double t = t_prev_;
+    while (t < to) {
+      const auto widx = static_cast<std::uint64_t>(std::floor(t / window_s_));
+      const double wend = (static_cast<double>(widx) + 1.0) * window_s_;
+      const double t_next = std::min(to, wend);
+      const double dt = t_next - t;
+      if (dt > 0.0 && share_ > 0.0) {
+        if (widx != open_) {
+          close_window();
+          open_ = widx;
+        }
+        serve(share_ * dt);
+      }
+      if (t_next <= t) break;  // window_s underflow guard
+      t = t_next;
+    }
+  }
+
+  /// Serve `progress` to every live job: share * dt clamped to its
+  /// remaining demand — the arithmetic PsResource::advance_progress
+  /// performs. Neighbouring jobs often share a class (a saturated unit is
+  /// mostly one model's backlog), so that class's running sum stays in
+  /// `sum` until the class changes; each class still adds its jobs'
+  /// service in job order, so no sum changes.
+  void serve(double progress) {
+    std::uint32_t cls = live_.front().cls;
+    double sum = service_[cls];
+    for (Job& job : live_) {
+      const double used = std::min(progress, job.remaining);
+      if (used > 0.0) {
+        job.remaining -= used;
+        if (job.cls != cls) {
+          service_[cls] = sum;
+          cls = job.cls;
+          sum = service_[cls];
+        }
+        // Zero until the class first accrues in this window.
+        if (sum == 0.0) served_.push_back(cls);
+        sum += used;
+      }
+    }
+    service_[cls] = sum;
+  }
+
+  /// Close the open window: its Jain index over the classes that attained
+  /// service. Classes are summed in name order, so no floating-point
+  /// summation order depends on class ids or allocation addresses.
+  void close_window() {
+    std::sort(served_.begin(), served_.end(), by_class_name(classes_->names));
+    double sum = 0.0, sum_sq = 0.0, total = 0.0;
+    std::size_t n = 0;
+    for (const std::uint32_t c : served_) {
+      const double x = std::exchange(service_[c], 0.0);
+      total += x;
+      if (x > kServiceEps) {
+        sum += x;
+        sum_sq += x * x;
+        ++n;
+      }
+    }
+    served_.clear();
+    if (n == 0) return;
+    FairnessWindow w;
+    w.resource = resource_;
+    w.begin_s = static_cast<double>(open_) * window_s_;
+    w.end_s = w.begin_s + window_s_;
+    w.jain = (sum * sum) / (static_cast<double>(n) * sum_sq);
+    w.classes = n;
+    windows.push_back(w);
+    service_s += total;
+  }
+
+  ClassTable* classes_;
+  double window_s_;
+  std::uint16_t resource_;
+  std::vector<Job> live_;  ///< In service, in admission (id) order.
+  std::vector<SchedJobRecord> recs_;  ///< Live jobs' records, by slot.
+  std::vector<std::uint32_t> free_;   ///< Unused slots of recs_.
+  std::vector<double> service_;  ///< Open window's service per class id.
+  std::vector<std::uint32_t> served_;  ///< Classes with service in it.
+  double share_ = 0.0;
+  double t_prev_ = 0.0;
+  std::uint64_t open_ = 0;  ///< Tumbling window `service_` accrues into.
+  std::size_t admitted_ = 0;
+  JobId last_id_ = 0;  ///< Last admitted job id.
+};
 
 }  // namespace
 
@@ -97,7 +283,6 @@ SchedAnalyzer::SchedAnalyzer(const SchedTrace& trace, SchedAnalyzerConfig cfg)
 }
 
 void SchedAnalyzer::replay(const SchedTrace& trace) {
-  const double window_s = cfg_.fairness_window_s;
   const std::size_t n_res = trace.resources();
   resource_names_.resize(n_res);
   resources_.resize(n_res);
@@ -107,170 +292,34 @@ void SchedAnalyzer::replay(const SchedTrace& trace) {
       (trace.total_recorded() - trace.total_dropped()) / 2));
   job_class_.reserve(jobs_.capacity());
 
-  // Dense class ids in first-appearance order, keyed by pointer for speed
-  // and by name for identity: two copies of one tag are one class.
-  std::unordered_map<const char*, std::uint32_t> class_by_ptr;
-  std::unordered_map<std::string_view, std::uint32_t> class_by_name;
-  auto class_id = [&](const char* cls) {
-    if (const auto it = class_by_ptr.find(cls); it != class_by_ptr.end())
-      return it->second;
-    const char* name = tag_name(cls);
-    const auto [it, fresh] = class_by_name.try_emplace(
-        std::string_view(name),
-        static_cast<std::uint32_t>(class_names_.size()));
-    if (fresh) class_names_.push_back(name);
-    class_by_ptr.emplace(cls, it->second);
-    return it->second;
-  };
-
-  std::vector<LiveJob> live;          // in service, in submission (id) order
-  std::vector<double> service;        // open window's service per class id
-  std::vector<std::uint32_t> served;  // classes with service in that window
-
+  ClassTable classes;
   for (std::size_t r = 0; r < n_res; ++r) {
     const auto rid = static_cast<std::uint16_t>(r);
     resource_names_[r] = trace.resource_name(rid);
     resources_[r].resource = resource_names_[r];
-    resource_jobs_[r] = jobs_.size();
+    const std::size_t base = resource_jobs_[r] = jobs_.size();
+    // A job's record lands at its admission ordinal, so jobs_ comes out
+    // in (resource, submit, id) order without a sort.
+    auto closed = [&](const SchedJobRecord& rec, const Replay::Job& job) {
+      const std::size_t j = base + job.ordinal;
+      jobs_.resize(std::max(jobs_.size(), j + 1));
+      job_class_.resize(jobs_.size());
+      jobs_[j] = rec;
+      job_class_[j] = job.cls;
+    };
+    Replay stream(classes, cfg_.fairness_window_s, rid);
     const SchedTrace::Runs runs = trace.runs(rid);
-    if (runs.older.empty()) continue;
-
-    live.clear();
-    double share = 0.0;
-    double t_prev = runs.older.front().time;
-    std::uint64_t open = 0;  // tumbling window `service` accrues into
-
-    // Close the open window: its Jain index over the classes that attained
-    // service. Classes are summed in name order, so no floating-point
-    // summation order depends on class ids or allocation addresses.
-    auto close_window = [&] {
-      std::sort(served.begin(), served.end(), by_class_name(class_names_));
-      double sum = 0.0, sum_sq = 0.0, total = 0.0;
-      std::size_t n = 0;
-      for (const std::uint32_t c : served) {
-        const double x = std::exchange(service[c], 0.0);
-        total += x;
-        if (x > kServiceEps) {
-          sum += x;
-          sum_sq += x * x;
-          ++n;
-        }
-      }
-      served.clear();
-      if (n == 0) return;
-      FairnessWindow w;
-      w.resource = rid;
-      w.begin_s = static_cast<double>(open) * window_s;
-      w.end_s = w.begin_s + window_s;
-      w.jain = (sum * sum) / (static_cast<double>(n) * sum_sq);
-      w.classes = n;
-      windows_.push_back(w);
-      resources_[r].service_s += total;
-    };
-
-    // Serve `progress` to every live job: share * dt clamped to its
-    // remaining demand — the same arithmetic PsResource::advance_progress
-    // performs, re-derived offline. Neighbouring jobs often share a class
-    // (a saturated unit is mostly one model's backlog), so that class's
-    // running sum stays in `sum` until the class changes; each class
-    // still adds its jobs' service in job order, so no sum changes.
-    auto serve = [&](double progress) {
-      if (live.empty()) return;
-      std::uint32_t cls = live.front().cls;
-      double sum = service[cls];
-      for (LiveJob& job : live) {
-        const double used = std::min(progress, job.remaining);
-        if (used > 0.0) {
-          job.remaining -= used;
-          if (job.cls != cls) {
-            service[cls] = sum;
-            cls = job.cls;
-            sum = service[cls];
-          }
-          // Zero until the class first accrues in this window.
-          if (sum == 0.0) served.push_back(cls);
-          sum += used;
-        }
-      }
-      service[cls] = sum;
-    };
-
-    // Exact replay: between consecutive records the active set and the
-    // per-job rate are constant (every rate-changing operation emits a
-    // record), so the interval is served window by window.
-    auto accrue = [&](double from, double to) {
-      double t = from;
-      while (t < to) {
-        const auto widx =
-            static_cast<std::uint64_t>(std::floor(t / window_s));
-        const double wend = (static_cast<double>(widx) + 1.0) * window_s;
-        const double t_next = std::min(to, wend);
-        const double dt = t_next - t;
-        if (dt > 0.0 && share > 0.0) {
-          if (widx != open) {
-            close_window();
-            open = widx;
-          }
-          serve(share * dt);
-        }
-        if (t_next <= t) break;  // window_s underflow guard
-        t = t_next;
-      }
-    };
-
-    auto visit = [&](const SchedEvent& ev) {
-      accrue(t_prev, ev.time);
-      t_prev = ev.time;
-      switch (ev.kind) {
-        case SchedEventKind::Submit: {
-          // Records are appended at Submit, so jobs_ comes out in
-          // (resource, submit, id) order without a sort.
-          HB_REQUIRE(jobs_.size() == resource_jobs_[r] ||
-                         ev.job > jobs_.back().job,
-                     "sched trace job ids must increase with submission on "
-                     "each resource");
-          const std::uint32_t c = class_id(ev.cls);
-          if (c >= service.size()) service.resize(c + 1, 0.0);
-          live.push_back({ev.job, jobs_.size(), c, ev.demand});
-          SchedJobRecord rec;
-          rec.resource = rid;
-          rec.job = ev.job;
-          rec.cls = ev.cls;
-          rec.submit_s = ev.time;
-          rec.demand = ev.demand;
-          rec.cores = ev.cores;
-          rec.ideal_s = ev.solo_rate > 0.0 ? ev.demand / ev.solo_rate : 0.0;
-          jobs_.push_back(rec);
-          job_class_.push_back(c);
-          break;
-        }
-        case SchedEventKind::Complete:
-        case SchedEventKind::Cancel: {
-          const auto it = std::lower_bound(
-              live.begin(), live.end(), ev.job,
-              [](const LiveJob& j, JobId id) { return j.id < id; });
-          if (it != live.end() && it->id == ev.job) {
-            finalize(jobs_[it->rec], ev.time,
-                     ev.kind == SchedEventKind::Complete);
-            live.erase(it);
-          }
-          // else: the Submit fell off a wrapped ring — the job is not
-          // reconstructable; the drop counter already accounts for it.
-          break;
-        }
-        case SchedEventKind::Rescale:
-          break;
-      }
-      share = ev.share;
-    };
-    for (const SchedEvent& ev : runs.older) visit(ev);
-    for (const SchedEvent& ev : runs.newer) visit(ev);
-    close_window();
-    // Jobs still in service when the trace ended: recorded for the Gantt
-    // (end = last event time) but excluded from wait/slowdown stats.
-    for (const LiveJob& job : live) finalize(jobs_[job.rec], t_prev, false);
+    for (const SchedEvent& ev : runs.older) stream.step(ev, closed);
+    for (const SchedEvent& ev : runs.newer) stream.step(ev, closed);
+    // Jobs still in service when the trace ended stay in the Gantt (end =
+    // last event time) but are excluded from wait/slowdown stats.
+    stream.finish(closed);
+    windows_.insert(windows_.end(), stream.windows.begin(),
+                    stream.windows.end());
+    resources_[r].service_s = stream.service_s;
   }
   resource_jobs_[n_res] = jobs_.size();
+  class_names_ = std::move(classes.names);
 }
 
 void SchedAnalyzer::summarize() {
@@ -310,8 +359,7 @@ void SchedAnalyzer::summarize() {
       cs.wait = summarize_dist(std::move(class_waits[c]));
       cs.slowdown = summarize_dist(std::move(class_slowdowns[c]));
       cs.median_wait_s = cs.wait.p50;
-      threshold[c] =
-          cfg_.starvation_k * std::max(cs.median_wait_s, cfg_.min_wait_floor_s);
+      threshold[c] = starvation_limit(cfg_, cs.median_wait_s);
       rs.classes.push_back(std::move(cs));
     }
     detect_starvation(r, threshold);
@@ -325,7 +373,7 @@ void SchedAnalyzer::detect_starvation(std::size_t r,
   for (std::size_t j = begin; j < end; ++j) {
     const SchedJobRecord& job = jobs_[j];
     const double limit = threshold[job_class_[j]];
-    if (!job.completed || job.wait_s <= limit) continue;
+    if (!job.completed || !starves(job.wait_s, limit)) continue;
     StarvedJob sj;
     sj.job = job;
     sj.threshold_s = limit;
@@ -488,6 +536,76 @@ void SchedAnalyzer::print_report(std::ostream& os) const {
       os << "    ... and " << starved_.size() - ranked.size() << " more\n";
     }
   }
+}
+
+struct SchedMeter::State {
+  /// One resource's replay and what health needs of its completed jobs.
+  struct Stream {
+    Replay replay;
+    const char* name;  ///< Interned; names the untagged jobs' slices.
+    std::vector<double> slowdowns;
+    std::vector<std::vector<double>> waits;  ///< By class id.
+
+    void operator()(const SchedJobRecord& rec, const Replay::Job& job) {
+      if (!rec.completed) return;
+      slowdowns.push_back(rec.slowdown);
+      if (job.cls >= waits.size()) waits.resize(job.cls + 1);
+      waits[job.cls].push_back(rec.wait_s);
+      if (telemetry::enabled())
+        telemetry::sim_span("sched", rec.cls != nullptr ? rec.cls : name,
+                            rec.submit_s, rec.end_s);
+    }
+  };
+
+  SchedAnalyzerConfig cfg;
+  ClassTable classes;
+  std::vector<Stream> streams;
+  std::uint64_t events = 0;
+};
+
+SchedMeter::SchedMeter(SchedAnalyzerConfig cfg)
+    : state_(std::make_unique<State>(State{cfg, {}, {}, 0})) {}
+
+SchedMeter::~SchedMeter() = default;
+
+std::uint16_t SchedMeter::register_resource(const std::string& name) {
+  HB_REQUIRE(state_->streams.size() < 0xFFFFu,
+             "too many sched-metered resources");
+  const auto id = static_cast<std::uint16_t>(state_->streams.size());
+  state_->streams.push_back(
+      {Replay(state_->classes, state_->cfg.fairness_window_s, id),
+       telemetry::intern(name), {}, {}});
+  return id;
+}
+
+void SchedMeter::record(const SchedEvent& ev) {
+  ++state_->events;
+  State::Stream& st = state_->streams.at(ev.resource);
+  st.replay.step(ev, st);
+}
+
+SchedHealth SchedMeter::finish() {
+  State& s = *state_;
+  SchedHealth h;
+  h.events = s.events;
+  for (State::Stream& st : s.streams) {
+    st.replay.finish(st);
+    for (const FairnessWindow& w : st.replay.windows)
+      h.fairness_floor = std::min(h.fairness_floor, w.jain);
+    if (st.slowdowns.empty()) continue;
+    h.jobs += st.slowdowns.size();
+    h.worst_p99_slowdown = std::max(h.worst_p99_slowdown,
+                                    percentile_select(st.slowdowns, 99.0));
+    for (std::vector<double>& waits : st.waits) {
+      if (waits.empty()) continue;
+      const double limit =
+          starvation_limit(s.cfg, percentile_select(waits, 50.0));
+      for (const double w : waits) {
+        if (starves(w, limit)) ++h.starved_jobs;
+      }
+    }
+  }
+  return h;
 }
 
 }  // namespace hbosim::des

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -9,9 +10,9 @@
 #include "hbosim/des/sched_trace.hpp"
 
 /// \file sched_analyzer.hpp
-/// Offline scheduler forensics over a recorded SchedTrace.
+/// Scheduler forensics over the lifecycle event stream.
 ///
-/// The analyzer replays the lifecycle event stream exactly (see
+/// SchedAnalyzer replays a recorded SchedTrace exactly (see
 /// sched_trace.hpp for why the replay is exact, not sampled) and derives
 /// the artifacts a scheduling study needs:
 ///
@@ -26,8 +27,8 @@
 ///  - Gantt timelines, exported as CSV and as Perfetto async slices on
 ///    the sim-time pid (via telemetry::sim_span).
 ///
-/// Everything here runs after the simulation completed; the analyzer
-/// never touches a Simulator and cannot perturb results.
+/// The analyzer runs after the simulation completed and cannot perturb
+/// it. SchedMeter runs the same replay step on each record as it happens.
 ///
 /// The replay is one pass over the stream. Each record walks the jobs in
 /// service (a handful per unit in a fleet session) and credits their
@@ -106,11 +107,11 @@ struct StarvedJob {
   std::vector<std::pair<JobId, const char*>> contenders;
 };
 
-/// Compact roll-up of one trace's forensics — what a fleet carries per
+/// Compact roll-up of one stream's forensics — what a fleet carries per
 /// session into FleetMetrics::SchedHealth.
 struct SchedHealth {
   std::size_t jobs = 0;  ///< Completed jobs analyzed across resources.
-  std::uint64_t events = 0;          ///< Records the trace captured.
+  std::uint64_t events = 0;          ///< Records the sink received.
   std::uint64_t dropped_events = 0;  ///< Records lost to ring wrap.
   double worst_p99_slowdown = 0.0;   ///< Max p99 slowdown over resources.
   double fairness_floor = 1.0;       ///< Min windowed Jain index.
@@ -174,6 +175,26 @@ class SchedAnalyzer {
   std::vector<FairnessWindow> windows_;
   std::vector<StarvedJob> starved_;
   SchedHealth health_;
+};
+
+/// SchedHealth as the simulation runs: each record goes through the
+/// analyzer's replay step as it arrives, and of a completed job only its
+/// slowdown and class wait are kept. The health is bitwise the analyzer's
+/// over an unwrapped trace, with dropped_events 0. With telemetry on, each
+/// completed job is a "sched" sim-time slice on the current track.
+class SchedMeter final : public SchedSink {
+ public:
+  explicit SchedMeter(SchedAnalyzerConfig cfg = {});
+  ~SchedMeter() override;
+  std::uint16_t register_resource(const std::string& name) override;
+  void record(const SchedEvent& ev) override;
+
+  /// Reduce after the last record; jobs still in service are left out.
+  SchedHealth finish();
+
+ private:
+  struct State;
+  std::unique_ptr<State> state_;
 };
 
 }  // namespace hbosim::des

@@ -17,16 +17,6 @@ std::size_t round_up_pow2(std::size_t n) {
 constexpr std::size_t kFirstSlots = 64;
 }  // namespace
 
-const char* sched_event_kind_name(SchedEventKind kind) {
-  switch (kind) {
-    case SchedEventKind::Submit: return "submit";
-    case SchedEventKind::Rescale: return "rescale";
-    case SchedEventKind::Complete: return "complete";
-    case SchedEventKind::Cancel: return "cancel";
-  }
-  return "?";
-}
-
 SchedTrace::SchedTrace(SchedTraceConfig cfg) : cfg_(cfg) {
   HB_REQUIRE(cfg_.capacity_per_resource >= 1,
              "sched trace ring needs at least one slot");

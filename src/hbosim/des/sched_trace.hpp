@@ -10,7 +10,7 @@
 /// \file sched_trace.hpp
 /// Structured per-job scheduler lifecycle event stream.
 ///
-/// A SchedTrace records every scheduling-relevant transition of the
+/// A SchedSink receives every scheduling-relevant transition of the
 /// PsResources attached to one Simulator: job admission, completion,
 /// cancellation, and every mid-service rescale (DVFS capacity step,
 /// rate-cap change, background-utilization change). Each record carries
@@ -18,13 +18,14 @@
 /// the stream exactly replayable: a processor-sharing resource changes
 /// its per-job rate only at these transitions, so between two consecutive
 /// events every active job accrues `share * dt` service — no sampling, no
-/// approximation. `des::SchedAnalyzer` consumes the stream offline.
+/// approximation. `des::SchedMeter` folds it into SchedHealth as it
+/// arrives; a SchedTrace keeps it for the offline `des::SchedAnalyzer`.
 ///
-/// Recording is strictly observational. A PsResource reaches its trace
+/// Recording is strictly observational. A PsResource reaches its sink
 /// through `Simulator::sched_trace()` (a plain pointer read); when no
-/// trace is attached the off-mode cost is one predictable branch, and
-/// when one is attached nothing the trace does can feed back into the
-/// simulation — attaching a trace changes no simulated result (pinned by
+/// sink is attached the off-mode cost is one predictable branch, and
+/// when one is attached nothing the sink does can feed back into the
+/// simulation — attaching one changes no simulated result (pinned by
 /// parity tests).
 ///
 /// Events live in per-resource rings that grow on demand, doubling up to
@@ -47,8 +48,6 @@ enum class SchedEventKind : std::uint8_t {
   Cancel,    ///< Job removed without completing.
 };
 
-const char* sched_event_kind_name(SchedEventKind kind);
-
 /// One lifecycle record. `share` is the per-job service rate in effect
 /// AFTER the event applied — the invariant the exact replay rests on.
 /// Submit additionally snapshots `solo_rate`, the rate this job would
@@ -64,42 +63,47 @@ struct SchedEvent {
   double share = 0.0;            ///< Per-job rate after the event.
   double solo_rate = 0.0;        ///< Contention-free rate (Submit only).
   std::uint32_t active_jobs = 0; ///< Jobs in service after the event.
-  std::uint16_t resource = 0;    ///< Id from SchedTrace::register_resource.
+  std::uint16_t resource = 0;    ///< Id from SchedSink::register_resource.
   SchedEventKind kind = SchedEventKind::Submit;
 };
 
+/// Receiver of a Simulator's lifecycle records.
+class SchedSink {
+ public:
+  virtual ~SchedSink() = default;
+  /// A new resource stream's id, which the resource stamps on its records.
+  virtual std::uint16_t register_resource(const std::string& name) = 0;
+  virtual void record(const SchedEvent& ev) = 0;
+};
+
 struct SchedTraceConfig {
-  /// Fleet-level master switch (FleetSpec::sched). A constructed
-  /// SchedTrace always records; `enabled` decides whether the fleet
-  /// creates and attaches one per session at all.
+  /// Fleet-level master switch (FleetSpec::sched): whether every session
+  /// runs with a SchedMeter. A constructed SchedTrace always records.
   bool enabled = false;
-  /// Ring capacity per resource (rounded up to a power of two). Rings
-  /// grow on demand, so this caps a trace's memory rather than reserving
-  /// it; at the default 65536 a 60 s session traces every AI phase with
-  /// room to spare.
+  /// Ring capacity per resource of a SchedTrace (rounded up to a power of
+  /// two). Rings grow on demand, so this caps a trace's memory rather than
+  /// reserving it; at the default 65536 a 60 s session traces every AI
+  /// phase with room to spare.
   std::size_t capacity_per_resource = 1u << 16;
   /// Drop the PsResource depth-counter decimation to 1 (exact counters)
-  /// on traced sessions, so the telemetry depth series lines up with the
-  /// forensics event stream. Only consulted where a trace is attached;
-  /// untraced sessions keep the default 1-in-16 sampling.
+  /// on metered or traced sessions, so the telemetry depth series lines
+  /// up with the forensics event stream. Only consulted where a sink is
+  /// attached; other sessions keep the default 1-in-16 sampling.
   bool exact_depth_counters = true;
 };
 
-/// Per-resource ring buffers of SchedEvents plus drop accounting.
-/// Single-threaded like the Simulator that feeds it; a fleet creates one
-/// trace per session, so traces never cross threads.
-class SchedTrace {
+/// Per-resource ring buffers of SchedEvents plus drop accounting, for
+/// the deep dive (run_session_traced, --gantt, the Perfetto export).
+/// Single-threaded like the Simulator that feeds it.
+class SchedTrace final : public SchedSink {
  public:
   explicit SchedTrace(SchedTraceConfig cfg = {});
 
   const SchedTraceConfig& config() const { return cfg_; }
 
-  /// Register a resource stream and return its id (stable for the trace's
-  /// lifetime). Idempotence is the caller's job: PsResource registers
-  /// itself once per attached trace. Allocates no ring storage.
-  std::uint16_t register_resource(const std::string& name);
+  std::uint16_t register_resource(const std::string& name) override;
 
-  void record(const SchedEvent& ev);
+  void record(const SchedEvent& ev) override;
 
   std::size_t resources() const { return rings_.size(); }
   const std::string& resource_name(std::uint16_t resource) const;

@@ -27,7 +27,7 @@ namespace hbosim::des {
 /// "no event".
 using EventId = std::uint64_t;
 
-class SchedTrace;
+class SchedSink;
 
 class Simulator {
  public:
@@ -68,14 +68,14 @@ class Simulator {
   /// Pending (non-cancelled) event count: the occupied slots.
   std::size_t pending() const { return slots_.size() - free_slots_.size(); }
 
-  /// Attach (or detach, with nullptr) a scheduler lifecycle trace. The
-  /// Simulator does not own it; resources reach it through sched_trace()
-  /// and record their job transitions into it (see sched_trace.hpp).
-  /// Recording is observational only — attaching a trace changes no
-  /// simulated result — and off-mode costs one null-pointer branch per
-  /// transition. The trace must outlive the simulation it observes.
-  void set_sched_trace(SchedTrace* trace) { sched_trace_ = trace; }
-  SchedTrace* sched_trace() const { return sched_trace_; }
+  /// Attach (or detach, with nullptr) a scheduler lifecycle sink, a
+  /// SchedMeter or a SchedTrace. The Simulator does not own it; resources
+  /// reach it through sched_trace() and report their job transitions to it
+  /// (see sched_trace.hpp). Recording is observational only — attaching a
+  /// sink changes no simulated result — and off-mode costs one null-pointer
+  /// branch per transition. The sink must outlive the simulation.
+  void set_sched_trace(SchedSink* sink) { sched_trace_ = sink; }
+  SchedSink* sched_trace() const { return sched_trace_; }
 
  private:
   /// A heap entry. `gen` is the slot's generation when the event was
@@ -107,7 +107,7 @@ class Simulator {
 
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  SchedTrace* sched_trace_ = nullptr;  // non-owning; null = not traced
+  SchedSink* sched_trace_ = nullptr;  // non-owning; null = not traced
   std::uint64_t executed_ = 0;
   std::vector<Entry> heap_;  // min-heap on (time, seq)
   std::vector<Slot> slots_;

@@ -95,15 +95,15 @@ struct SessionResult {
   double battery_soc = 1.0;           ///< Charge remaining at session end.
   double battery_drain_pct_per_hour = 0.0;  ///< Projected drain rate.
 
-  // Scheduler forensics roll-up (see des::SchedAnalyzer). All neutral
-  // when the fleet runs without sched tracing (FleetSpec::sched.enabled).
-  bool sched_traced = false;           ///< A SchedTrace was attached.
+  // Scheduler forensics roll-up (see des::SchedMeter). All neutral when
+  // the fleet runs without sched health (FleetSpec::sched.enabled).
+  bool sched_traced = false;  ///< A meter (or the caller's trace) ran.
   std::size_t sched_jobs = 0;          ///< Completed jobs analyzed.
   double sched_worst_p99_slowdown = 0.0;  ///< Max p99 slowdown, any unit.
   double sched_fairness_floor = 1.0;      ///< Min windowed Jain index.
   std::size_t sched_starved_jobs = 0;
   std::uint64_t sched_events = 0;          ///< Lifecycle records captured.
-  std::uint64_t sched_dropped_events = 0;  ///< Records lost to ring wrap.
+  std::uint64_t sched_dropped_events = 0;  ///< 0 unless a traced ring wrapped.
 
   double wall_seconds = 0.0;  ///< Host time spent simulating this session.
 };
@@ -227,7 +227,7 @@ struct FleetMetrics {
   };
   MarketHealth market;
 
-  /// Scheduler forensics roll-up across sessions (des::SchedAnalyzer per
+  /// Scheduler forensics roll-up across sessions (des::SchedMeter per
   /// session, aggregated in session-id order — every field below is also
   /// order-independent, so the roll-up is identical on 1 and N fleet
   /// threads). All-neutral when sched tracing was off (enabled == false).

@@ -251,18 +251,18 @@ PolicySessionOutput FleetSimulator::run_policy_session_impl(
   std::unique_ptr<app::MarApp> app =
       scenario::make_app(device, spec.objects, spec.tasks, spec.seed, base);
 
-  // Scheduler forensics: attach a per-session lifecycle trace before any
-  // event runs. The trace is purely observational, so the simulated
+  // Scheduler forensics: attach the caller's trace, or else a meter, before
+  // any event runs. Either is purely observational, so the simulated
   // trajectory is bit-identical with and without it.
-  std::unique_ptr<des::SchedTrace> owned_trace;
-  if (trace == nullptr && spec_.sched.enabled) {
-    owned_trace = std::make_unique<des::SchedTrace>(spec_.sched);
-    trace = owned_trace.get();
-  }
-  if (trace != nullptr) {
-    app->sim().set_sched_trace(trace);
-    if (trace->config().exact_depth_counters) {
-      // Exact depth counters on traced sessions, so the telemetry depth
+  std::optional<des::SchedMeter> meter;
+  if (trace == nullptr && spec_.sched.enabled)
+    meter.emplace(spec_.sched_analysis);
+  des::SchedSink* sink = meter ? &*meter : static_cast<des::SchedSink*>(trace);
+  if (sink != nullptr) {
+    app->sim().set_sched_trace(sink);
+    if ((trace != nullptr ? trace->config() : spec_.sched)
+            .exact_depth_counters) {
+      // Exact depth counters on sched sessions, so the telemetry depth
       // series lines up sample-for-sample with the event stream.
       for (soc::Unit u : {soc::Unit::Cpu, soc::Unit::Gpu, soc::Unit::Npu})
         app->soc().unit(u).set_trace_decimation(1);
@@ -450,13 +450,20 @@ PolicySessionOutput FleetSimulator::run_policy_session_impl(
     out.battery_soc = ps.battery_soc;
     out.battery_drain_pct_per_hour = ps.drain_pct_per_hour;
   }
-  if (trace != nullptr) {
-    // Offline forensics over the completed session. The analyzer reads
-    // the trace only — the simulation is already over — and the roll-up
-    // lands in the SessionResult for the fleet's SchedHealth aggregation.
+  if (sink != nullptr) {
+    // The roll-up lands in the SessionResult for the fleet's SchedHealth
+    // aggregation. A caller's trace is analyzed offline, and with
+    // telemetry live its Gantt lands on the session's sim-time async track
+    // (a meter emitted those slices as the jobs completed).
     app->sim().set_sched_trace(nullptr);
-    des::SchedAnalyzer analysis(*trace, spec_.sched_analysis);
-    const des::SchedHealth& h = analysis.health();
+    des::SchedHealth h;
+    if (meter) {
+      h = meter->finish();
+    } else {
+      const des::SchedAnalyzer analysis(*trace, spec_.sched_analysis);
+      h = analysis.health();
+      if (telemetry::enabled()) analysis.export_perfetto_gantt(spec.id);
+    }
     out.sched_traced = true;
     out.sched_jobs = h.jobs;
     out.sched_worst_p99_slowdown = h.worst_p99_slowdown;
@@ -464,9 +471,6 @@ PolicySessionOutput FleetSimulator::run_policy_session_impl(
     out.sched_starved_jobs = h.starved_jobs;
     out.sched_events = h.events;
     out.sched_dropped_events = h.dropped_events;
-    // With telemetry live, drop the session's Gantt onto its sim-time
-    // async track, next to the ai/hbo spans.
-    if (telemetry::enabled()) analysis.export_perfetto_gantt(spec.id);
   }
   out.wall_seconds = seconds_since(t0);
   if (telemetry::enabled()) {

@@ -179,13 +179,13 @@ struct FleetSpec {
   /// seed field is overridden from the session seed).
   power::PowerConfig power;
 
-  /// Scheduler forensics (des::SchedAnalyzer): with sched.enabled, every
-  /// session runs with a private SchedTrace on its own Simulator and is
-  /// analyzed offline when it completes; the SessionResult carries the
-  /// per-session SchedHealth numbers and FleetMetrics::sched rolls them
-  /// up. Tracing is observational: per-session results are bit-identical
-  /// with tracing on and off (pinned in tests), and the roll-up uses only
-  /// order-independent reductions so 1-vs-N-thread fleets agree exactly.
+  /// Scheduler forensics: with sched.enabled, every session runs with a
+  /// private des::SchedMeter, which folds each lifecycle record into its
+  /// SchedHealth as it happens; the SessionResult carries those numbers
+  /// and FleetMetrics::sched rolls them up. Metering is observational:
+  /// per-session results are bit-identical with it on and off (pinned in
+  /// tests), and the roll-up uses only order-independent reductions so
+  /// 1-vs-N-thread fleets agree exactly.
   des::SchedTraceConfig sched;
   /// Starvation-k / fairness-window knobs for the per-session analysis.
   des::SchedAnalyzerConfig sched_analysis;
@@ -270,8 +270,9 @@ class FleetSimulator {
   /// decision): a pure function of (spec, seed), whatever run() did.
   SessionResult run_session(const SessionSpec& spec) const;
 
-  /// Re-run one session with the caller's SchedTrace attached (regardless
-  /// of FleetSpec::sched.enabled) and return its result. Like
+  /// Re-run one session with the caller's SchedTrace attached in place
+  /// of the meter (regardless of FleetSpec::sched.enabled) and return its
+  /// result, with sched fields analyzed from that trace. Like
   /// run_session() it attaches no frozen artifact, and tracing never
   /// feeds back, so for a fleet without pool, policy or market it
   /// reproduces the fleet run's trajectory exactly — the deterministic
@@ -315,8 +316,8 @@ class FleetSimulator {
  private:
   /// The session body behind every public entry point and run()'s loop,
   /// which passes the epoch's priors, bandit, allocation and pool
-  /// snapshot together. A non-null `trace` (run_session_traced) overrides
-  /// the spec-owned sched trace; a non-null `market` swaps the mirror
+  /// snapshot together. A non-null `trace` (run_session_traced) replaces
+  /// the spec's sched meter; a non-null `market` swaps the mirror
   /// client for the allocator's market client and applies the decision's
   /// resolution/price to the session; a non-null `pool` turns the lookup
   /// table on and backs its misses with the snapshot.

@@ -2,10 +2,11 @@
 // event stream and its on-demand rings, the SchedAnalyzer's exact replay
 // (closed-form wait / slowdown / Jain / starvation answers on
 // hand-constructed schedules), a differential check against a
-// straightforward reference analyzer on random streams, queueing-theory
-// and conservation oracles, and the two observational guarantees —
-// tracing changes no simulated result, and the fleet SchedHealth roll-up
-// is thread-count invariant.
+// straightforward reference analyzer on random streams, the SchedMeter's
+// health against the analyzer's, queueing-theory and conservation
+// oracles, and the two observational guarantees — attaching a sink
+// changes no simulated result, and the fleet SchedHealth roll-up is
+// thread-count invariant.
 
 #include <gtest/gtest.h>
 
@@ -269,6 +270,30 @@ TEST(SchedAnalyzer, CancelledJobsAreExcludedFromLatencyStats) {
   EXPECT_EQ(completed, 1u);
 }
 
+// Jobs still in service when the stream ends keep their place in the
+// Gantt, ending at the last record, and stay out of the health numbers.
+TEST(SchedAnalyzer, JobsInServiceAtTraceEndStayInTheGantt) {
+  des::Simulator sim;
+  des::SchedTrace trace;
+  sim.set_sched_trace(&trace);
+  des::PsResource cpu(sim, "cpu", 1.0, 1.0);
+  cpu.submit(10.0, [] {}, "long");
+  cpu.submit(0.1, [] {}, "short");  // shares the unit: done at 0.2 s
+  sim.schedule_at(0.5, [&] { cpu.submit(5.0, [] {}, "late"); });
+  sim.run_until(1.0);
+
+  const des::SchedAnalyzer an(trace);
+  ASSERT_EQ(an.jobs().size(), 3u);
+  EXPECT_STREQ(an.jobs()[0].cls, "long");
+  EXPECT_FALSE(an.jobs()[0].completed);
+  EXPECT_EQ(an.jobs()[0].end_s, 0.5);
+  EXPECT_TRUE(an.jobs()[1].completed);
+  EXPECT_STREQ(an.jobs()[2].cls, "late");
+  EXPECT_FALSE(an.jobs()[2].completed);
+  EXPECT_EQ(an.jobs()[2].end_s, 0.5);
+  EXPECT_EQ(an.health().jobs, 1u);
+}
+
 // When the ring wraps, jobs whose Submit record fell off are simply not
 // reconstructable; the analyzer reports the drop count instead of
 // silently under-counting, and still reconstructs the retained suffix.
@@ -318,22 +343,70 @@ TEST(SchedAnalyzer, GanttCsvHasHeaderAndOneRowPerJob) {
 
 // Job records come out in submission order without a sort because a
 // PsResource numbers its jobs in submission order; a stream that breaks
-// this is rejected rather than mis-ordered.
+// this is rejected rather than mis-ordered — by the analyzer and by the
+// meter, which share the replay step that checks it.
 TEST(SchedAnalyzer, RejectsJobIdsThatDecreaseWithSubmission) {
+  auto feed = [](des::SchedSink& sink) {
+    const std::uint16_t rid = sink.register_resource("cpu");
+    for (const JobId id : {JobId{2}, JobId{1}}) {
+      des::SchedEvent ev;
+      ev.time = static_cast<double>(3 - id);
+      ev.resource = rid;
+      ev.kind = des::SchedEventKind::Submit;
+      ev.job = id;
+      ev.demand = 1.0;
+      ev.share = 0.5;
+      ev.solo_rate = 1.0;
+      sink.record(ev);
+    }
+  };
   des::SchedTrace trace;
-  const std::uint16_t rid = trace.register_resource("cpu");
-  for (const JobId id : {JobId{2}, JobId{1}}) {
-    des::SchedEvent ev;
-    ev.time = static_cast<double>(3 - id);
-    ev.resource = rid;
-    ev.kind = des::SchedEventKind::Submit;
-    ev.job = id;
-    ev.demand = 1.0;
-    ev.share = 0.5;
-    ev.solo_rate = 1.0;
-    trace.record(ev);
-  }
+  feed(trace);
   EXPECT_THROW(des::SchedAnalyzer{trace}, Error);
+  des::SchedMeter meter;
+  EXPECT_THROW(feed(meter), Error);
+}
+
+// The starvation rule is strict: a job starves when its wait exceeds
+// k x max(class median, floor), not when it reaches it. Four sequential
+// jobs of one class (ideal 1 s each) wait 0, 0, 2 and 2.5 s; the median is
+// 1, so with k = 2 and a 1 s floor the limit is exactly 2 s, and only the
+// last job starves — in the analyzer and in the meter.
+TEST(SchedAnalyzer, WaitAtTheStarvationLimitDoesNotStarve) {
+  auto feed = [](des::SchedSink& sink) {
+    const std::uint16_t rid = sink.register_resource("cpu");
+    const double spans[][2] = {{0.0, 1.0}, {1.0, 2.0}, {2.0, 5.0},
+                               {5.0, 8.5}};
+    JobId id = 0;
+    for (const auto& [submit, end] : spans) {
+      des::SchedEvent ev;
+      ev.resource = rid;
+      ev.cls = "c";
+      ev.job = ++id;
+      ev.time = submit;
+      ev.kind = des::SchedEventKind::Submit;
+      ev.demand = 1.0;
+      ev.solo_rate = 1.0;
+      ev.share = 1.0 / (end - submit);
+      sink.record(ev);
+      ev.time = end;
+      ev.kind = des::SchedEventKind::Complete;
+      ev.share = 0.0;
+      sink.record(ev);
+    }
+  };
+  des::SchedAnalyzerConfig cfg;
+  cfg.starvation_k = 2.0;
+  cfg.min_wait_floor_s = 1.0;
+  des::SchedTrace trace;
+  feed(trace);
+  const des::SchedAnalyzer an(trace, cfg);
+  ASSERT_EQ(an.starved().size(), 1u);
+  EXPECT_EQ(an.starved().front().job.job, 4u);
+  EXPECT_EQ(an.starved().front().threshold_s, 2.0);
+  des::SchedMeter meter(cfg);
+  feed(meter);
+  EXPECT_EQ(meter.finish().starved_jobs, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -534,10 +607,10 @@ Reference reference_analyze(const des::SchedTrace& trace,
 /// arrivals, exponential demands, 1- and 2-core jobs, an untagged class,
 /// DVFS-style capacity and rate-cap steps, render-load changes, and a few
 /// cancellations. The GPU runs close to saturation, so jobs starve there.
-void run_random_stream(des::SchedTrace& trace, std::uint64_t seed,
+void run_random_stream(des::SchedSink& sink, std::uint64_t seed,
                        std::size_t jobs) {
   des::Simulator sim;
-  sim.set_sched_trace(&trace);
+  sim.set_sched_trace(&sink);
   des::PsResource cpu(sim, "cpu", 4.0, 1.0);
   des::PsResource gpu(sim, "gpu", 1.0, 1.0);
   static const char* const kClasses[] = {"detect@gpu", "track@cpu",
@@ -673,6 +746,42 @@ TEST(SchedAnalyzer, MatchesReferenceOnRandomStreams) {
   EXPECT_GT(wrapped, 0u);
 }
 
+// The meter runs the analyzer's replay step on each record as it happens
+// and reduces by selection instead of sorting, so its health must be the
+// analyzer's bit for bit on a trace of the same run that did not wrap.
+TEST(SchedMeter, MatchesAnalyzerOnRandomStreams) {
+  std::size_t starved = 0;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    for (const double window : {1.0, 0.25}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " window " +
+                   std::to_string(window));
+      des::SchedAnalyzerConfig cfg;
+      cfg.fairness_window_s = window;
+      des::SchedMeter meter(cfg);
+      run_random_stream(meter, seed, 2000);
+      const des::SchedHealth m = meter.finish();
+
+      des::SchedTraceConfig tcfg;
+      tcfg.capacity_per_resource = std::size_t{1} << 16;
+      des::SchedTrace trace(tcfg);
+      run_random_stream(trace, seed, 2000);
+      ASSERT_EQ(trace.total_dropped(), 0u);
+      const des::SchedHealth a = des::SchedAnalyzer(trace, cfg).health();
+
+      EXPECT_EQ(m.jobs, a.jobs);
+      EXPECT_EQ(m.events, a.events);
+      EXPECT_EQ(m.dropped_events, 0u);
+      EXPECT_EQ(m.worst_p99_slowdown, a.worst_p99_slowdown);  // bitwise
+      EXPECT_EQ(m.fairness_floor, a.fairness_floor);
+      EXPECT_EQ(m.starved_jobs, a.starved_jobs);
+      EXPECT_GT(m.jobs, 0u);
+      EXPECT_LT(m.fairness_floor, 1.0);
+      starved += m.starved_jobs;
+    }
+  }
+  EXPECT_GT(starved, 0u);  // the streams exercised the starvation count
+}
+
 // ---------------------------------------------------------------------------
 // Oracles that do not come from the analyzer's own past output.
 
@@ -790,9 +899,9 @@ TEST(SchedOracles, LittlesLawAndWorkConservationHoldOnTheSamplePath) {
 // are bit-identical with tracing on and off.
 
 TEST(SchedTrace, AttachingATraceIsObservationallyInvisible) {
-  auto run = [](des::SchedTrace* trace) {
+  auto run = [](des::SchedSink* sink) {
     des::Simulator sim;
-    if (trace != nullptr) sim.set_sched_trace(trace);
+    if (sink != nullptr) sim.set_sched_trace(sink);
     des::PsResource cpu(sim, "cpu", 4.0, 1.0);
     std::vector<double> completion_times;
     for (int i = 0; i < 12; ++i) {
@@ -810,13 +919,18 @@ TEST(SchedTrace, AttachingATraceIsObservationallyInvisible) {
   };
 
   des::SchedTrace trace;
+  des::SchedMeter meter;
   const std::vector<double> untraced = run(nullptr);
   const std::vector<double> traced = run(&trace);
+  const std::vector<double> metered = run(&meter);
   ASSERT_EQ(untraced.size(), traced.size());
+  ASSERT_EQ(untraced.size(), metered.size());
   for (std::size_t i = 0; i < untraced.size(); ++i) {
     EXPECT_EQ(untraced[i], traced[i]) << "index " << i;  // bitwise
+    EXPECT_EQ(untraced[i], metered[i]) << "index " << i;
   }
   EXPECT_GT(trace.total_recorded(), 0u);
+  EXPECT_EQ(meter.finish().events, trace.total_recorded());
 }
 
 // ---------------------------------------------------------------------------
@@ -926,9 +1040,44 @@ TEST(FleetSched, SchedHealthIsThreadCountInvariant) {
   EXPECT_EQ(sa.starved_session_fraction, sb.starved_session_fraction);
 }
 
+// A ring's capacity must not change a session's health: the fleet's
+// meter keeps no ring, so the capacity only sizes callers' traces and
+// every sched field is the same at any capacity, with nothing dropped
+// (a 64-record ring per unit would wrap in every session here).
+TEST(FleetSched, HealthDoesNotDependOnRingCapacity) {
+  auto sched_fleet = [](std::size_t capacity) {
+    fleet::FleetSpec spec = fast_fleet(4, 1);
+    spec.sched.enabled = true;
+    spec.sched.capacity_per_resource = capacity;
+    return fleet::FleetSimulator(spec).run();
+  };
+  const fleet::FleetResult small = sched_fleet(64);
+  const fleet::FleetResult full =
+      sched_fleet(des::SchedTraceConfig{}.capacity_per_resource);
+  ASSERT_EQ(small.sessions.size(), full.sessions.size());
+  for (std::size_t i = 0; i < full.sessions.size(); ++i) {
+    const fleet::SessionResult& a = small.sessions[i];
+    const fleet::SessionResult& b = full.sessions[i];
+    EXPECT_TRUE(a.sched_traced);
+    EXPECT_EQ(a.sched_jobs, b.sched_jobs) << "session " << i;
+    EXPECT_EQ(a.sched_events, b.sched_events) << "session " << i;
+    EXPECT_EQ(a.sched_worst_p99_slowdown, b.sched_worst_p99_slowdown)
+        << "session " << i;
+    EXPECT_EQ(a.sched_fairness_floor, b.sched_fairness_floor)
+        << "session " << i;
+    EXPECT_EQ(a.sched_starved_jobs, b.sched_starved_jobs) << "session " << i;
+    EXPECT_EQ(a.sched_dropped_events, 0u) << "session " << i;
+    EXPECT_EQ(b.sched_dropped_events, 0u) << "session " << i;
+    // More jobs than a 64-record ring per unit could hold.
+    EXPECT_GT(a.sched_jobs, 3u * 64u) << "session " << i;
+  }
+  EXPECT_EQ(small.metrics.sched.dropped_events, 0u);
+}
+
 // The deep-dive path behind `fleet_demo --sched`: re-running one session
 // with a caller-owned trace reproduces the fleet run's numbers exactly,
-// and analyzing that trace reproduces the session's SchedHealth fields.
+// and analyzing that trace reproduces, bit for bit, the SchedHealth
+// fields the fleet's meter derived as the session ran.
 TEST(FleetSched, RunSessionTracedReproducesTheFleetTrajectory) {
   fleet::FleetSpec spec = fast_fleet(4, 2);
   spec.sched.enabled = true;

@@ -1,8 +1,8 @@
 // Tests for the streaming quantile machinery behind the fleet's
-// retain_results=false path: percentile_sorted agreement with
-// percentile(), P² exactness below five samples, the documented P² rank
-// error bound on adversarial inputs, and StreamingSummary agreement with
-// the exact summarize_metric().
+// retain_results=false path: percentile_sorted and percentile_select
+// agreement with percentile(), P² exactness below five samples, the
+// documented P² rank error bound on adversarial inputs, and
+// StreamingSummary agreement with the exact summarize_metric().
 
 #include <gtest/gtest.h>
 
@@ -32,6 +32,38 @@ TEST(PercentileSorted, MatchesPercentileOnPresortedInput) {
   }
   EXPECT_THROW(percentile_sorted({}, 50.0), Error);
   EXPECT_THROW(percentile_sorted({1.0}, -0.1), Error);
+}
+
+// Selection reads the same two order statistics a full sort would, so
+// every percentile is bitwise percentile_sorted's, ties and tiny samples
+// included, and further reads of the reordered sample stay exact.
+TEST(PercentileSelect, BitwiseEqualsSortedPercentiles) {
+  Rng rng(0x5E1EC7u);
+  const std::vector<double> ps = {0.0, 1.0, 37.5, 50.0, 90.0, 95.0, 99.0,
+                                  100.0};
+  for (const std::size_t n : {1u, 2u, 3u, 10u, 257u, 2000u}) {
+    std::vector<double> values;
+    for (std::size_t i = 0; i < n; ++i) {
+      // Half the sample on a coarse grid, so ties are common.
+      const double x = rng.uniform(0.0, 8.0);
+      values.push_back(rng.uniform() < 0.5 ? std::floor(x) : x);
+    }
+    std::vector<double> sorted = values;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<double> reused = values;
+    for (const double p : ps) {
+      std::vector<double> work = values;
+      EXPECT_EQ(percentile_select(work, p), percentile_sorted(sorted, p))
+          << "n = " << n << ", p = " << p;
+      EXPECT_EQ(percentile_select(reused, p), percentile_sorted(sorted, p))
+          << "reused sample, n = " << n << ", p = " << p;
+    }
+  }
+  std::vector<double> v = {3.0, 1.0, 2.0};
+  EXPECT_THROW(percentile_select(v, 100.5), Error);
+  EXPECT_THROW(percentile_select(v, -1.0), Error);
+  std::vector<double> empty;
+  EXPECT_THROW(percentile_select(empty, 50.0), Error);
 }
 
 TEST(P2Quantile, RejectsOutOfRangeProbability) {

@@ -636,4 +636,46 @@ TEST(Telemetry, SchedGanttSlicesLandOnSimTimePid) {
   EXPECT_EQ(sched_ends, 3u);
 }
 
+// A metered fleet exports its Gantt as the jobs complete: one "sched"
+// async pair per completed job on its session's sim-time track, which
+// together total the fleet's FleetMetrics::sched.jobs.
+TEST(Telemetry, MeteredFleetEmitsOneSchedSlicePerCompletedJob) {
+  TelemetryConfig cfg;
+  cfg.events_per_thread = 1 << 18;
+  TelemetrySession session(cfg);
+
+  fleet::FleetSpec spec;
+  spec.sessions = 2;
+  spec.threads = 2;
+  spec.duration_s = 6.0;
+  spec.session.hbo.n_initial = 2;
+  spec.session.hbo.n_iterations = 2;
+  spec.session.hbo.selection_candidates = 1;
+  spec.session.hbo.control_period_s = 1.0;
+  spec.session.hbo.monitor_period_s = 1.0;
+  spec.sched.enabled = true;
+  const fleet::FleetResult result = fleet::FleetSimulator(spec).run();
+  ASSERT_TRUE(result.metrics.sched.enabled);
+  ASSERT_GT(result.metrics.sched.jobs, 0u);
+
+  std::ostringstream os;
+  session.write_chrome_trace(os);
+  ASSERT_EQ(session.events_dropped(), 0u);
+  std::map<long long, std::size_t> begins, ends;
+  for (const FlatTraceEvent& ev : parse_flat_events(os.str())) {
+    if (ev.cat != "sched") continue;
+    EXPECT_EQ(ev.pid, 2);
+    if (ev.ph == "b") ++begins[ev.tid];
+    if (ev.ph == "e") ++ends[ev.tid];
+  }
+  std::size_t pairs = 0;
+  for (const auto& [track, n] : begins) {
+    EXPECT_LT(track, 2) << "track of a session id";
+    EXPECT_EQ(n, ends[track]) << "track " << track;
+    pairs += n;
+  }
+  EXPECT_EQ(begins.size(), 2u);  // both sessions' tracks
+  EXPECT_EQ(pairs, result.metrics.sched.jobs);
+}
+
 }  // namespace
