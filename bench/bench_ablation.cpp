@@ -124,7 +124,7 @@ void lookup_ablation() {
   if (hit) {
     hbo2.apply_configuration(hit->z);
     app2->run_period(2.0);  // settle
-    warm_cost = core::cost_of(app2->run_period(4.0), cfg.w);
+    warm_cost = core::cost_of(app2->run_period(4.0), core::CostTerms{cfg.w});
   }
 
   const int full_periods = cfg.n_initial + cfg.n_iterations;

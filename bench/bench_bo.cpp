@@ -1,22 +1,25 @@
-// BO surrogate bench: suggest()/tell() latency of the incremental GP path
-// (cached distance matrix, rank-1 Cholesky growth, batched allocation-free
-// predict) against the original full-refit path, plus the end-to-end
-// effect on fleet simulation wall-clock.
+// BO engine bench: suggest() and tell() latency of the Bayesian optimizer
+// (cached distance matrix, rank-1 Cholesky growth per tell, batched
+// allocation-free candidate scoring) against the number of observations,
+// plus the end-to-end wall clock of a fleet whose sessions run full HBO
+// activations.
 //
-// Not a paper artefact — this measures the optimizer engine itself. The
-// acceptance bar for the incremental path is >= 5x on suggest() at n = 64
-// observations with the default 3-point length-scale grid.
+// Not a paper artefact — this measures the optimizer engine itself.
 //
-// Usage: bench_bo [--smoke] [--json <path>]
+// Usage: bench_bo [--smoke] [--json <path>] [--gate <committed.json>]
 //   --smoke   smaller sizes and shorter repetitions (CI)
 //   --json    write a machine-readable summary (default: BENCH_bo.json)
+//   --gate    in --smoke mode, enforce the smoke_gate block of a committed
+//             JSON (max suggest us at n = 8 and n = 64, max tell us);
+//             exceeding any bound fails the bench — the CI regression gate
 
-#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -41,14 +44,11 @@ double synthetic_cost(std::span<const double> z) {
   return d * d;
 }
 
-/// Optimizer pre-loaded with n observations and (for the incremental
-/// path) warmed surrogates, ready for suggest() timing.
-hbosim::bo::BayesianOptimizer warmed_optimizer(std::size_t n, bool incremental,
+/// Optimizer pre-loaded with n observations and warmed surrogates, ready
+/// for suggest() timing.
+hbosim::bo::BayesianOptimizer warmed_optimizer(std::size_t n,
                                                hbosim::Rng& rng) {
-  hbosim::bo::BoConfig cfg;
-  cfg.incremental_gp = incremental;
-  hbosim::bo::BayesianOptimizer opt(
-      hbosim::bo::SimplexBoxSpace(3, 0.2, 1.0), cfg);
+  hbosim::bo::BayesianOptimizer opt(hbosim::bo::SimplexBoxSpace(3, 0.2, 1.0));
   for (std::size_t i = 0; i < n; ++i) {
     const auto z = opt.space().sample(rng);
     opt.tell(z, synthetic_cost(z));
@@ -74,106 +74,143 @@ double time_suggest_us(hbosim::bo::BayesianOptimizer& opt, hbosim::Rng& rng,
   return elapsed / reps * 1e6;
 }
 
-double fleet_wall_seconds(std::size_t sessions, bool incremental) {
+double fleet_wall_seconds(std::size_t sessions) {
   hbosim::fleet::FleetSpec spec;
   spec.sessions = sessions;
   spec.duration_s = 20.0;
   spec.threads = 1;  // single worker: wall time == optimizer + sim CPU work
   spec.session.hbo.n_initial = 5;
   spec.session.hbo.n_iterations = 15;
-  spec.session.hbo.bo.incremental_gp = incremental;
   const auto t0 = Clock::now();
   (void)hbosim::fleet::FleetSimulator(spec).run();
   return seconds_since(t0);
 }
+
+// The committed smoke-mode regression bounds, echoed into every JSON this
+// bench writes and enforced by --gate. Each sits about 3x from the smoke
+// runs measured when they were set (4-core host, Release): 98-116 us per
+// suggest at n = 8, 281-326 us at n = 64, 16-21 us per tell.
+constexpr double kGateMaxSuggestUsN8 = 450.0;
+constexpr double kGateMaxSuggestUsN64 = 1050.0;
+constexpr double kGateMaxTellUs = 70.0;
 
 }  // namespace
 
 int main(int argc, char** argv) {
   bool smoke = false;
   std::string json_path = "BENCH_bo.json";
+  std::string gate_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
       json_path = argv[++i];
+    else if (std::strcmp(argv[i], "--gate") == 0 && i + 1 < argc)
+      gate_path = argv[++i];
   }
 
-  benchutil::banner("bench_bo",
-                    "incremental GP surrogate vs full refit per suggest");
+  benchutil::banner("bench_bo", "Bayesian optimizer suggest/tell latency");
   const std::vector<std::size_t> sizes =
       smoke ? std::vector<std::size_t>{8, 64}
             : std::vector<std::size_t>{8, 16, 32, 64, 128};
   const double min_seconds = smoke ? 0.05 : 0.4;
 
   // --- suggest() latency vs database size ---------------------------------
-  benchutil::section("suggest() latency (3-point length-scale grid)");
-  std::cout << "        n   full_us   incr_us   speedup\n" << std::fixed;
+  benchutil::section("suggest() latency (" +
+                     std::to_string(hbosim::bo::kLengthScaleGrid.size()) +
+                     "-point length-scale grid, " +
+                     std::to_string(hbosim::bo::kRandomCandidates +
+                                    hbosim::bo::kLocalCandidates) +
+                     " candidates)");
+  std::cout << "        n  suggest_us\n" << std::fixed;
   struct Row {
     std::size_t n;
-    double full_us, incr_us;
+    double us;
   };
   std::vector<Row> rows;
-  double speedup_at_64 = 0.0;
   for (std::size_t n : sizes) {
-    hbosim::Rng rng_full(1000 + n), rng_incr(1000 + n);
-    auto full = warmed_optimizer(n, false, rng_full);
-    auto incr = warmed_optimizer(n, true, rng_incr);
-    const double full_us = time_suggest_us(full, rng_full, min_seconds);
-    const double incr_us = time_suggest_us(incr, rng_incr, min_seconds);
-    rows.push_back({n, full_us, incr_us});
-    const double speedup = full_us / incr_us;
-    if (n == 64) speedup_at_64 = speedup;
+    hbosim::Rng rng(1000 + n);
+    auto opt = warmed_optimizer(n, rng);
+    const double us = time_suggest_us(opt, rng, min_seconds);
+    rows.push_back({n, us});
     std::cout << "  " << std::setw(7) << n << std::setprecision(1)
-              << std::setw(10) << full_us << std::setw(10) << incr_us
-              << std::setprecision(2) << std::setw(10) << speedup << "\n";
+              << std::setw(12) << us << "\n";
   }
+  // NaN for a size that was not measured, so the gate fails on it.
+  auto suggest_us_at = [&rows](std::size_t n) {
+    for (const Row& r : rows)
+      if (r.n == n) return r.us;
+    return std::numeric_limits<double>::quiet_NaN();
+  };
 
-  // --- tell() latency (incremental bookkeeping) ---------------------------
+  // --- tell() latency ------------------------------------------------------
   benchutil::section("tell() latency while growing 64 -> 128 observations");
   double tell_us = 0.0;
   {
     hbosim::Rng rng(77);
-    auto opt = warmed_optimizer(64, true, rng);
+    auto opt = warmed_optimizer(64, rng);
     std::vector<std::vector<double>> zs;
     for (int i = 0; i < 64; ++i) zs.push_back(opt.space().sample(rng));
     const auto t0 = Clock::now();
     for (const auto& z : zs) opt.tell(z, synthetic_cost(z));
     tell_us = seconds_since(t0) / 64.0 * 1e6;
-    std::cout << "  incremental tell(): " << std::setprecision(1) << tell_us
-              << " us/observation (distance row + 3 bordered updates)\n";
+    std::cout << "  tell(): " << std::setprecision(1) << tell_us
+              << " us/observation (distance row + one bordered update per "
+                 "grid entry)\n";
   }
 
   // --- end-to-end fleet wall-clock ----------------------------------------
   const std::size_t fleet_sessions = smoke ? 8 : 48;
   benchutil::section("end-to-end fleet wall-clock (" +
                      std::to_string(fleet_sessions) + " sessions, 1 thread)");
-  const double fleet_full_s = fleet_wall_seconds(fleet_sessions, false);
-  const double fleet_incr_s = fleet_wall_seconds(fleet_sessions, true);
-  std::cout << std::setprecision(2) << "  full refit : " << fleet_full_s
-            << " s\n  incremental: " << fleet_incr_s << " s\n  speedup    : "
-            << fleet_full_s / fleet_incr_s << "x\n";
-
-  benchutil::section("recap");
-  benchutil::recap_line("suggest speedup @ n=64", ">= 5x",
-                        std::to_string(speedup_at_64) + "x");
+  const double fleet_s = fleet_wall_seconds(fleet_sessions);
+  std::cout << std::setprecision(3) << "  wall: " << fleet_s << " s\n";
 
   // --- machine-readable summary -------------------------------------------
   std::ofstream json(json_path);
   json << std::setprecision(6) << std::fixed;
   json << "{\n  \"bench\": \"bench_bo\",\n  \"smoke\": "
-       << (smoke ? "true" : "false") << ",\n  \"suggest\": [\n";
+       << (smoke ? "true" : "false")
+       << ",\n  \"host\": " << benchutil::host_json()
+       << ",\n  \"suggest\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    json << "    {\"n\": " << rows[i].n << ", \"full_us\": " << rows[i].full_us
-         << ", \"incremental_us\": " << rows[i].incr_us << ", \"speedup\": "
-         << rows[i].full_us / rows[i].incr_us << "}"
+    json << "    {\"n\": " << rows[i].n << ", \"us\": " << rows[i].us << "}"
          << (i + 1 < rows.size() ? "," : "") << "\n";
   }
-  json << "  ],\n  \"tell_incremental_us\": " << tell_us
+  json << "  ],\n  \"tell_us\": " << tell_us
        << ",\n  \"fleet\": {\"sessions\": " << fleet_sessions
-       << ", \"threads\": 1, \"full_wall_s\": " << fleet_full_s
-       << ", \"incremental_wall_s\": " << fleet_incr_s << ", \"speedup\": "
-       << fleet_full_s / fleet_incr_s << "}\n}\n";
+       << ", \"threads\": 1, \"wall_s\": " << fleet_s
+       << "},\n  \"smoke_gate\": {\"max_suggest_us_n8\": "
+       << kGateMaxSuggestUsN8 << ", \"max_suggest_us_n64\": "
+       << kGateMaxSuggestUsN64
+       << ", \"max_tell_us\": " << kGateMaxTellUs << "}\n}\n";
   std::cout << "\nJSON summary written to " << json_path << "\n";
 
-  return speedup_at_64 >= 5.0 || smoke ? 0 : 1;
+  // --- CI regression gate --------------------------------------------------
+  // Enforced only in smoke mode (full runs regenerate the committed JSON;
+  // gating them against themselves would be circular).
+  bool gate_ok = true;
+  if (!gate_path.empty() && smoke) {
+    std::ifstream gate_file(gate_path);
+    const std::string gate_text((std::istreambuf_iterator<char>(gate_file)),
+                                std::istreambuf_iterator<char>());
+    double max_n8 = 0.0, max_n64 = 0.0, max_tell = 0.0;
+    if (!benchutil::json_number(gate_text, "max_suggest_us_n8", &max_n8) ||
+        !benchutil::json_number(gate_text, "max_suggest_us_n64", &max_n64) ||
+        !benchutil::json_number(gate_text, "max_tell_us", &max_tell)) {
+      std::cout << "GATE: no smoke_gate block in " << gate_path
+                << " — failing so the committed baseline gets regenerated\n";
+      gate_ok = false;
+    } else {
+      auto check = [&gate_ok](const char* what, double got, double bound) {
+        const bool ok = got <= bound;
+        std::cout << "GATE " << (ok ? "ok  " : "FAIL") << ": " << what << " = "
+                  << std::setprecision(1) << got << " <= " << bound << "\n";
+        gate_ok = gate_ok && ok;
+      };
+      check("suggest us @ n=8", suggest_us_at(8), max_n8);
+      check("suggest us @ n=64", suggest_us_at(64), max_n64);
+      check("tell us", tell_us, max_tell);
+    }
+  }
+  return gate_ok ? 0 : 1;
 }

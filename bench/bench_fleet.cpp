@@ -83,17 +83,6 @@ constexpr double kGateMaxWallS = 12.0;
 constexpr double kGateMaxPeakRssMb = 16.0;
 constexpr double kGateMinMegaSessionsPerSec = 300.0;
 
-/// Minimal scan for `"key": <number>` inside a JSON text; good enough for
-/// the flat smoke_gate block this bench itself writes.
-bool extract_number(const std::string& text, const std::string& key,
-                    double* out) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return false;
-  *out = std::atof(text.c_str() + at + needle.size());
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -314,9 +303,10 @@ int main(int argc, char** argv) {
     std::string gate_text((std::istreambuf_iterator<char>(gate_file)),
                           std::istreambuf_iterator<char>());
     double max_wall = 0.0, max_rss = 0.0, min_sps = 0.0;
-    if (!extract_number(gate_text, "max_wall_s", &max_wall) ||
-        !extract_number(gate_text, "max_peak_rss_mb", &max_rss) ||
-        !extract_number(gate_text, "min_mega_sessions_per_sec", &min_sps)) {
+    if (!benchutil::json_number(gate_text, "max_wall_s", &max_wall) ||
+        !benchutil::json_number(gate_text, "max_peak_rss_mb", &max_rss) ||
+        !benchutil::json_number(gate_text, "min_mega_sessions_per_sec",
+                                &min_sps)) {
       std::cout << "GATE: no smoke_gate block in " << gate_path
                 << " — failing so the committed baseline gets regenerated\n";
       gate_ok = false;

@@ -11,6 +11,8 @@
 #include <benchmark/benchmark.h>
 
 #include "hbosim/bo/optimizer.hpp"
+#include "hbosim/common/mathx.hpp"
+#include "hbosim/common/matrix.hpp"
 #include "hbosim/common/rng.hpp"
 #include "hbosim/core/allocation.hpp"
 #include "hbosim/core/controller.hpp"
@@ -24,6 +26,8 @@ using namespace hbosim;
 namespace {
 
 // --- GP fit + predict -------------------------------------------------------
+// One surrogate fit from a distance matrix, then one predict_many over the
+// candidate block a suggest() scores (kRandomCandidates + kLocalCandidates).
 void BM_GpFitPredict(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(7);
@@ -34,11 +38,22 @@ void BM_GpFitPredict(benchmark::State& state) {
     x.push_back(space.sample(rng));
     y.push_back(rng.uniform(-1.0, 1.0));
   }
-  const std::vector<double> q = space.sample(rng);
+  Matrix dist(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      dist(i, j) = euclidean_distance(x[i], x[j]);
+  const std::size_t count = static_cast<std::size_t>(bo::kRandomCandidates +
+                                                     bo::kLocalCandidates);
+  std::vector<double> candidates(count * space.dim());
+  for (std::size_t c = 0; c < count; ++c)
+    space.sample_into({candidates.data() + c * space.dim(), space.dim()}, rng);
+  std::vector<bo::GaussianProcess::Prediction> preds(count);
+  bo::GaussianProcess::BatchScratch scratch;
   for (auto _ : state) {
     bo::GaussianProcess gp(std::make_unique<bo::Matern52>());
-    gp.fit(x, y);
-    benchmark::DoNotOptimize(gp.predict(q));
+    gp.fit(x, y, dist);
+    gp.predict_many(candidates, count, preds, scratch);
+    benchmark::DoNotOptimize(preds.data());
   }
 }
 

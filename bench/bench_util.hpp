@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdlib>
 #include <ctime>
 #include <iostream>
 #include <sstream>
@@ -43,6 +44,17 @@ inline std::string host_json() {
      << "\", \"git_revision\": \"" << HBOSIM_BENCH_REVISION
      << "\", \"date\": \"" << date << "\"}";
   return os.str();
+}
+
+/// Minimal scan for `"key": <number>` inside a JSON text; good enough for
+/// the flat smoke_gate blocks the benches themselves write.
+inline bool json_number(const std::string& text, const std::string& key,
+                        double* out) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = text.find(needle);
+  if (at == std::string::npos) return false;
+  *out = std::atof(text.c_str() + at + needle.size());
+  return true;
 }
 
 }  // namespace benchutil

@@ -2,8 +2,8 @@
 // server, from a single uncontended tenant to fleet-scale overload.
 //
 //   1. Uncontended — a lone tenant over a clean link reproduces the
-//      legacy closed-form NetworkModel delay exactly (the compatibility
-//      contract that keeps pre-edgesvc experiments valid).
+//      closed-form delay (server time + LinkModel::nominal_seconds) that
+//      the decimation service charges without an edge client, exactly.
 //   2. Queueing — dozens of tenants push the box near its saturation
 //      point: the tail (p99) inflates long before anything is dropped.
 //   3. Overload — a starved link in front of a small box: requests
@@ -16,8 +16,8 @@
 #include <vector>
 
 #include "hbosim/common/stats.hpp"
-#include "hbosim/edge/network.hpp"
 #include "hbosim/edgesvc/broker.hpp"
+#include "hbosim/edgesvc/link_model.hpp"
 #include "hbosim/fleet/fleet_simulator.hpp"
 
 int main() {
@@ -25,8 +25,8 @@ int main() {
   using namespace hbosim::edgesvc;
   std::cout << std::fixed << std::setprecision(3);
 
-  // ---- Regime 1: uncontended tenant matches the legacy closed form ----
-  std::cout << "[1] Uncontended: edgesvc vs legacy NetworkModel\n";
+  // ---- Regime 1: uncontended tenant matches the closed form ----
+  std::cout << "[1] Uncontended: edgesvc vs closed-form link delay\n";
   {
     EdgeServiceSpec spec;  // defaults: degenerate link, no jitter/loss
     EdgeBroker broker(spec, /*session_tenants=*/1);
@@ -37,13 +37,13 @@ int main() {
     const EdgeResponse resp =
         client->perform(RequestClass::Decimation, units, payload, 0.0);
 
-    edge::NetworkModel legacy;  // same defaults: 20 ms RTT, 120 Mbit/s
+    const LinkModel link;  // same defaults: 20 ms RTT, 120 Mbit/s
     const double closed_form =
         spec.server.service_seconds(RequestClass::Decimation, units) +
-        legacy.transfer_seconds(payload);
+        link.nominal_seconds(payload);
 
     std::cout << "    edgesvc elapsed   = " << resp.elapsed_s * 1e3
-              << " ms\n    legacy closed form = " << closed_form * 1e3
+              << " ms\n    closed form       = " << closed_form * 1e3
               << " ms\n";
     if (std::abs(resp.elapsed_s - closed_form) > 1e-12) {
       std::cerr << "    MISMATCH — compatibility contract broken\n";

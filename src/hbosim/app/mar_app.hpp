@@ -70,7 +70,7 @@ class MarApp {
 
   /// Route decimation cache misses through a contended edge service
   /// (edgesvc::EdgeClient), wired to this app's simulation clock. Pass
-  /// nullptr to restore the closed-form NetworkModel path. The client
+  /// nullptr to restore the closed-form link path. The client
   /// must outlive the app.
   void attach_edge(edgesvc::EdgeClient* client);
 

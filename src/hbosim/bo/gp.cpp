@@ -24,37 +24,25 @@ GaussianProcess::GaussianProcess(std::unique_ptr<Kernel> kernel, GpConfig cfg)
 }
 
 void GaussianProcess::fit(const std::vector<std::vector<double>>& x,
-                          const std::vector<double>& y) {
-  fit_common(x, y, nullptr);
-}
-
-void GaussianProcess::fit(const std::vector<std::vector<double>>& x,
                           const std::vector<double>& y, const Matrix& dist) {
-  HB_REQUIRE(dist.rows() >= x.size() && dist.cols() >= x.size(),
-             "GP fit: distance matrix too small");
-  fit_common(x, y, &dist);
-}
-
-void GaussianProcess::fit_common(const std::vector<std::vector<double>>& x,
-                                 const std::vector<double>& y,
-                                 const Matrix* dist) {
   HB_REQUIRE(!x.empty(), "GP fit requires at least one observation");
   HB_REQUIRE(x.size() == y.size(), "GP fit: X/y size mismatch");
+  HB_REQUIRE(dist.rows() >= x.size() && dist.cols() >= x.size(),
+             "GP fit: distance matrix too small");
   const std::size_t dim = x.front().size();
   for (const auto& row : x)
     HB_REQUIRE(row.size() == dim, "GP fit: inconsistent input dimension");
 
-  x_ = x;
+  n_ = x.size();
+  dim_ = dim;
   xflat_.clear();
-  xflat_.reserve(x_.size() * dim);
-  for (const auto& row : x_) xflat_.insert(xflat_.end(), row.begin(), row.end());
+  xflat_.reserve(n_ * dim_);
+  for (const auto& row : x) xflat_.insert(xflat_.end(), row.begin(), row.end());
 
-  const std::size_t n = x_.size();
-  Matrix gram(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
+  Matrix gram(n_, n_);
+  for (std::size_t i = 0; i < n_; ++i) {
     for (std::size_t j = 0; j <= i; ++j) {
-      const double k = dist ? kernel_->from_distance((*dist)(i, j))
-                            : (*kernel_)(x_[i], x_[j]);
+      const double k = kernel_->from_distance(dist(i, j));
       gram(i, j) = k;
       gram(j, i) = k;
     }
@@ -67,27 +55,25 @@ void GaussianProcess::fit_common(const std::vector<std::vector<double>>& x,
 void GaussianProcess::append_point(std::span<const double> z,
                                    std::span<const double> dist_row) {
   HB_REQUIRE(fitted(), "GP append_point before fit");
-  const std::size_t n = x_.size();
-  HB_REQUIRE(z.size() == x_.front().size(),
-             "GP append_point: dimension mismatch");
-  HB_REQUIRE(dist_row.size() == n, "GP append_point: distance row mismatch");
+  HB_REQUIRE(z.size() == dim_, "GP append_point: dimension mismatch");
+  HB_REQUIRE(dist_row.size() == n_, "GP append_point: distance row mismatch");
 
   // Scalar kernel evaluations on purpose: the grown factor must stay
   // bitwise identical to a from-scratch factorization, which uses the
   // scalar from_distance path for the Gram matrix.
-  krow_scratch_.resize(n);
-  for (std::size_t i = 0; i < n; ++i)
+  krow_scratch_.resize(n_);
+  for (std::size_t i = 0; i < n_; ++i)
     krow_scratch_[i] = kernel_->from_distance(dist_row[i]);
   const double diag = kernel_->from_distance(0.0) + cfg_.noise_variance;
   chol_->append_row(krow_scratch_, diag);
 
-  x_.emplace_back(z.begin(), z.end());
   xflat_.insert(xflat_.end(), z.begin(), z.end());
+  ++n_;
 }
 
 void GaussianProcess::set_targets(std::span<const double> y) {
   HB_REQUIRE(fitted(), "GP set_targets before fit");
-  HB_REQUIRE(y.size() == x_.size(), "GP set_targets: size mismatch");
+  HB_REQUIRE(y.size() == n_, "GP set_targets: size mismatch");
   y_mean_ = mean(y);
   y_centered_.resize(y.size());
   for (std::size_t i = 0; i < y.size(); ++i) y_centered_[i] = y[i] - y_mean_;
@@ -95,84 +81,13 @@ void GaussianProcess::set_targets(std::span<const double> y) {
   chol_->solve(y_centered_, alpha_);
 }
 
-void GaussianProcess::incremental_fit(std::span<const double> z,
-                                      std::span<const double> y) {
-  if (!fitted()) {
-    const std::vector<std::vector<double>> x1 = {{z.begin(), z.end()}};
-    const std::vector<double> y1(y.begin(), y.end());
-    fit(x1, y1);
-    return;
-  }
-  dist_scratch_.resize(x_.size());
-  for (std::size_t i = 0; i < x_.size(); ++i)
-    dist_scratch_[i] = euclidean_distance(z, x_[i]);
-  incremental_fit(z, y, dist_scratch_);
-}
-
-void GaussianProcess::incremental_fit(std::span<const double> z,
-                                      std::span<const double> y,
-                                      std::span<const double> dist_row) {
-  HB_REQUIRE(y.size() == x_.size() + 1,
-             "GP incremental_fit: y must cover all observations");
-  append_point(z, dist_row);
-  set_targets(y);
-}
-
-std::vector<double> GaussianProcess::kernel_row(
-    std::span<const double> z) const {
-  std::vector<double> k(x_.size());
-  for (std::size_t i = 0; i < x_.size(); ++i) k[i] = (*kernel_)(z, x_[i]);
-  return k;
-}
-
-GaussianProcess::Prediction GaussianProcess::predict(
-    std::span<const double> z) const {
-  HB_REQUIRE(fitted(), "GP predict before fit");
-  HB_REQUIRE(z.size() == x_.front().size(), "GP predict: dimension mismatch");
-  const std::vector<double> k_star = kernel_row(z);
-
-  Prediction out;
-  out.mean = y_mean_;
-  for (std::size_t i = 0; i < k_star.size(); ++i)
-    out.mean += k_star[i] * alpha_[i];
-
-  // var = k(z,z) - || L^-1 k* ||^2, clamped at 0 for numerical safety.
-  const std::vector<double> v = chol_->solve_lower(k_star);
-  double reduction = 0.0;
-  for (double vi : v) reduction += vi * vi;
-  out.variance = std::max((*kernel_)(z, z) - reduction, 0.0);
-  return out;
-}
-
-GaussianProcess::Prediction GaussianProcess::predict(
-    std::span<const double> z, PredictScratch& scratch) const {
-  HB_REQUIRE(fitted(), "GP predict before fit");
-  HB_REQUIRE(z.size() == x_.front().size(), "GP predict: dimension mismatch");
-  const std::size_t n = x_.size();
-  scratch.buf.resize(n);
-  double* k = scratch.buf.data();
-  for (std::size_t i = 0; i < n; ++i)
-    k[i] = kernel_->from_distance(euclidean_distance(z, x_[i]));
-
-  Prediction out;
-  out.mean = y_mean_;
-  for (std::size_t i = 0; i < n; ++i) out.mean += k[i] * alpha_[i];
-
-  // In-place forward substitution; the same buffer then holds L^-1 k*.
-  chol_->solve_lower(scratch.buf, scratch.buf);
-  double reduction = 0.0;
-  for (std::size_t i = 0; i < n; ++i) reduction += k[i] * k[i];
-  out.variance = std::max(kernel_->from_distance(0.0) - reduction, 0.0);
-  return out;
-}
-
 void GaussianProcess::predict_many(std::span<const double> zs_flat,
                                    std::size_t count,
                                    std::span<Prediction> out,
                                    BatchScratch& scratch) const {
   HB_REQUIRE(fitted(), "GP predict before fit");
-  const std::size_t n = x_.size();
-  const std::size_t d = x_.front().size();
+  const std::size_t n = n_;
+  const std::size_t d = dim_;
   HB_REQUIRE(zs_flat.size() == count * d,
              "GP predict_many: flat input size mismatch");
   HB_REQUIRE(out.size() >= count, "GP predict_many: output too small");
@@ -220,7 +135,7 @@ void GaussianProcess::predict_many(std::span<const double> zs_flat,
 
 double GaussianProcess::log_marginal_likelihood() const {
   HB_REQUIRE(fitted(), "GP log-likelihood before fit");
-  const auto n = static_cast<double>(x_.size());
+  const auto n = static_cast<double>(n_);
   double data_fit = 0.0;
   for (std::size_t i = 0; i < y_centered_.size(); ++i)
     data_fit += y_centered_[i] * alpha_[i];

@@ -14,18 +14,17 @@
 /// sigma_t^2(z), computed here by Cholesky factorization of the kernel
 /// Gram matrix. Observations are centered on their mean internally.
 ///
-/// The BO runtime loop observes one cost per control period and refits, so
-/// besides the from-scratch fit() the class supports the incremental
-/// protocol the optimizer uses:
+/// The BO runtime loop observes one cost per control period, so besides
+/// the from-scratch fit() the class supports the incremental protocol the
+/// optimizer uses:
 ///   - append_point(): grow the Gram factor by one observation via a
 ///     rank-1 bordered Cholesky update — O(n^2) instead of O(n^3), and
 ///     bitwise identical to refitting from scratch;
 ///   - set_targets(): re-center and re-solve for new y values against the
 ///     existing factor (the factor depends only on X, so per-suggest cost
 ///     re-standardization never forces a refactorization);
-///   - incremental_fit() = append_point() + set_targets();
-///   - predict() with a caller-owned scratch buffer and the batched
-///     predict_many(), both allocation-free at steady state.
+///   - predict_many(): the batched posterior, allocation-free at steady
+///     state.
 
 namespace hbosim::bo {
 
@@ -42,25 +41,21 @@ class GaussianProcess {
  public:
   GaussianProcess(std::unique_ptr<Kernel> kernel, GpConfig cfg = {});
 
-  /// Fit to observations. X: n points of equal dimension; y: n values.
-  /// Replaces any previous fit. Throws on shape mismatches or n == 0.
-  void fit(const std::vector<std::vector<double>>& x,
-           const std::vector<double>& y);
-
-  /// Fit using a precomputed pairwise distance matrix (dist(i, j) =
-  /// ||x_i - x_j||, at least n x n). The Gram matrix is derived through
-  /// Kernel::from_distance, so several GPs differing only in kernel
-  /// hyperparameters can share one distance matrix and each fit costs
-  /// O(n^2) kernel evaluations with zero distance recomputation.
-  /// Identical result to fit(x, y).
+  /// Fit to observations. X: n points of equal dimension; y: n values;
+  /// dist: their pairwise distances (dist(i, j) = ||x_i - x_j||, at least
+  /// n x n). The Gram matrix is derived through Kernel::from_distance, so
+  /// several GPs differing only in kernel hyperparameters can share one
+  /// distance matrix and each fit costs O(n^2) kernel evaluations with
+  /// zero distance recomputation. Replaces any previous fit. Throws on
+  /// shape mismatches or n == 0.
   void fit(const std::vector<std::vector<double>>& x,
            const std::vector<double>& y, const Matrix& dist);
 
   /// Append one observation to the fitted set WITHOUT updating the
   /// targets: grows the Cholesky factor in place (O(n^2) bordered
   /// update). dist_row[i] must equal ||z - x_i|| for the n current
-  /// points. predict()/log_marginal_likelihood() are invalid until the
-  /// next set_targets(). Requires fitted().
+  /// points. predict_many()/log_marginal_likelihood() are invalid until
+  /// the next set_targets(). Requires fitted().
   void append_point(std::span<const double> z,
                     std::span<const double> dist_row);
 
@@ -71,35 +66,13 @@ class GaussianProcess {
   /// factor depends only on X.
   void set_targets(std::span<const double> y);
 
-  /// Incremental refit with one new observation: append_point(z, ...) +
-  /// set_targets(y), where y holds the targets for all n+1 points.
-  /// Computes the new point's distances itself (O(n d)); the overload
-  /// takes them precomputed. Falls back to a full fit when the GP is
-  /// empty. Posterior and likelihood match a from-scratch fit exactly.
-  void incremental_fit(std::span<const double> z, std::span<const double> y);
-  void incremental_fit(std::span<const double> z, std::span<const double> y,
-                       std::span<const double> dist_row);
-
-  bool fitted() const { return !x_.empty(); }
-  std::size_t observation_count() const { return x_.size(); }
+  bool fitted() const { return n_ > 0; }
+  std::size_t observation_count() const { return n_; }
 
   struct Prediction {
     double mean = 0.0;
     double variance = 0.0;  ///< Latent-function variance (>= 0).
   };
-
-  /// Posterior at a query point (Eq. 6). Requires fitted().
-  Prediction predict(std::span<const double> z) const;
-
-  /// Reusable workspace for the allocation-free predict overload.
-  struct PredictScratch {
-    std::vector<double> buf;
-  };
-
-  /// Same posterior as predict(z), but all intermediates live in the
-  /// caller-owned scratch: zero heap allocations once scratch capacity
-  /// has warmed up to the current observation count.
-  Prediction predict(std::span<const double> z, PredictScratch& scratch) const;
 
   /// Reusable workspace for predict_many (sized internally in blocks, so
   /// steady-state calls never allocate).
@@ -110,34 +83,31 @@ class GaussianProcess {
     std::vector<double> var;  ///< per-candidate variance accumulator
   };
 
-  /// Batched posterior for `count` query points packed row-major in
+  /// Posterior (Eq. 6) for `count` query points packed row-major in
   /// zs_flat (count x dim). Fills out[0..count). Evaluates the kernel
   /// through the vectorized from_distance_many path and solves all
-  /// right-hand sides in blocks, so the cost per point is a fraction of
-  /// predict()'s; results agree with predict() to a few ulp (the batched
-  /// exp differs from libm by <= 2 ulp). Allocation-free at steady state.
+  /// right-hand sides in blocks; results agree with a scalar from-scratch
+  /// posterior to a few ulp (the batched exp differs from libm by <= 2
+  /// ulp). Allocation-free at steady state. Requires fitted().
   void predict_many(std::span<const double> zs_flat, std::size_t count,
                     std::span<Prediction> out, BatchScratch& scratch) const;
 
-  /// Log marginal likelihood of the fitted data (model-quality check used
-  /// in tests): -1/2 y^T K^-1 y - 1/2 log|K| - n/2 log(2 pi).
+  /// Log marginal likelihood of the fitted data (the optimizer's
+  /// length-scale selection criterion):
+  /// -1/2 y^T K^-1 y - 1/2 log|K| - n/2 log(2 pi).
   double log_marginal_likelihood() const;
 
  private:
-  std::vector<double> kernel_row(std::span<const double> z) const;
-  void fit_common(const std::vector<std::vector<double>>& x,
-                  const std::vector<double>& y, const Matrix* dist);
-
   std::unique_ptr<Kernel> kernel_;
   GpConfig cfg_;
-  std::vector<std::vector<double>> x_;
-  std::vector<double> xflat_;  // row-major copy of x_ for the batch paths
+  std::size_t n_ = 0;          // observation count
+  std::size_t dim_ = 0;        // input dimension
+  std::vector<double> xflat_;  // row-major n x dim inputs
   std::vector<double> y_centered_;
   double y_mean_ = 0.0;
   std::unique_ptr<Cholesky> chol_;
   std::vector<double> alpha_;  // K^-1 (y - mean)
   std::vector<double> krow_scratch_;  // append_point kernel-row buffer
-  std::vector<double> dist_scratch_;  // incremental_fit distance buffer
 };
 
 }  // namespace hbosim::bo

@@ -4,14 +4,8 @@
 
 #include "hbosim/common/error.hpp"
 #include "hbosim/common/fastmath.hpp"
-#include "hbosim/common/mathx.hpp"
 
 namespace hbosim::bo {
-
-double Kernel::operator()(std::span<const double> a,
-                          std::span<const double> b) const {
-  return from_distance(euclidean_distance(a, b));
-}
 
 void Kernel::from_distance_many(std::span<const double> r,
                                 std::span<double> out) const {
@@ -37,12 +31,6 @@ void Matern52::from_distance_many(std::span<const double> r,
                             r.size());
 }
 
-double Matern52::prior_variance() const { return sigma_f2_; }
-
-std::unique_ptr<Kernel> Matern52::clone() const {
-  return std::make_unique<Matern52>(*this);
-}
-
 Rbf::Rbf(double length_scale, double sigma_f)
     : length_(length_scale), sigma_f2_(sigma_f * sigma_f) {
   HB_REQUIRE(length_ > 0.0, "length scale must be positive");
@@ -57,12 +45,6 @@ void Rbf::from_distance_many(std::span<const double> r,
                              std::span<double> out) const {
   HB_REQUIRE(r.size() == out.size(), "from_distance_many: size mismatch");
   fastmath::rbf_from_r(length_, sigma_f2_, r.data(), out.data(), r.size());
-}
-
-double Rbf::prior_variance() const { return sigma_f2_; }
-
-std::unique_ptr<Kernel> Rbf::clone() const {
-  return std::make_unique<Rbf>(*this);
 }
 
 Matern32::Matern32(double length_scale, double sigma_f)
@@ -81,12 +63,6 @@ void Matern32::from_distance_many(std::span<const double> r,
   HB_REQUIRE(r.size() == out.size(), "from_distance_many: size mismatch");
   fastmath::matern32_from_r(length_, sigma_f2_, r.data(), out.data(),
                             r.size());
-}
-
-double Matern32::prior_variance() const { return sigma_f2_; }
-
-std::unique_ptr<Kernel> Matern32::clone() const {
-  return std::make_unique<Matern32>(*this);
 }
 
 }  // namespace hbosim::bo

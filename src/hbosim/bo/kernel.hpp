@@ -1,6 +1,5 @@
 #pragma once
 
-#include <memory>
 #include <span>
 
 /// \file kernel.hpp
@@ -9,10 +8,11 @@
 /// is provided for the ablation bench.
 ///
 /// All hbosim kernels are stationary: k(a, b) depends only on the
-/// Euclidean distance r = ||a - b||. The class contract exposes that
-/// structure directly (from_distance) so the optimizer can cache the
-/// pairwise distance matrix once and re-derive the Gram matrix for every
-/// length-scale candidate in O(n^2) with no repeated distance work.
+/// Euclidean distance r = ||a - b||. The class contract is that structure
+/// (from_distance), so the optimizer can cache the pairwise distance
+/// matrix once and re-derive the Gram matrix for every length-scale
+/// candidate in O(n^2) with no repeated distance work; the prior variance
+/// k(x, x) is from_distance(0).
 
 namespace hbosim::bo {
 
@@ -21,8 +21,8 @@ class Kernel {
   virtual ~Kernel() = default;
 
   /// Covariance as a function of distance r = ||a - b|| >= 0. This is the
-  /// kernel's defining form; it uses libm transcendentals, so values are
-  /// bitwise reproducible against operator().
+  /// kernel's defining form; it uses libm transcendentals, so the Gram
+  /// matrices built from it are bitwise reproducible.
   virtual double from_distance(double r) const = 0;
 
   /// Batched covariance from distances: out[i] = k(r[i]). out may alias
@@ -32,14 +32,6 @@ class Kernel {
   /// from_distance (Gram construction) must use the scalar entry point.
   virtual void from_distance_many(std::span<const double> r,
                                   std::span<double> out) const;
-
-  /// Covariance k(a, b); a and b must share the space's dimension.
-  double operator()(std::span<const double> a, std::span<const double> b) const;
-
-  /// Prior variance k(x, x).
-  virtual double prior_variance() const = 0;
-
-  virtual std::unique_ptr<Kernel> clone() const = 0;
 };
 
 /// Matérn nu=5/2 (Eq. 7):
@@ -51,10 +43,6 @@ class Matern52 final : public Kernel {
   double from_distance(double r) const override;
   void from_distance_many(std::span<const double> r,
                           std::span<double> out) const override;
-  double prior_variance() const override;
-  std::unique_ptr<Kernel> clone() const override;
-
-  double length_scale() const { return length_; }
 
  private:
   double length_;
@@ -69,8 +57,6 @@ class Rbf final : public Kernel {
   double from_distance(double r) const override;
   void from_distance_many(std::span<const double> r,
                           std::span<double> out) const override;
-  double prior_variance() const override;
-  std::unique_ptr<Kernel> clone() const override;
 
  private:
   double length_;
@@ -86,8 +72,6 @@ class Matern32 final : public Kernel {
   double from_distance(double r) const override;
   void from_distance_many(std::span<const double> r,
                           std::span<double> out) const override;
-  double prior_variance() const override;
-  std::unique_ptr<Kernel> clone() const override;
 
  private:
   double length_;

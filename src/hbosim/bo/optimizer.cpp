@@ -11,10 +11,8 @@
 namespace hbosim::bo {
 
 BayesianOptimizer::BayesianOptimizer(SimplexBoxSpace space, BoConfig cfg)
-    : space_(std::move(space)), cfg_(cfg) {
+    : space_(std::move(space)), cfg_(std::move(cfg)) {
   HB_REQUIRE(cfg_.n_initial >= 1, "need at least one initial sample");
-  HB_REQUIRE(cfg_.n_random_candidates + cfg_.n_local_candidates > 0,
-             "need at least one acquisition candidate");
 }
 
 const char* kernel_kind_name(KernelKind k) {
@@ -28,39 +26,15 @@ const char* kernel_kind_name(KernelKind k) {
 
 std::unique_ptr<Kernel> BayesianOptimizer::make_kernel(
     double length_scale) const {
-  if (kernel_override_) return kernel_override_->clone();
   switch (cfg_.kernel) {
     case KernelKind::Matern32:
-      return std::make_unique<Matern32>(length_scale, cfg_.sigma_f);
+      return std::make_unique<Matern32>(length_scale, kSigmaF);
     case KernelKind::Rbf:
-      return std::make_unique<Rbf>(length_scale, cfg_.sigma_f);
+      return std::make_unique<Rbf>(length_scale, kSigmaF);
     case KernelKind::Matern52:
       break;
   }
-  return std::make_unique<Matern52>(length_scale, cfg_.sigma_f);
-}
-
-void BayesianOptimizer::set_kernel(std::unique_ptr<Kernel> kernel) {
-  kernel_override_ = std::move(kernel);
-  // The live surrogates were built for the old kernel; drop them so the
-  // next suggest() rebuilds from the (still valid) distance cache.
-  grid_gps_.clear();
-}
-
-std::vector<double> BayesianOptimizer::length_scale_grid() const {
-  std::vector<double> grid = cfg_.length_scale_grid;
-  if (grid.empty() || kernel_override_) grid = {1.0};
-  if (cfg_.prior && !kernel_override_) {
-    // The prior's data-driven hint competes in the marginal-likelihood
-    // refit like any other grid entry; appending (rather than replacing)
-    // keeps the refit free to reject a bad estimate.
-    const double factor = cfg_.prior->length_scale_factor();
-    if (factor > 0.0 &&
-        std::find(grid.begin(), grid.end(), factor) == grid.end()) {
-      grid.push_back(factor);
-    }
-  }
-  return grid;
+  return std::make_unique<Matern52>(length_scale, kSigmaF);
 }
 
 std::vector<double> BayesianOptimizer::suggest(Rng& rng) {
@@ -99,52 +73,18 @@ std::vector<double> BayesianOptimizer::suggest(Rng& rng) {
   if (cfg_.prior) {
     for (std::size_t i = 0; i < y.size(); ++i) y[i] -= prior_mean_obs_[i];
   }
-  double scale = 1.0;
-  if (cfg_.standardize) {
-    const double sd = stdev(y);
-    if (sd > 1e-12) scale = sd;
-    const double m = mean(y);
-    for (auto& v : y) v = (v - m) / scale;
-  }
+  const double sd = stdev(y);
+  const double scale = sd > 1e-12 ? sd : 1.0;
+  const double m = mean(y);
+  for (auto& v : y) v = (v - m) / scale;
 
-  return cfg_.incremental_gp ? suggest_incremental(rng, y, scale)
-                             : suggest_full_refit(rng, y, scale);
-}
-
-/// The original suggestion path: refit every length-scale candidate from
-/// scratch, score acquisition candidates one predict() at a time. Kept
-/// verbatim as the reference the incremental path is validated (and
-/// benchmarked) against.
-std::vector<double> BayesianOptimizer::suggest_full_refit(
-    Rng& rng, const std::vector<double>& y, double scale) {
-  std::vector<std::vector<double>> x;
-  x.reserve(data_.size());
-  for (const auto& obs : data_) x.push_back(obs.z);
-
-  // Hyperparameter refit (see BoConfig::length_scale_grid): keep the
-  // length scale that explains the standardized costs best.
-  const std::vector<double> grid = length_scale_grid();
-  std::unique_ptr<GaussianProcess> best_gp;
-  {
-    HB_TRACE_SCOPE("bo", "bo.fit");
-    double best_lml = -std::numeric_limits<double>::infinity();
-    for (double factor : grid) {
-      auto gp_candidate = std::make_unique<GaussianProcess>(
-          make_kernel(cfg_.length_scale * factor), cfg_.gp);
-      gp_candidate->fit(x, y);
-      const double lml = gp_candidate->log_marginal_likelihood();
-      if (lml > best_lml) {
-        best_lml = lml;
-        best_gp = std::move(gp_candidate);
-      }
-    }
-  }
-  GaussianProcess& gp = *best_gp;
+  const GaussianProcess& gp = fit_surrogate(y);
 
   // With a prior the GP's posterior is over standardized *residuals*; add
-  // each point's (standardized) prior mean back so acquisition compares
-  // total predicted costs, observed incumbent included. Constant offsets
-  // cancel inside EI, so only the z-dependent part matters.
+  // each point's prior mean back, divided by the standardization scale, so
+  // acquisition compares total predicted costs, observed incumbent
+  // included. Constant offsets cancel inside EI, so only the z-dependent
+  // part matters.
   const bool has_prior = cfg_.prior != nullptr;
   double best_y;
   if (has_prior) {
@@ -156,117 +96,21 @@ std::vector<double> BayesianOptimizer::suggest_full_refit(
   }
   const std::vector<double>& incumbent = best().z;
 
-  std::vector<double> best_candidate;
-  double best_score = -std::numeric_limits<double>::infinity();
-  auto consider = [&](std::vector<double> z) {
-    const auto pred = gp.predict(z);
-    const double mu =
-        has_prior ? pred.mean + cfg_.prior->mean(z) / scale : pred.mean;
-    const double score =
-        acquisition_score(cfg_.acquisition, mu, std::sqrt(pred.variance),
-                          best_y, cfg_.acq_params);
-    if (score > best_score) {
-      best_score = score;
-      best_candidate = std::move(z);
-    }
-  };
-
-  {
-    // Candidate generation and acquisition scoring are interleaved in this
-    // path (one predict per consider), so one span covers both.
-    HB_TRACE_SCOPE("bo", "bo.score");
-    for (int i = 0; i < cfg_.n_random_candidates; ++i)
-      consider(space_.sample(rng));
-    for (int i = 0; i < cfg_.n_local_candidates; ++i) {
-      const double scale =
-          (i % 2 == 0) ? cfg_.local_scale : cfg_.local_scale_coarse;
-      consider(space_.perturb(incumbent, scale, rng));
-    }
-  }
-
-  HB_ASSERT(!best_candidate.empty(), "no acquisition candidate evaluated");
-  return best_candidate;
-}
-
-void BayesianOptimizer::sync_grid_gps(const std::vector<double>& y) {
-  const std::vector<double> grid = length_scale_grid();
-
-  // tell() keeps live surrogates in lockstep with data_; a mismatch means
-  // they were invalidated (set_kernel, or created before this config path
-  // existed) and must be rebuilt from the distance cache.
-  const bool rebuild = grid_gps_.size() != grid.size() ||
-                       (!grid_gps_.empty() &&
-                        grid_gps_.front().gp.observation_count() != data_.size());
-  if (rebuild) grid_gps_.clear();
-
-  if (grid_gps_.empty()) {
-    std::vector<std::vector<double>> x;
-    x.reserve(data_.size());
-    for (const auto& obs : data_) x.push_back(obs.z);
-    grid_gps_.reserve(grid.size());
-    for (double factor : grid) {
-      grid_gps_.push_back(GridGp{
-          factor, GaussianProcess(make_kernel(cfg_.length_scale * factor),
-                                  cfg_.gp)});
-      grid_gps_.back().gp.fit(x, y, dist_);
-    }
-    return;
-  }
-
-  // Steady state: the factors are current (grown by tell()); only the
-  // standardized targets change between suggests. O(G n^2).
-  for (auto& g : grid_gps_) g.gp.set_targets(y);
-}
-
-std::vector<double> BayesianOptimizer::suggest_incremental(
-    Rng& rng, const std::vector<double>& y, double scale) {
-  GaussianProcess* gp = nullptr;
-  {
-    HB_TRACE_SCOPE("bo", "bo.fit");
-    sync_grid_gps(y);
-
-    // Same length-scale selection rule as the full-refit path (first
-    // strictly greater wins, grid order): the factors are identical, so
-    // the marginal likelihoods — and the winner — are too.
-    double best_lml = -std::numeric_limits<double>::infinity();
-    for (auto& g : grid_gps_) {
-      const double lml = g.gp.log_marginal_likelihood();
-      if (lml > best_lml) {
-        best_lml = lml;
-        gp = &g.gp;
-      }
-    }
-  }
-  HB_ASSERT(gp != nullptr, "no grid surrogate available");
-
-  // Same prior-mean adjustment as the full-refit path (see the comment
-  // there): acquisition compares total predicted costs.
-  const bool has_prior = cfg_.prior != nullptr;
-  double best_y;
-  if (has_prior) {
-    best_y = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < y.size(); ++i)
-      best_y = std::min(best_y, y[i] + prior_mean_obs_[i] / scale);
-  } else {
-    best_y = *std::min_element(y.begin(), y.end());
-  }
-  const std::vector<double>& incumbent = best().z;
-
-  // Generate the candidate set with the exact RNG call sequence of the
-  // full-refit path, packed flat for the batched predict.
+  // The candidate set, packed flat for the batched predict: uniform
+  // samples first, then perturbations of the incumbent alternating the
+  // fine and coarse scales.
   const std::size_t dim = space_.dim();
-  const std::size_t total = static_cast<std::size_t>(cfg_.n_random_candidates) +
-                            static_cast<std::size_t>(cfg_.n_local_candidates);
+  const std::size_t total = static_cast<std::size_t>(kRandomCandidates) +
+                            static_cast<std::size_t>(kLocalCandidates);
   cand_flat_.resize(total * dim);
   {
     HB_TRACE_SCOPE("bo", "bo.candidates");
     std::size_t w = 0;
-    for (int i = 0; i < cfg_.n_random_candidates; ++i)
+    for (int i = 0; i < kRandomCandidates; ++i)
       space_.sample_into({cand_flat_.data() + (w++) * dim, dim}, rng);
-    for (int i = 0; i < cfg_.n_local_candidates; ++i) {
-      const double scale =
-          (i % 2 == 0) ? cfg_.local_scale : cfg_.local_scale_coarse;
-      space_.perturb_into(incumbent, scale, rng,
+    for (int i = 0; i < kLocalCandidates; ++i) {
+      const double step = (i % 2 == 0) ? kLocalScale : kLocalScaleCoarse;
+      space_.perturb_into(incumbent, step, rng,
                           {cand_flat_.data() + (w++) * dim, dim},
                           clip_scratch_);
     }
@@ -276,19 +120,18 @@ std::vector<double> BayesianOptimizer::suggest_incremental(
   {
     HB_TRACE_SCOPE("bo", "bo.score");
     preds_.resize(total);
-    gp->predict_many(cand_flat_, total, preds_, batch_scratch_);
+    gp.predict_many(cand_flat_, total, preds_, batch_scratch_);
 
-    // First-strictly-greater argmax in generation order, matching the
-    // full-refit path's incremental `consider` rule.
+    // Argmax with ties going to the first candidate in generation order.
     double best_score = -std::numeric_limits<double>::infinity();
     for (std::size_t c = 0; c < total; ++c) {
       double mu = preds_[c].mean;
       if (has_prior) {
         mu += cfg_.prior->mean({cand_flat_.data() + c * dim, dim}) / scale;
       }
-      const double score = acquisition_score(
-          cfg_.acquisition, mu, std::sqrt(preds_[c].variance), best_y,
-          cfg_.acq_params);
+      const double score =
+          acquisition_score(cfg_.acquisition, mu, std::sqrt(preds_[c].variance),
+                            best_y, kAcquisitionParams);
       if (score > best_score) {
         best_score = score;
         best_idx = c;
@@ -299,6 +142,50 @@ std::vector<double> BayesianOptimizer::suggest_incremental(
   return std::vector<double>(zb, zb + dim);
 }
 
+const GaussianProcess& BayesianOptimizer::fit_surrogate(
+    const std::vector<double>& y) {
+  HB_TRACE_SCOPE("bo", "bo.fit");
+  if (grid_gps_.empty()) {
+    std::vector<double> grid(kLengthScaleGrid.begin(), kLengthScaleGrid.end());
+    if (cfg_.prior) {
+      // The prior's data-driven hint competes in the marginal-likelihood
+      // refit like any other grid entry; appending (rather than replacing)
+      // keeps the refit free to reject a bad estimate.
+      const double factor = cfg_.prior->length_scale_factor();
+      if (factor > 0.0 &&
+          std::find(grid.begin(), grid.end(), factor) == grid.end()) {
+        grid.push_back(factor);
+      }
+    }
+    std::vector<std::vector<double>> x;
+    x.reserve(data_.size());
+    for (const auto& obs : data_) x.push_back(obs.z);
+    grid_gps_.reserve(grid.size());
+    for (double factor : grid) {
+      grid_gps_.emplace_back(make_kernel(kLengthScale * factor), kGpConfig);
+      grid_gps_.back().fit(x, y, dist_);
+    }
+  } else {
+    // Steady state: tell() grew every factor, and only the standardized
+    // targets changed since the last suggest. O(G n^2).
+    for (auto& gp : grid_gps_) gp.set_targets(y);
+  }
+
+  // Length-scale selection: the highest marginal likelihood wins, the
+  // first in grid order on ties.
+  const GaussianProcess* best = nullptr;
+  double best_lml = -std::numeric_limits<double>::infinity();
+  for (const auto& gp : grid_gps_) {
+    const double lml = gp.log_marginal_likelihood();
+    if (lml > best_lml) {
+      best_lml = lml;
+      best = &gp;
+    }
+  }
+  HB_ASSERT(best != nullptr, "no grid surrogate available");
+  return *best;
+}
+
 void BayesianOptimizer::tell(std::vector<double> z, double cost) {
   HB_TRACE_SCOPE("bo", "bo.tell");
   HB_TELEM_COUNT("bo.tells", 1.0);
@@ -307,25 +194,23 @@ void BayesianOptimizer::tell(std::vector<double> z, double cost) {
   HB_REQUIRE(std::isfinite(cost), "tell(): cost must be finite");
   if (cfg_.prior) prior_mean_obs_.push_back(cfg_.prior->mean(z));
 
+  // Extend the cached distance matrix by the new point's row/column.
+  // Every kernel is stationary, so this one matrix serves the Gram of
+  // every length-scale candidate for the lifetime of the run.
   const std::size_t n = data_.size();
-  if (cfg_.incremental_gp) {
-    // Extend the cached distance matrix by the new point's row/column.
-    // Every kernel is stationary, so this one matrix serves the Gram of
-    // every length-scale candidate for the lifetime of the run.
-    dist_.conservative_resize(n + 1, n + 1);
-    std::span<double> dn = dist_.row(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double d = euclidean_distance(z, data_[i].z);
-      dn[i] = d;
-      dist_(i, n) = d;
-    }
-    dn[n] = 0.0;
-
-    // Grow each live surrogate's Cholesky factor in place (O(n^2) per
-    // grid entry). Targets are stale until the next suggest() calls
-    // set_targets() with freshly standardized costs.
-    for (auto& g : grid_gps_) g.gp.append_point(z, dn.first(n));
+  dist_.conservative_resize(n + 1, n + 1);
+  std::span<double> dn = dist_.row(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double d = euclidean_distance(z, data_[i].z);
+    dn[i] = d;
+    dist_(i, n) = d;
   }
+  dn[n] = 0.0;
+
+  // Grow each live surrogate's Cholesky factor in place (O(n^2) per grid
+  // entry). Targets are stale until the next suggest() calls set_targets()
+  // with freshly standardized costs.
+  for (auto& gp : grid_gps_) gp.append_point(z, dn.first(n));
 
   // Incumbent maintenance (best() is O(1)): strict `<` keeps the earliest
   // minimum, matching what a front-to-back rescan would select.

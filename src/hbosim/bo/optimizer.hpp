@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -18,15 +19,16 @@
 /// approach on a constrained domain, which is also how skopt's categorical/
 /// constrained spaces are handled).
 ///
-/// The surrogate update is incremental by default: the optimizer caches
-/// the pairwise distance matrix of its observations (every kernel is
+/// The surrogate is maintained incrementally: the optimizer caches the
+/// pairwise distance matrix of its observations (every kernel is
 /// stationary, so each length-scale candidate's Gram matrix derives from
 /// the same distances), keeps one GP per length-scale grid entry alive
 /// across calls, grows each GP's Cholesky factor by a rank-1 bordered
 /// update per tell(), and scores acquisition candidates through the
-/// batched allocation-free predict_many() path. tell() is O(n^2) and
-/// suggest() drops the per-call O(G n^3) refit entirely; suggestions are
-/// unchanged (see BoConfig::incremental_gp).
+/// batched allocation-free predict_many() path. tell() is O(G n^2) and a
+/// suggest() re-solves only the restandardized targets, O(G n^2), before
+/// scoring. tests/bo_reference.hpp holds a from-scratch reference of the
+/// same procedure that the optimizer tests compare against.
 
 namespace hbosim::bo {
 
@@ -41,44 +43,44 @@ enum class KernelKind { Matern52, Matern32, Rbf };
 
 const char* kernel_kind_name(KernelKind k);
 
+/// Acquisition candidates scored per suggest(): uniform samples over the
+/// space...
+inline constexpr int kRandomCandidates = 384;
+/// ...plus Gaussian perturbations of the incumbent, alternating a fine
+/// refinement scale and a coarser escape scale (stddev relative to each
+/// coordinate's range).
+inline constexpr int kLocalCandidates = 192;
+inline constexpr double kLocalScale = 0.06;
+inline constexpr double kLocalScaleCoarse = 0.18;
+
+/// EI/PI improvement margin and LCB exploration weight.
+inline constexpr AcquisitionParams kAcquisitionParams{};
+
+/// Kernel scale (paper: l = 1, Eq. 7). Like skopt's gp_minimize, the
+/// length scale is refit at every suggest() by maximizing the log
+/// marginal likelihood over kLengthScale times each grid factor; a fixed
+/// scale (grid = {1.0}) oversmooths the simplex (diameter ~1.4) and
+/// starves exploration of unvisited corners. A prior's length-scale hint
+/// joins the grid as one more factor.
+inline constexpr double kLengthScale = 1.0;
+inline constexpr std::array<double, 3> kLengthScaleGrid = {0.3, 0.6, 1.0};
+/// Kernel signal stddev. Costs are standardized (zero mean, unit
+/// variance) before fitting, which keeps this fixed value meaningful
+/// across scenarios.
+inline constexpr double kSigmaF = 1.0;
+/// Observation noise and jitter of the surrogate GPs.
+inline constexpr GpConfig kGpConfig{};
+
 struct BoConfig {
   /// Random configurations before the surrogate takes over (paper: 5).
   int n_initial = 5;
-  /// Acquisition candidates: uniform samples over the space...
-  int n_random_candidates = 384;
-  /// ...plus perturbations around the best observation so far, at two
-  /// scales (fine refinement and coarser escapes).
-  int n_local_candidates = 192;
-  double local_scale = 0.06;
-  double local_scale_coarse = 0.18;
 
+  /// Acquisition function (paper: EI; PI and LCB for the ablation).
   AcquisitionKind acquisition = AcquisitionKind::ExpectedImprovement;
-  AcquisitionParams acq_params;
 
-  /// Kernel family and parameters (paper: Matern-5/2, l = 1). Like
-  /// skopt's gp_minimize, the length scale is refit at every suggest()
-  /// by maximizing the log marginal likelihood over `length_scale`
-  /// times the candidates in `length_scale_grid`; a fixed scale (grid =
-  /// {1.0}) oversmooths the simplex (diameter ~1.4) and starves
-  /// exploration of unvisited corners.
+  /// Kernel family (paper: Matern-5/2; the others for the smoothness
+  /// ablation).
   KernelKind kernel = KernelKind::Matern52;
-  double length_scale = 1.0;
-  std::vector<double> length_scale_grid = {0.3, 0.6, 1.0};
-  double sigma_f = 1.0;
-
-  GpConfig gp;
-
-  /// Standardize costs (zero mean, unit variance) before fitting; keeps
-  /// the fixed sigma_f meaningful across scenarios.
-  bool standardize = true;
-
-  /// Maintain the surrogates incrementally (cached distance matrix, one
-  /// persistent GP per length-scale grid entry, rank-1 Cholesky growth
-  /// per tell, batched candidate scoring). Same suggestions as the
-  /// from-scratch path on the same seed; set false to force the original
-  /// full-refit-per-suggest behaviour, kept as the reference baseline
-  /// for the equivalence tests and bench_bo.
-  bool incremental_gp = true;
 
   /// Learned warm-start prior (see bo/prior.hpp). When set, the GP models
   /// the residual cost - prior->mean(z), acquisition scores add the prior
@@ -100,11 +102,11 @@ class BayesianOptimizer {
   /// initialization phase, else the acquisition maximizer.
   std::vector<double> suggest(Rng& rng);
 
-  /// Record the observed cost of a configuration. With incremental_gp
-  /// this also extends the cached distance matrix (O(n d)) and grows each
-  /// live surrogate's Cholesky factor in place (O(n^2) bordered update),
-  /// so the next suggest() only has to re-solve for the restandardized
-  /// targets instead of refactorizing.
+  /// Record the observed cost of a configuration. Also extends the cached
+  /// distance matrix (O(n d)) and grows each live surrogate's Cholesky
+  /// factor in place (O(n^2) bordered update), so the next suggest() only
+  /// has to re-solve for the restandardized targets instead of
+  /// refactorizing.
   void tell(std::vector<double> z, double cost);
 
   std::size_t observation_count() const { return data_.size(); }
@@ -117,46 +119,28 @@ class BayesianOptimizer {
   /// the incumbent index is maintained by tell().
   const Observation& best() const;
 
-  /// Allow a caller to swap the kernel (ablation bench). Resets nothing
-  /// else; takes effect at the next suggest(). Disables the length-scale
-  /// grid search.
-  void set_kernel(std::unique_ptr<Kernel> kernel);
-
  private:
   std::unique_ptr<Kernel> make_kernel(double length_scale) const;
-  std::vector<double> length_scale_grid() const;
-  /// `scale` is the standardization divisor applied to the (residual)
-  /// targets: candidate prior means are divided by it so acquisition
-  /// compares posterior and incumbent in the same standardized units.
-  std::vector<double> suggest_full_refit(Rng& rng,
-                                         const std::vector<double>& y,
-                                         double scale);
-  std::vector<double> suggest_incremental(Rng& rng,
-                                          const std::vector<double>& y,
-                                          double scale);
-  /// Bring the per-grid-entry GPs in sync with data_ and the targets y:
-  /// (re)build from the distance cache when missing or invalidated,
-  /// otherwise just re-solve the targets against the live factors.
-  void sync_grid_gps(const std::vector<double>& y);
+  /// The surrogate GP with the highest log marginal likelihood for the
+  /// standardized targets y, building the per-grid-entry GPs from the
+  /// distance cache on the first call and re-solving their targets after.
+  const GaussianProcess& fit_surrogate(const std::vector<double>& y);
 
   SimplexBoxSpace space_;
   BoConfig cfg_;
   std::vector<Observation> data_;
-  std::unique_ptr<Kernel> kernel_override_;
 
   // --- learned-prior state (cfg_.prior; empty/unused without one) ---
   std::vector<double> prior_mean_obs_;  ///< prior->mean(z_i) per observation
   std::vector<std::vector<double>> prior_seeds_;  ///< clipped seed points
   bool prior_seeds_ready_ = false;
 
-  // --- incremental surrogate state (cfg_.incremental_gp) ---
+  // --- surrogate state ---
   std::size_t best_idx_ = 0;  ///< incumbent index into data_
-  Matrix dist_;               ///< pairwise observation distances, grown per tell
-  struct GridGp {
-    double factor;
-    GaussianProcess gp;
-  };
-  std::vector<GridGp> grid_gps_;  ///< one live surrogate per grid entry
+  Matrix dist_;  ///< pairwise observation distances, grown per tell
+  /// One live surrogate per length-scale grid entry, in grid order; empty
+  /// until the first model-based suggest(), grown by every tell() after.
+  std::vector<GaussianProcess> grid_gps_;
   // Reused per-suggest buffers (steady state: zero allocations in the
   // candidate-generation and scoring loops).
   std::vector<double> cand_flat_;

@@ -31,9 +31,10 @@ class SurrogatePrior {
   /// Must be finite for every feasible z.
   virtual double mean(std::span<const double> z) const = 0;
 
-  /// Multiplier applied to BoConfig::length_scale and appended to the
-  /// length-scale grid for the marginal-likelihood refit. Return <= 0 for
-  /// "no opinion" (the grid is left untouched).
+  /// Multiplier applied to the base length scale (bo::kLengthScale) and
+  /// appended to the length-scale grid (bo::kLengthScaleGrid) for the
+  /// marginal-likelihood refit. Return <= 0 for "no opinion" (the grid is
+  /// left untouched).
   virtual double length_scale_factor() const { return 0.0; }
 
   /// Up to k promising configurations, best first. The optimizer clips

@@ -44,14 +44,6 @@ void SimplexBoxSpace::clip_into(std::span<const double> z,
   out[n_simplex_] = clampd(z[n_simplex_], box_lo_, box_hi_);
 }
 
-std::vector<double> SimplexBoxSpace::perturb(std::span<const double> z,
-                                             double scale, Rng& rng) const {
-  std::vector<double> out(dim());
-  std::vector<double> scratch;
-  perturb_into(z, scale, rng, out, scratch);
-  return out;
-}
-
 void SimplexBoxSpace::perturb_into(std::span<const double> z, double scale,
                                    Rng& rng, std::span<double> out,
                                    std::vector<double>& scratch) const {

@@ -45,13 +45,10 @@ class SimplexBoxSpace {
   void clip_into(std::span<const double> z, std::span<double> out,
                  std::vector<double>& scratch) const;
 
-  /// Gaussian perturbation of a feasible point, re-projected. `scale` is
-  /// the stddev relative to each coordinate's range.
-  std::vector<double> perturb(std::span<const double> z, double scale,
-                              Rng& rng) const;
-
-  /// perturb() into `out` (size dim(); must not alias z). Same generator
-  /// sequence and bitwise the same point as perturb().
+  /// Gaussian perturbation of a feasible point z, re-projected, written
+  /// into `out` (size dim(); must not alias z). `scale` is the stddev
+  /// relative to each coordinate's range. `scratch` is reused sort space
+  /// for the projection, making the call allocation-free at steady state.
   void perturb_into(std::span<const double> z, double scale, Rng& rng,
                     std::span<double> out, std::vector<double>& scratch) const;
 

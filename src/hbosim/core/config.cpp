@@ -1,19 +1,28 @@
 #include "hbosim/core/config.hpp"
 
+#include <cmath>
+
 #include "hbosim/common/error.hpp"
 
 namespace hbosim::core {
 
 void HboConfig::validate() const {
-  HB_REQUIRE(w >= 0.0, "weight w must be non-negative");
-  HB_REQUIRE(w_energy >= 0.0, "weight w_energy must be non-negative");
-  HB_REQUIRE(market_price >= 0.0, "market_price must be non-negative");
+  // An infinite weight or price makes every measured cost infinite, which
+  // the optimizer rejects mid-run; an infinite period never ends.
+  HB_REQUIRE(std::isfinite(w) && w >= 0.0,
+             "weight w must be finite and non-negative");
+  HB_REQUIRE(std::isfinite(w_energy) && w_energy >= 0.0,
+             "weight w_energy must be finite and non-negative");
+  HB_REQUIRE(std::isfinite(market_price) && market_price >= 0.0,
+             "market_price must be finite and non-negative");
   HB_REQUIRE(n_initial >= 1, "need at least one initial configuration");
   HB_REQUIRE(n_iterations >= 0, "iteration count must be non-negative");
   HB_REQUIRE(selection_candidates >= 1, "need at least one selection candidate");
   HB_REQUIRE(r_min > 0.0 && r_min <= 1.0, "R_min must be in (0,1]");
-  HB_REQUIRE(control_period_s > 0.0, "control period must be positive");
-  HB_REQUIRE(monitor_period_s > 0.0, "monitor period must be positive");
+  HB_REQUIRE(std::isfinite(control_period_s) && control_period_s > 0.0,
+             "control period must be finite and positive");
+  HB_REQUIRE(std::isfinite(monitor_period_s) && monitor_period_s > 0.0,
+             "monitor period must be finite and positive");
   HB_REQUIRE(up_fraction >= 0.0 && down_fraction >= 0.0,
              "activation thresholds must be non-negative");
   offload.validate();

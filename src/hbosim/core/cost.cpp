@@ -11,28 +11,13 @@ double cost(double average_quality, double latency_ratio, double w) {
 }
 
 double cost_of(const hbosim::app::PeriodMetrics& m, const CostTerms& terms) {
-  // Terms accumulate in their historical nesting order — base, then
-  // energy, then market — and a zero weight skips its addition entirely,
-  // so this single implementation is bitwise identical to the legacy
-  // overload chain for every weight combination.
+  // Terms accumulate in a fixed order — base, then energy, then market —
+  // and a zero weight skips its addition entirely, so a zero-weight term
+  // leaves the other terms' sum bit for bit unchanged.
   double phi = cost(m.average_quality, m.latency_ratio, terms.w);
   if (terms.w_energy != 0.0) phi += terms.w_energy * m.avg_power_w;
   if (terms.market_price != 0.0) phi += terms.market_price * m.triangle_ratio;
   return phi;
-}
-
-double cost_of(const hbosim::app::PeriodMetrics& m, double w) {
-  return cost_of(m, CostTerms{w, 0.0, 0.0});
-}
-
-double cost_of(const hbosim::app::PeriodMetrics& m, double w,
-               double w_energy) {
-  return cost_of(m, CostTerms{w, w_energy, 0.0});
-}
-
-double cost_of(const hbosim::app::PeriodMetrics& m, double w,
-               double w_energy, double market_price) {
-  return cost_of(m, CostTerms{w, w_energy, market_price});
 }
 
 }  // namespace hbosim::core

@@ -12,12 +12,9 @@
 /// letting energy-aware runs trade quality/latency against battery draw
 /// and market runs charge a configuration's shared-resource appetite.
 ///
-/// All extensions compose through one CostTerms bundle instead of an
-/// ever-growing overload ladder: each term is guarded so that a zero
-/// weight adds no arithmetic at all, which keeps default configurations
-/// bitwise identical to the paper's plain cost (and to every pre-CostTerms
-/// release). The legacy 2/3/4-argument cost_of overloads below are thin
-/// wrappers over the same implementation and remain bitwise unchanged.
+/// All extensions compose through one CostTerms bundle: each term is
+/// guarded so that a zero weight adds no arithmetic at all, which keeps
+/// default configurations bitwise identical to the paper's plain cost.
 
 namespace hbosim::core {
 
@@ -27,9 +24,9 @@ double reward(double average_quality, double latency_ratio, double w);
 /// Eq. 5 (phi = -B).
 double cost(double average_quality, double latency_ratio, double w);
 
-/// The weighted terms of the extended cost. New terms join here (not as
-/// another cost_of overload); every term after `w` must keep the
-/// "zero weight == no arithmetic" guard so defaults stay bit-exact.
+/// The weighted terms of the extended cost. New terms join here; every
+/// term after `w` must keep the "zero weight == no arithmetic" guard so
+/// defaults stay bit-exact.
 struct CostTerms {
   /// Latency/quality weight of Eq. 3.
   double w = 2.5;
@@ -41,27 +38,12 @@ struct CostTerms {
   double market_price = 0.0;
 };
 
-/// The composed cost of a measured period under `terms`. Exactly
-/// reproduces the historical overload chain: terms with zero weight
-/// contribute no floating-point operations.
+/// The cost of a measured period under `terms`: Eq. 5, plus
+/// w_energy * m.avg_power_w, plus market_price * m.triangle_ratio (the
+/// posted congestion price charges the configuration's resource
+/// appetite, steering HBO toward leaner configs while the shared box is
+/// expensive). Terms with zero weight contribute no floating-point
+/// operations.
 double cost_of(const hbosim::app::PeriodMetrics& m, const CostTerms& terms);
-
-/// Cost of a measured period (plain Eq. 5 form).
-double cost_of(const hbosim::app::PeriodMetrics& m, double w);
-
-/// Energy-extended cost: cost_of(m, w) + w_energy * m.avg_power_w.
-/// Returns exactly cost_of(m, w) when w_energy == 0 (no extra arithmetic),
-/// so default configurations reproduce pre-energy results bit for bit.
-double cost_of(const hbosim::app::PeriodMetrics& m, double w,
-               double w_energy);
-
-/// Market-extended cost: the posted congestion price of the tenant's
-/// edge (marketsvc) charges the configuration's resource appetite,
-/// cost_of(m, w, w_energy) + market_price * m.triangle_ratio, steering
-/// HBO toward leaner configs while the shared box is expensive. Returns
-/// exactly the 3-arg form when market_price == 0 (no extra arithmetic),
-/// so market-free runs reproduce prior results bit for bit.
-double cost_of(const hbosim::app::PeriodMetrics& m, double w,
-               double w_energy, double market_price);
 
 }  // namespace hbosim::core

@@ -9,7 +9,9 @@
 namespace hbosim::edge {
 
 DecimationService::DecimationService(DecimationServiceConfig cfg)
-    : cfg_(cfg), cache_(cfg.cache_capacity) {
+    : cfg_(cfg),
+      link_(edgesvc::LinkModelConfig{cfg.rtt_ms, cfg.mbit_per_s}),
+      cache_(cfg.cache_capacity) {
   HB_REQUIRE(cfg_.ratio_levels > 0, "ratio_levels must be positive");
   HB_REQUIRE(cfg_.server_ms_per_mtri >= 0.0, "server cost must be >= 0");
 }
@@ -93,7 +95,7 @@ DecimationResult DecimationService::request(const render::MeshAsset& asset,
       cfg_.bytes_per_triangle * static_cast<double>(out.triangles));
 
   if (edge_ == nullptr) {
-    out.delay_s = server_s + cfg_.network.transfer_seconds(payload);
+    out.delay_s = server_s + link_.nominal_seconds(payload);
     cache_.put(key, out.triangles);
     return out;
   }

@@ -4,8 +4,8 @@
 #include <string>
 
 #include "hbosim/edge/cache.hpp"
-#include "hbosim/edge/network.hpp"
 #include "hbosim/edgesvc/edge_client.hpp"
+#include "hbosim/edgesvc/link_model.hpp"
 #include "hbosim/render/mesh.hpp"
 
 /// \file decimation_service.hpp
@@ -19,8 +19,9 @@
 /// versions per object.
 ///
 /// Two remote paths exist:
-///  - the legacy closed-form NetworkModel (default): fixed delay, always
-///    succeeds;
+///  - the closed form (default): server time plus the link's nominal
+///    exchange time (edgesvc::LinkModel::nominal_seconds — base RTT plus
+///    payload over throughput), always succeeds;
 ///  - a contended edgesvc::EdgeClient (via attach_edge): the request
 ///    competes with other tenants for the shared edge box over a lossy
 ///    link, and can fail. On failure the device degrades gracefully —
@@ -45,12 +46,14 @@ struct DecimationResult {
   /// device is already displaying (triangles/served_ratio not meaningful).
   bool unchanged = false;
   /// Attempts the edge client spent on this request (0 on cache hit or
-  /// legacy path).
+  /// closed-form path).
   int edge_attempts = 0;
 };
 
 struct DecimationServiceConfig {
-  NetworkModel network;
+  // Link of the closed-form path, priced at its nominal exchange time.
+  double rtt_ms = 20.0;       ///< Base round-trip latency.
+  double mbit_per_s = 120.0;  ///< Downlink throughput.
   std::size_t cache_capacity = 256;
   /// Quantization levels for cacheable ratios (ratio rounded to 1/levels).
   int ratio_levels = 64;
@@ -65,9 +68,9 @@ class DecimationService {
   explicit DecimationService(DecimationServiceConfig cfg = {});
 
   /// Route cache misses through a contended edge service instead of the
-  /// closed-form NetworkModel. `clock` supplies the current simulation
+  /// closed form. `clock` supplies the current simulation
   /// time (the edge server mirror needs real arrival times to model
-  /// queueing). Pass nullptr to detach and restore the legacy path.
+  /// queueing). Pass nullptr to detach and restore the closed form.
   void attach_edge(edgesvc::EdgeClient* client,
                    std::function<double()> clock);
 
@@ -93,6 +96,7 @@ class DecimationService {
                                       double wanted_ratio) const;
 
   DecimationServiceConfig cfg_;
+  edgesvc::LinkModel link_;
   LruCache cache_;
   edgesvc::EdgeClient* edge_ = nullptr;
   std::function<double()> clock_;

@@ -5,15 +5,16 @@
 namespace hbosim::edge {
 
 RemoteOptimizerLink::RemoteOptimizerLink(RemoteOptimizerConfig cfg)
-    : cfg_(cfg) {
+    : cfg_(cfg),
+      link_(edgesvc::LinkModelConfig{cfg.rtt_ms, cfg.mbit_per_s}) {
   HB_REQUIRE(cfg_.server_suggest_ms >= 0.0,
              "server suggest time must be non-negative");
 }
 
 double RemoteOptimizerLink::round_trip_seconds() const {
-  return cfg_.network.transfer_seconds(cfg_.upload_bytes) +
+  return link_.nominal_seconds(cfg_.upload_bytes) +
          cfg_.server_suggest_ms * 1e-3 +
-         cfg_.network.transfer_seconds(cfg_.download_bytes);
+         link_.nominal_seconds(cfg_.download_bytes);
 }
 
 std::optional<double> RemoteOptimizerLink::round_trip_via(

@@ -3,8 +3,8 @@
 #include <cstdint>
 #include <optional>
 
-#include "hbosim/edge/network.hpp"
 #include "hbosim/edgesvc/edge_client.hpp"
+#include "hbosim/edgesvc/link_model.hpp"
 
 /// \file remote_optimizer.hpp
 /// Section VI's offload path: "the Bayesian Optimization algorithm can be
@@ -15,15 +15,19 @@
 ///
 /// This component models that exchange: per BO iteration, one small
 /// uplink (the observed cost) and one small downlink (the next
-/// configuration), each a few dozen bytes over the NetworkModel, plus the
-/// server-side suggest time. It lets the controller account for the
-/// round-trip when deciding whether offloading pays off on a given link
-/// (the ablation bench compares local vs offloaded iteration overhead).
+/// configuration), each a few dozen bytes priced at the link's nominal
+/// exchange time, plus the server-side suggest time. It lets the
+/// controller account for the round-trip when deciding whether offloading
+/// pays off on a given link (the ablation bench compares local vs
+/// offloaded iteration overhead).
 
 namespace hbosim::edge {
 
 struct RemoteOptimizerConfig {
-  NetworkModel network;
+  // Link of the closed-form round trip, priced at its nominal exchange
+  // time.
+  double rtt_ms = 20.0;       ///< Base round-trip latency.
+  double mbit_per_s = 120.0;  ///< Downlink throughput.
   /// Uplink payload: (z, cost) as packed floats plus framing.
   std::uint64_t upload_bytes = 48;
   /// Downlink payload: the next configuration vector.
@@ -60,6 +64,7 @@ class RemoteOptimizerLink {
 
  private:
   RemoteOptimizerConfig cfg_;
+  edgesvc::LinkModel link_;
 };
 
 }  // namespace hbosim::edge

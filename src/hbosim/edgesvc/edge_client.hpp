@@ -23,10 +23,11 @@
 /// Time accounting is virtual (simulated seconds): perform() returns the
 /// elapsed time the caller should charge to its DES clock. The request
 /// uplink is a few bytes and is folded into the response exchange's RTT,
-/// mirroring the legacy NetworkModel's single-exchange accounting — so an
-/// uncontended, jitter-free client reproduces the closed-form delay
-/// exactly. A timed-out attempt costs the full timeout; a rejection costs
-/// one (sampled) RTT, since the server bounces it immediately.
+/// mirroring the closed-form single-exchange accounting of the edge
+/// decimation service (LinkModel::nominal_seconds) — so an uncontended,
+/// jitter-free client reproduces the closed-form delay exactly. A
+/// timed-out attempt costs the full timeout; a rejection costs one
+/// (sampled) RTT, since the server bounces it immediately.
 
 namespace hbosim::edgesvc {
 

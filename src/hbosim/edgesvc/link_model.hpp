@@ -5,9 +5,9 @@
 #include "hbosim/common/rng.hpp"
 
 /// \file link_model.hpp
-/// Stochastic wireless link to the edge server. Generalizes the original
-/// closed-form edge::NetworkModel (base RTT + payload/throughput) with
-/// three effects real MAR deployments see:
+/// Stochastic wireless link to the edge server. Generalizes the
+/// closed-form delay (base RTT + payload/throughput, nominal_seconds())
+/// with three effects real MAR deployments see:
 ///
 ///  - RTT jitter: a bounded multiplicative perturbation of the base RTT,
 ///    drawn per exchange from the owning session's seeded Rng.
@@ -23,8 +23,8 @@
 /// using a LinkModel stays bit-identical run to run and across thread
 /// counts (the fleet determinism guarantee). With jitter, loss, and
 /// background flows all zero, sample() degenerates to exactly the
-/// closed-form nominal_seconds() — the compatibility contract the legacy
-/// NetworkModel shim relies on.
+/// closed-form nominal_seconds() — the delay edge::DecimationService and
+/// edge::RemoteOptimizerLink charge on their closed-form paths.
 
 namespace hbosim::edgesvc {
 
@@ -71,8 +71,8 @@ class LinkModel {
   LinkSample sample(std::uint64_t payload_bytes, Rng& rng);
 
   /// Deterministic exchange time: jitter-free RTT plus the payload at the
-  /// shared effective throughput. Identical to the legacy
-  /// edge::NetworkModel formula when background_flows == 0.
+  /// shared effective throughput (rtt + bits / bandwidth when
+  /// background_flows == 0).
   double nominal_seconds(std::uint64_t payload_bytes) const;
 
   /// Throughput after fair-sharing with the background flows.

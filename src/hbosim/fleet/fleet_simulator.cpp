@@ -55,6 +55,9 @@ void FleetSpec::validate() const {
   HB_REQUIRE(std::isfinite(duration_s),
              "fleet session duration must be finite — a session runs until "
              "its simulated clock reaches it");
+  // The session template's HBO knobs fail here, before any session runs,
+  // rather than in whichever session first builds a controller.
+  session.hbo.validate();
   auto check_weights = [](const auto& mix, const char* what) {
     double total = 0.0;
     for (const auto& e : mix) {

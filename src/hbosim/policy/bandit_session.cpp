@@ -48,7 +48,8 @@ void BanditSession::pull() {
 
   controller_.apply_configuration(selector->arms()[exp.arm]);
   const app::PeriodMetrics m = app_.run_period(cfg_.hbo.control_period_s);
-  exp.cost = core::cost_of(m, cfg_.hbo.w, cfg_.hbo.w_energy);
+  exp.cost =
+      core::cost_of(m, core::CostTerms{cfg_.hbo.w, cfg_.hbo.w_energy});
   exp.reward = -exp.cost;
   observe(m);
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "hbosim/common/error.hpp"
 #include "hbosim/core/controller.hpp"
 #include "hbosim/core/cost.hpp"
@@ -18,7 +20,7 @@ TEST(Cost, EquationsThreeAndFive) {
   app::PeriodMetrics m;
   m.average_quality = 0.8;
   m.latency_ratio = 0.4;
-  EXPECT_DOUBLE_EQ(cost_of(m, 2.5), -(0.8 - 1.0));
+  EXPECT_DOUBLE_EQ(cost_of(m, CostTerms{2.5}), -(0.8 - 1.0));
   EXPECT_DOUBLE_EQ(m.reward(2.5), -0.2);
 }
 
@@ -36,6 +38,21 @@ TEST(HboConfig, ValidateCatchesNonsense) {
   cfg = HboConfig{};
   cfg.control_period_s = 0.0;
   EXPECT_THROW(cfg.validate(), hbosim::Error);
+}
+
+TEST(HboConfig, ValidateRejectsNonFiniteWeightsAndPeriods) {
+  // An infinite weight or price makes every measured cost infinite, which
+  // the optimizer rejects mid-run; an infinite period never ends a loop.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double HboConfig::*knob :
+       {&HboConfig::w, &HboConfig::w_energy, &HboConfig::market_price,
+        &HboConfig::control_period_s, &HboConfig::monitor_period_s}) {
+    HboConfig cfg;
+    cfg.*knob = inf;
+    EXPECT_THROW(cfg.validate(), hbosim::Error);
+    cfg.*knob = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(cfg.validate(), hbosim::Error);
+  }
 }
 
 HboConfig small_config() {

@@ -1,11 +1,16 @@
-// Tests for the edge module: LRU cache, decimation service, network model.
+// Tests for the edge module: LRU cache, decimation service, and the
+// closed-form link delay of its cache misses.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "hbosim/common/error.hpp"
 #include "hbosim/edge/decimation_service.hpp"
+#include "hbosim/edgesvc/link_model.hpp"
 
 namespace hbosim::edge {
 namespace {
@@ -35,42 +40,6 @@ TEST(LruCache, OverwriteUpdatesValueWithoutEviction) {
 
 TEST(LruCache, ZeroCapacityThrows) {
   EXPECT_THROW(LruCache{0}, hbosim::Error);
-}
-
-TEST(NetworkModel, TransferTimeHasRttFloorAndThroughputTerm) {
-  NetworkModel net;
-  net.rtt_ms = 20.0;
-  net.mbit_per_s = 80.0;
-  EXPECT_NEAR(net.transfer_seconds(0), 0.020, 1e-12);
-  // 1 MB = 8 Mbit at 80 Mbit/s = 0.1 s, plus RTT.
-  EXPECT_NEAR(net.transfer_seconds(1000000), 0.120, 1e-9);
-}
-
-TEST(NetworkModel, RejectsNearZeroThroughputAndNonFiniteValues) {
-  // Regression: a near-zero bandwidth used to slip past validation and
-  // turn downloads into astronomically large DES event times.
-  NetworkModel net;
-  net.mbit_per_s = 1e-9;
-  EXPECT_THROW(net.transfer_seconds(1000), hbosim::Error);
-  net.mbit_per_s = 0.0;
-  EXPECT_THROW(net.transfer_seconds(1000), hbosim::Error);
-  net = NetworkModel{};
-  net.rtt_ms = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(net.transfer_seconds(1000), hbosim::Error);
-  net = NetworkModel{};
-  net.mbit_per_s = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(net.transfer_seconds(1000), hbosim::Error);
-  net = NetworkModel{};
-  net.rtt_ms = -5.0;
-  EXPECT_THROW(net.transfer_seconds(1000), hbosim::Error);
-}
-
-TEST(NetworkModel, ShimMatchesStochasticLinkNominal) {
-  NetworkModel net;
-  net.rtt_ms = 12.0;
-  net.mbit_per_s = 200.0;
-  const edgesvc::LinkModel link(net.as_link_config());
-  EXPECT_EQ(net.transfer_seconds(36'000), link.nominal_seconds(36'000));
 }
 
 render::MeshAsset test_asset() {
@@ -120,6 +89,60 @@ TEST(DecimationService, BiggerPayloadsTakeLonger) {
   const double small = svc.request(asset, 0.1).delay_s;
   const double large = svc.request(asset, 1.0).delay_s;
   EXPECT_GT(large, small);
+}
+
+TEST(DecimationService, MissDelayHasRttFloorAndThroughputTerm) {
+  DecimationServiceConfig cfg;
+  cfg.rtt_ms = 20.0;
+  cfg.mbit_per_s = 80.0;
+  cfg.server_ms_per_mtri = 0.0;  // isolate the link term
+  cfg.bytes_per_triangle = 1.0;
+  DecimationService svc(cfg);
+  const render::MeshAsset asset = test_asset();
+  const DecimationResult r = svc.request(asset, 1.0);
+  ASSERT_FALSE(r.cache_hit);
+  // RTT plus the payload (one byte per triangle) at 80 Mbit/s.
+  EXPECT_NEAR(r.delay_s,
+              0.020 + static_cast<double>(r.triangles) * 8.0 / 80e6, 1e-12);
+  EXPECT_GT(r.delay_s, 0.020);
+}
+
+TEST(DecimationService, MissDelayMatchesLinkNominal) {
+  // A closed-form miss costs the server's decimation time plus the link's
+  // nominal exchange time for the decimated mesh, bit for bit.
+  DecimationServiceConfig cfg;
+  cfg.rtt_ms = 12.0;
+  cfg.mbit_per_s = 200.0;
+  DecimationService svc(cfg);
+  const edgesvc::LinkModel link(
+      edgesvc::LinkModelConfig{cfg.rtt_ms, cfg.mbit_per_s});
+  const render::MeshAsset asset = test_asset();
+  for (double ratio : {0.1, 0.5, 1.0}) {
+    const DecimationResult r = svc.request(asset, ratio);
+    ASSERT_FALSE(r.cache_hit) << ratio;
+    const double server_s = cfg.server_ms_per_mtri * 1e-3 *
+                            static_cast<double>(asset.max_triangles()) / 1e6;
+    const auto payload = static_cast<std::uint64_t>(
+        cfg.bytes_per_triangle * static_cast<double>(r.triangles));
+    EXPECT_EQ(r.delay_s, server_s + link.nominal_seconds(payload)) << ratio;
+  }
+}
+
+TEST(DecimationService, RejectsNearZeroThroughputAndNonFiniteLinks) {
+  // Regression: a near-zero bandwidth used to slip past validation and
+  // turn downloads into astronomically large DES event times. The
+  // service refuses such a link when built, before any request.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<double, double>> bad_links = {
+      {20.0, 1e-9}, {20.0, 0.0}, {nan, 120.0}, {20.0, inf}, {-5.0, 120.0}};
+  for (const auto& [rtt_ms, mbit_per_s] : bad_links) {
+    DecimationServiceConfig cfg;
+    cfg.rtt_ms = rtt_ms;
+    cfg.mbit_per_s = mbit_per_s;
+    EXPECT_THROW(DecimationService{cfg}, hbosim::Error)
+        << rtt_ms << " ms, " << mbit_per_s << " Mbit/s";
+  }
 }
 
 TEST(DecimationService, DistinctAssetsDoNotCollide) {

@@ -72,6 +72,22 @@ TEST(FleetSpec, ValidateRejectsNonsense) {
   spec = fleet::FleetSpec{};
   spec.devices = {{"Pixel 7", 1e308}, {"Galaxy S22", 1e308}};
   EXPECT_THROW(fleet::FleetSimulator{spec}, Error);
+
+  // The session template's HBO knobs are checked up front too: an
+  // infinite period never ends a session's loop, and an infinite weight
+  // or price makes every cost infinite, which the optimizer rejects
+  // mid-fleet.
+  for (double core::HboConfig::*knob :
+       {&core::HboConfig::control_period_s, &core::HboConfig::monitor_period_s,
+        &core::HboConfig::w, &core::HboConfig::w_energy,
+        &core::HboConfig::market_price}) {
+    spec = fleet::FleetSpec{};
+    spec.session.hbo.*knob = inf;
+    EXPECT_THROW(fleet::FleetSimulator{spec}, Error);
+  }
+  spec = fleet::FleetSpec{};
+  spec.session.hbo.n_initial = 0;
+  EXPECT_THROW(fleet::FleetSimulator{spec}, Error);
 }
 
 TEST(FleetSimulator, SessionSpecsAreDeterministicAndSeededByOffset) {

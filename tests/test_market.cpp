@@ -331,11 +331,14 @@ TEST(MarketCost, PriceChargesTheTriangleBudget) {
   m.avg_power_w = 2.0;
   // A zero price must reproduce the energy-extended cost bit for bit (the
   // market-off parity contract).
-  EXPECT_EQ(core::cost_of(m, 0.4, 0.05, 0.0), core::cost_of(m, 0.4, 0.05));
-  EXPECT_EQ(core::cost_of(m, 0.4, 0.0, 0.0), core::cost_of(m, 0.4));
+  const double energy = core::cost(m.average_quality, m.latency_ratio, 0.4) +
+                        0.05 * m.avg_power_w;
+  EXPECT_EQ(core::cost_of(m, core::CostTerms{0.4, 0.05, 0.0}), energy);
+  EXPECT_EQ(core::cost_of(m, core::CostTerms{0.4, 0.0, 0.0}),
+            core::cost(m.average_quality, m.latency_ratio, 0.4));
   // A posted price charges the configuration's triangle appetite.
-  EXPECT_DOUBLE_EQ(core::cost_of(m, 0.4, 0.05, 2.5),
-                   core::cost_of(m, 0.4, 0.05) + 2.5 * 0.6);
+  EXPECT_DOUBLE_EQ(core::cost_of(m, core::CostTerms{0.4, 0.05, 2.5}),
+                   energy + 2.5 * 0.6);
 }
 
 // ---------------------------------------------------------------------------

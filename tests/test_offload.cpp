@@ -40,21 +40,6 @@ edgesvc::EdgeClient make_edge_client(const edgesvc::EdgeServiceSpec& svc,
 
 // ---------------------------------------------------------------- cost --
 
-TEST(CostTerms, LegacyOverloadsAreBitwiseThinWrappers) {
-  app::PeriodMetrics m;
-  m.average_quality = 0.8125;  // dyadic values: exact FP round trips
-  m.latency_ratio = 0.375;
-  m.avg_power_w = 2.625;
-  m.triangle_ratio = 0.5625;
-
-  EXPECT_EQ(core::cost_of(m, 2.5),
-            core::cost_of(m, core::CostTerms{2.5, 0.0, 0.0}));
-  EXPECT_EQ(core::cost_of(m, 2.5, 0.125),
-            core::cost_of(m, core::CostTerms{2.5, 0.125, 0.0}));
-  EXPECT_EQ(core::cost_of(m, 2.5, 0.125, 0.25),
-            core::cost_of(m, core::CostTerms{2.5, 0.125, 0.25}));
-}
-
 TEST(CostTerms, ZeroWeightTermsAddNoArithmetic) {
   app::PeriodMetrics m;
   m.average_quality = 0.7;
@@ -71,6 +56,23 @@ TEST(CostTerms, ZeroWeightTermsAddNoArithmetic) {
   EXPECT_EQ(core::cost_of(m, core::CostTerms{2.5, 0.5, 0.0}),
             core::cost(m.average_quality, m.latency_ratio, 2.5) +
                 0.5 * m.avg_power_w);
+}
+
+TEST(CostTerms, EveryTermChargesItsWeightedMetricExactly) {
+  app::PeriodMetrics m;
+  m.average_quality = 0.8125;  // dyadic values: exact FP round trips
+  m.latency_ratio = 0.375;
+  m.avg_power_w = 2.625;
+  m.triangle_ratio = 0.5625;
+
+  // phi = -(Q - w*eps) + w_energy * P_avg + market_price * x, summed in
+  // that order.
+  const double qoe = core::cost(m.average_quality, m.latency_ratio, 2.5);
+  EXPECT_EQ(qoe, -(0.8125 - 2.5 * 0.375));
+  EXPECT_EQ(core::cost_of(m, core::CostTerms{2.5, 0.125, 0.25}),
+            qoe + 0.125 * 2.625 + 0.25 * 0.5625);
+  EXPECT_EQ(core::cost_of(m, core::CostTerms{2.5, 0.0, 0.25}),
+            qoe + 0.25 * 0.5625);
 }
 
 // -------------------------------------------------------------- config --

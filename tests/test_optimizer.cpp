@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
 
+#include "bo_reference.hpp"
 #include "hbosim/bo/optimizer.hpp"
 #include "hbosim/common/error.hpp"
 #include "hbosim/common/mathx.hpp"
@@ -161,32 +164,49 @@ TEST(Optimizer, PinnedBoxSearchesOnlyTheSimplex) {
   }
 }
 
+/// A prior with a z-dependent mean (so adding it back to the candidate
+/// scores matters), seed points, and a length-scale hint outside the
+/// default grid.
+class BowlPrior : public SurrogatePrior {
+ public:
+  double mean(std::span<const double> z) const override {
+    return 0.5 * synthetic_cost(z) + 0.3 * z[1];
+  }
+  double length_scale_factor() const override { return 0.45; }
+  std::vector<std::vector<double>> seed_points(std::size_t) const override {
+    return {{0.5, 0.2, 0.3, 0.6}, {0.2, 0.2, 0.6, 0.9}};
+  }
+};
+
+/// Drives the optimizer and the from-scratch reference on the same seed
+/// and history for `iterations` suggests; every coordinate must agree.
+void expect_matches_reference(const BoConfig& cfg, std::uint64_t seed,
+                              int iterations) {
+  const SimplexBoxSpace space(3, 0.2, 1.0);
+  BayesianOptimizer opt(space, cfg);
+  Rng rng(seed);
+  Rng rng_ref(seed);
+  for (int i = 0; i < iterations; ++i) {
+    const std::vector<double> want =
+        reference::suggest(space, cfg, opt.observations(), rng_ref);
+    std::vector<double> z = opt.suggest(rng);
+    ASSERT_EQ(z.size(), want.size()) << "iteration " << i;
+    for (std::size_t j = 0; j < z.size(); ++j)
+      ASSERT_NEAR(z[j], want[j], 1e-8) << "iteration " << i << " coord " << j;
+    const double cost = synthetic_cost(z);
+    opt.tell(std::move(z), cost);
+  }
+}
+
+// The optimizer's cached distances, grown factors and batched scoring
+// against tests/bo_reference.hpp, a full refit that rebuilds every
+// length-scale GP from scratch and scores candidates one scalar posterior
+// at a time. They share every generator draw; only the batched exp and
+// solve may differ by ulps.
 TEST(Optimizer, IncrementalMatchesFullRefitSuggestionSequence) {
-  // The headline equivalence property of the incremental surrogate path:
-  // on the same seed, the suggestion sequence must match the original
-  // full-refit path to tight tolerance (they share every RNG call and the
-  // same surrogate math; only the batched exp may differ by ulps).
-  auto run = [](bool incremental) {
-    BoConfig cfg;
-    cfg.incremental_gp = incremental;
-    BayesianOptimizer opt(SimplexBoxSpace(3, 0.2, 1.0), cfg);
-    Rng rng(4242);
-    std::vector<std::vector<double>> suggestions;
-    for (int i = 0; i < 30; ++i) {
-      auto z = opt.suggest(rng);
-      opt.tell(z, synthetic_cost(z));
-      suggestions.push_back(std::move(z));
-    }
-    return suggestions;
-  };
-  const auto fast = run(true);
-  const auto slow = run(false);
-  ASSERT_EQ(fast.size(), slow.size());
-  for (std::size_t i = 0; i < fast.size(); ++i) {
-    ASSERT_EQ(fast[i].size(), slow[i].size()) << "iteration " << i;
-    for (std::size_t j = 0; j < fast[i].size(); ++j)
-      EXPECT_NEAR(fast[i][j], slow[i][j], 1e-8)
-          << "iteration " << i << " coord " << j;
+  for (std::uint64_t seed : {4242u, 99u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_matches_reference(BoConfig{}, seed, 30);
   }
 }
 
@@ -194,29 +214,26 @@ TEST(Optimizer, IncrementalMatchesAcrossKernelsAndAcquisitions) {
   for (auto kernel :
        {KernelKind::Matern52, KernelKind::Matern32, KernelKind::Rbf}) {
     for (auto acq : {AcquisitionKind::ExpectedImprovement,
+                     AcquisitionKind::ProbabilityOfImprovement,
                      AcquisitionKind::LowerConfidenceBound}) {
-      auto run = [&](bool incremental) {
+      for (std::uint64_t seed : {4242u, 99u}) {
+        SCOPED_TRACE(std::string(kernel_kind_name(kernel)) + " " +
+                     acquisition_name(acq) + " seed " + std::to_string(seed));
         BoConfig cfg;
         cfg.kernel = kernel;
         cfg.acquisition = acq;
-        cfg.incremental_gp = incremental;
-        BayesianOptimizer opt(SimplexBoxSpace(3, 0.2, 1.0), cfg);
-        Rng rng(99);
-        std::vector<double> last;
-        for (int i = 0; i < 12; ++i) {
-          last = opt.suggest(rng);
-          opt.tell(last, synthetic_cost(last));
-        }
-        return last;
-      };
-      const auto fast = run(true);
-      const auto slow = run(false);
-      ASSERT_EQ(fast.size(), slow.size());
-      for (std::size_t j = 0; j < fast.size(); ++j)
-        EXPECT_NEAR(fast[j], slow[j], 1e-8)
-            << kernel_kind_name(kernel) << " coord " << j;
+        expect_matches_reference(cfg, seed, 30);
+      }
     }
   }
+}
+
+TEST(Optimizer, IncrementalMatchesFullRefitWithLearnedPrior) {
+  // Seeds replace initial draws, the GP fits residuals, candidate scores
+  // add the prior mean back, and the prior's hint joins the grid.
+  BoConfig cfg;
+  cfg.prior = std::make_shared<BowlPrior>();
+  expect_matches_reference(cfg, 7, 30);
 }
 
 TEST(Optimizer, BestMatchesFullRescan) {
@@ -238,32 +255,10 @@ TEST(Optimizer, BestMatchesFullRescan) {
   }
 }
 
-TEST(Optimizer, SetKernelInvalidatesLiveSurrogates) {
-  // Swapping the kernel mid-run must rebuild the incremental surrogates
-  // (from the still-valid distance cache) instead of reusing stale ones.
-  BayesianOptimizer opt(SimplexBoxSpace(3, 0.2, 1.0));
-  Rng rng(13);
-  for (int i = 0; i < 10; ++i) {
-    const auto z = opt.suggest(rng);
-    opt.tell(z, synthetic_cost(z));
-  }
-  opt.set_kernel(std::make_unique<Rbf>(0.5));
-  for (int i = 0; i < 5; ++i) {
-    const auto z = opt.suggest(rng);
-    EXPECT_TRUE(opt.space().contains(z, 1e-9));
-    opt.tell(z, synthetic_cost(z));
-  }
-}
-
 TEST(Optimizer, InvalidConfigThrows) {
   BoConfig cfg;
   cfg.n_initial = 0;
   EXPECT_THROW(BayesianOptimizer(SimplexBoxSpace(3, 0.2, 1.0), cfg),
-               hbosim::Error);
-  BoConfig cfg2;
-  cfg2.n_random_candidates = 0;
-  cfg2.n_local_candidates = 0;
-  EXPECT_THROW(BayesianOptimizer(SimplexBoxSpace(3, 0.2, 1.0), cfg2),
                hbosim::Error);
 }
 

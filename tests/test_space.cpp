@@ -58,8 +58,10 @@ TEST(Space, PerturbStaysFeasible) {
   const SimplexBoxSpace space(3, 0.2, 1.0);
   Rng rng(9);
   const auto base = space.sample(rng);
+  std::vector<double> z(space.dim());
+  std::vector<double> scratch;
   for (int i = 0; i < 200; ++i) {
-    const auto z = space.perturb(base, 0.2, rng);
+    space.perturb_into(base, 0.2, rng, z, scratch);
     EXPECT_TRUE(space.contains(z, 1e-9));
   }
 }
@@ -71,9 +73,10 @@ TEST(Space, PerturbScaleControlsStep) {
   const std::vector<double> base = {1.0 / 3, 1.0 / 3, 1.0 / 3, 0.6};
   double small_step = 0.0;
   double large_step = 0.0;
+  std::vector<double> s(space.dim()), l(space.dim()), scratch;
   for (int i = 0; i < 100; ++i) {
-    const auto s = space.perturb(base, 0.01, rng_a);
-    const auto l = space.perturb(base, 0.3, rng_b);
+    space.perturb_into(base, 0.01, rng_a, s, scratch);
+    space.perturb_into(base, 0.3, rng_b, l, scratch);
     for (std::size_t d = 0; d < base.size(); ++d) {
       small_step += std::abs(s[d] - base[d]);
       large_step += std::abs(l[d] - base[d]);
@@ -109,10 +112,10 @@ TEST(Space, DegenerateBoxPinsCoordinate) {
   for (int i = 0; i < 50; ++i) EXPECT_DOUBLE_EQ(space.sample(rng)[3], 1.0);
 }
 
-// The *_into overloads feed the optimizer's flat candidate buffer; they
-// must consume the identical generator sequence and produce bitwise the
-// same points as the allocating originals, or the incremental suggest
-// path would diverge from the legacy one.
+// The *_into calls feed the optimizer's flat candidate buffer; they must
+// consume the identical generator sequence and produce bitwise the same
+// points as their allocating or closed-form counterparts, or the
+// optimizer would diverge from its from-scratch test reference.
 TEST(Space, SampleIntoMatchesSampleBitwise) {
   const SimplexBoxSpace space(4, 0.2, 1.0);
   Rng rng_a(77);
@@ -136,8 +139,13 @@ TEST(Space, PerturbIntoAndClipIntoMatchBitwise) {
   std::vector<double> buf(space.dim());
   std::vector<double> scratch;
   for (int i = 0; i < 100; ++i) {
+    // perturb_into is a Gaussian step (simplex coordinates first, then
+    // the box coordinate at the box's range) projected back by clip().
     const double scale = (i % 2 == 0) ? 0.05 : 0.4;
-    const std::vector<double> z = space.perturb(base, scale, rng_a);
+    std::vector<double> z = base;
+    for (std::size_t j = 0; j < 3; ++j) z[j] += rng_a.normal(0.0, scale);
+    z[3] += rng_a.normal(0.0, scale * (space.box_hi() - space.box_lo()));
+    z = space.clip(z);
     space.perturb_into(base, scale, rng_b, buf, scratch);
     for (std::size_t j = 0; j < z.size(); ++j) EXPECT_EQ(z[j], buf[j]);
   }
