@@ -192,7 +192,6 @@ int main(int argc, char** argv) {
   pspec.threads = ThreadPool::hardware_threads();
   pspec.policy.mode = fleet::PolicyMode::Prior;
   pspec.policy.epoch_sessions = std::max<std::size_t>(sessions / 8, 1);
-  pspec.policy.prior.min_observations = 6;
   const fleet::FleetResult presult = fleet::FleetSimulator(pspec).run();
   const fleet::FleetMetrics& pm = presult.metrics;
   std::cout << "  epochs=" << pm.policy.epochs << "  store_keys="

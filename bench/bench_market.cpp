@@ -5,8 +5,8 @@
 //
 //  gate 1  allocator-off bitwise parity: with FleetSpec::market disabled
 //          the fleet must reproduce the mirror-based edge path bit for
-//          bit on 1 and 4 worker threads (also pins the broker's
-//          order-independent absorb()).
+//          bit on 1 and 4 worker threads (also pins the edge roll-up,
+//          folded in session-id order).
 //  gate 2  PF closed form: two symmetric tenants over-demanding the link
 //          split the binding budget exactly evenly (x = 0.5 each).
 //  gate 3  market thread invariance: a market-enabled fleet is

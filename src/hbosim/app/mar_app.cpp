@@ -14,8 +14,7 @@ MarApp::MarApp(const soc::DeviceProfile& device, MarAppConfig cfg)
       soc_(sim_, device_),
       scene_(cfg.culling),
       render_binder_(scene_, soc_),
-      engine_(sim_, soc_, cfg.engine),
-      decimation_(cfg.decimation) {
+      engine_(sim_, soc_, cfg.engine) {
   HB_REQUIRE(cfg_.control_period_s > 0.0, "control period must be positive");
   if (cfg_.enable_power) {
     power::DevicePowerModel model =
@@ -175,7 +174,7 @@ PeriodMetrics MarApp::snapshot() {
   m.period_start = m.period_end = sim_.now();
   m.average_quality = scene_.average_quality();
   m.triangle_ratio = scene_.current_ratio();
-  if (quality_scale_ != 1.0) m.average_quality *= quality_scale_;
+  m.average_quality *= quality_scale_;
 
   std::vector<ai::LatencySample> samples;
   for (TaskId id : task_order_) {

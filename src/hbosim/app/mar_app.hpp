@@ -26,7 +26,6 @@ namespace hbosim::app {
 
 struct MarAppConfig {
   ai::EngineConfig engine;
-  edge::DecimationServiceConfig decimation;
   render::CullingModel culling;
   /// Length of one measurement/control period (the paper samples reward
   /// every 2 seconds).
@@ -143,8 +142,8 @@ class MarApp {
   /// Perceptual scale the market's resolution knob applies to reported
   /// quality (r^gamma, computed by the fleet from its allocation): a
   /// tenant rendering at reduced resolution perceives proportionally
-  /// less of the scene's mesh quality. The default 1.0 leaves every
-  /// metric bitwise untouched.
+  /// less of the scene's mesh quality. The default 1.0 multiplies
+  /// quality by one, which is exact.
   void set_quality_scale(double scale);
   double quality_scale() const { return quality_scale_; }
 

@@ -25,7 +25,6 @@ void HboConfig::validate() const {
              "monitor period must be finite and positive");
   HB_REQUIRE(up_fraction >= 0.0 && down_fraction >= 0.0,
              "activation thresholds must be non-negative");
-  offload.validate();
 }
 
 }  // namespace hbosim::core

@@ -20,18 +20,18 @@ struct HboConfig {
 
   /// Weight of the optional battery-draw term in the extended cost
   /// phi = -(Q - w*eps) + w_energy * P_avg (per watt of mean period
-  /// power). 0 by default, which reproduces the paper's cost bit for
-  /// bit; a small positive value (~0.05/W) makes HBO prefer equally
-  /// rewarding configurations that run the SoC cooler. Only meaningful
+  /// power). 0 by default, which reproduces the paper's cost; a small
+  /// positive value (~0.05/W) makes HBO prefer equally rewarding
+  /// configurations that run the SoC cooler. Only meaningful
   /// when the app simulates power (MarAppConfig::enable_power).
   double w_energy = 0.0;
 
   /// Posted congestion price of the session's edge market (marketsvc):
   /// extends the cost with market_price * triangle_ratio, charging a
   /// configuration for the shared-resource appetite its triangle budget
-  /// implies. 0 by default, which reproduces the market-free cost bit
-  /// for bit; the fleet sets it from the allocator's price signal when
-  /// the Pricing policy runs.
+  /// implies. 0 by default, which reproduces the market-free cost; the
+  /// fleet sets it from the allocator's price signal when the Pricing
+  /// policy runs.
   double market_price = 0.0;
 
   /// Random configurations seeding the BO database D at each activation.

@@ -11,13 +11,10 @@ double cost(double average_quality, double latency_ratio, double w) {
 }
 
 double cost_of(const hbosim::app::PeriodMetrics& m, const CostTerms& terms) {
-  // Terms accumulate in a fixed order — base, then energy, then market —
-  // and a zero weight skips its addition entirely, so a zero-weight term
-  // leaves the other terms' sum bit for bit unchanged.
-  double phi = cost(m.average_quality, m.latency_ratio, terms.w);
-  if (terms.w_energy != 0.0) phi += terms.w_energy * m.avg_power_w;
-  if (terms.market_price != 0.0) phi += terms.market_price * m.triangle_ratio;
-  return phi;
+  // Terms accumulate in a fixed order: base, then energy, then market.
+  return cost(m.average_quality, m.latency_ratio, terms.w) +
+         terms.w_energy * m.avg_power_w +
+         terms.market_price * m.triangle_ratio;
 }
 
 }  // namespace hbosim::core

@@ -12,9 +12,11 @@
 /// letting energy-aware runs trade quality/latency against battery draw
 /// and market runs charge a configuration's shared-resource appetite.
 ///
-/// All extensions compose through one CostTerms bundle: each term is
-/// guarded so that a zero weight adds no arithmetic at all, which keeps
-/// default configurations bitwise identical to the paper's plain cost.
+/// All extensions compose through one CostTerms bundle. The terms add in
+/// a fixed order, and a zero weight adds 0 * x, a signed zero, which
+/// leaves a sum over finite metrics equal to the base cost (a -0 base may
+/// come back as +0): default configurations compute the paper's plain
+/// cost.
 
 namespace hbosim::core {
 
@@ -24,9 +26,8 @@ double reward(double average_quality, double latency_ratio, double w);
 /// Eq. 5 (phi = -B).
 double cost(double average_quality, double latency_ratio, double w);
 
-/// The weighted terms of the extended cost. New terms join here; every
-/// term after `w` must keep the "zero weight == no arithmetic" guard so
-/// defaults stay bit-exact.
+/// The weighted terms of the extended cost. New terms join here, and
+/// every term after `w` defaults to a zero weight.
 struct CostTerms {
   /// Latency/quality weight of Eq. 3.
   double w = 2.5;
@@ -42,8 +43,8 @@ struct CostTerms {
 /// w_energy * m.avg_power_w, plus market_price * m.triangle_ratio (the
 /// posted congestion price charges the configuration's resource
 /// appetite, steering HBO toward leaner configs while the shared box is
-/// expensive). Terms with zero weight contribute no floating-point
-/// operations.
+/// expensive). A term with zero weight leaves the cost of finite metrics
+/// unchanged.
 double cost_of(const hbosim::app::PeriodMetrics& m, const CostTerms& terms);
 
 }  // namespace hbosim::core

@@ -75,10 +75,11 @@ void MonitoredSession::activate() {
       // runs fully local rather than stalling on a dead link.
       bool store_reachable = true;
       if (edge_ != nullptr) {
-        const std::optional<double> rt =
-            remote_link_.round_trip_via(*edge_, app_.sim().now());
-        if (rt) {
-          app_.sim().run_until(app_.sim().now() + *rt);
+        const edgesvc::EdgeResponse resp =
+            edge_->perform(edgesvc::RequestClass::RemoteBo, 1.0,
+                           kRemoteBoPayloadBytes, app_.sim().now());
+        if (resp.ok) {
+          app_.sim().run_until(app_.sim().now() + resp.elapsed_s);
         } else {
           store_reachable = false;
           ++edge_bo_fallbacks_;

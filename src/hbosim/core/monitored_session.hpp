@@ -8,7 +8,7 @@
 #include "hbosim/core/activation.hpp"
 #include "hbosim/core/controller.hpp"
 #include "hbosim/core/lookup_table.hpp"
-#include "hbosim/edge/remote_optimizer.hpp"
+#include "hbosim/edgesvc/edge_client.hpp"
 
 /// \file monitored_session.hpp
 /// The full HBO runtime loop as a reusable component: monitor the reward
@@ -26,6 +26,11 @@
 /// the remembered cost by more than `warm_start_tolerance`.
 
 namespace hbosim::core {
+
+/// Bytes one store-fetch exchange moves (Section VI: "in the order of a
+/// few Bytes"): the uplink's observed (z, cost) as packed floats plus
+/// framing, 48, and the downlink's next configuration vector, 40.
+inline constexpr std::uint64_t kRemoteBoPayloadBytes = 48 + 40;
 
 struct MonitoredSessionConfig {
   HboConfig hbo;
@@ -119,10 +124,11 @@ class MonitoredSession {
 
   /// Model the shared-store fetch as a remote exchange with the edge box
   /// (Section VI: the pool lives server-side). While attached, a local
-  /// lookup miss costs one RemoteBo round trip before the store is
-  /// consulted; if the exchange fails after retries, the store is skipped
-  /// and the session falls back to local BO for this activation. Pass
-  /// nullptr to detach. The client must outlive the session.
+  /// lookup miss costs one RemoteBo exchange of kRemoteBoPayloadBytes
+  /// before the store is consulted; if it fails after retries, the store
+  /// is skipped and the session falls back to local BO for this
+  /// activation. Pass nullptr to detach. The client must outlive the
+  /// session.
   void set_edge(edgesvc::EdgeClient* client) { edge_ = client; }
 
   /// Store fetches abandoned because the edge exchange failed (each one
@@ -149,7 +155,6 @@ class MonitoredSession {
   SolutionStoreHooks store_;
   PolicyHooks policy_hooks_;
   edgesvc::EdgeClient* edge_ = nullptr;
-  edge::RemoteOptimizerLink remote_link_{};
   std::uint64_t edge_bo_fallbacks_ = 0;
   Ewma smoothed_;
   RunningStat quality_stat_;

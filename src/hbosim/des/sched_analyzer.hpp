@@ -121,10 +121,10 @@ struct SchedHealth {
 struct SchedAnalyzerConfig {
   /// A completed job is starving when wait > k x max(median, floor) for
   /// its class on its resource.
-  double starvation_k = 4.0;
+  static constexpr double starvation_k = 4.0;
   /// Floor under the class median (seconds): classes whose median wait is
   /// ~0 (uncontended) would otherwise flag on microscopic jitter.
-  double min_wait_floor_s = 1e-3;
+  static constexpr double min_wait_floor_s = 1e-3;
   /// Tumbling fairness-window width in sim seconds.
   double fairness_window_s = 5.0;
 };

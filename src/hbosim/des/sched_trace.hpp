@@ -89,7 +89,7 @@ struct SchedTraceConfig {
   /// on metered or traced sessions, so the telemetry depth series lines
   /// up with the forensics event stream. Only consulted where a sink is
   /// attached; other sessions keep the default 1-in-16 sampling.
-  bool exact_depth_counters = true;
+  static constexpr bool exact_depth_counters = true;
 };
 
 /// Per-resource ring buffers of SchedEvents plus drop accounting, for

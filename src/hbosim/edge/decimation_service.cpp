@@ -8,13 +8,7 @@
 
 namespace hbosim::edge {
 
-DecimationService::DecimationService(DecimationServiceConfig cfg)
-    : cfg_(cfg),
-      link_(edgesvc::LinkModelConfig{cfg.rtt_ms, cfg.mbit_per_s}),
-      cache_(cfg.cache_capacity) {
-  HB_REQUIRE(cfg_.ratio_levels > 0, "ratio_levels must be positive");
-  HB_REQUIRE(cfg_.server_ms_per_mtri >= 0.0, "server cost must be >= 0");
-}
+DecimationService::DecimationService() : cache_(kCacheCapacity) {}
 
 void DecimationService::attach_edge(edgesvc::EdgeClient* client,
                                     std::function<double()> clock) {
@@ -27,7 +21,7 @@ void DecimationService::attach_edge(edgesvc::EdgeClient* client,
 double DecimationService::quantize_ratio(double ratio) const {
   HB_REQUIRE(ratio >= 0.0 && ratio <= 1.0, "ratio must be in [0,1]");
   if (ratio == 0.0) return 0.0;
-  const double levels = static_cast<double>(cfg_.ratio_levels);
+  const double levels = static_cast<double>(kRatioLevels);
   const double q = std::ceil(ratio * levels) / levels;  // never degrade below ask
   return std::min(q, 1.0);
 }
@@ -39,7 +33,7 @@ DecimationResult DecimationService::nearest_cached_lod(
   // LOD on ties. No recency update: this is an emergency substitute, not
   // a normal access.
   const std::string prefix = asset.name() + "@";
-  const double wanted_level = wanted_ratio * cfg_.ratio_levels;
+  const double wanted_level = wanted_ratio * kRatioLevels;
   int best_level = -1;
   std::uint64_t best_triangles = 0;
   cache_.for_each_entry([&](const std::string& key, std::uint64_t triangles) {
@@ -63,7 +57,7 @@ DecimationResult DecimationService::nearest_cached_lod(
   }
   out.triangles = best_triangles;
   out.served_ratio =
-      static_cast<double>(best_level) / static_cast<double>(cfg_.ratio_levels);
+      static_cast<double>(best_level) / static_cast<double>(kRatioLevels);
   return out;
 }
 
@@ -74,7 +68,7 @@ DecimationResult DecimationService::request(const render::MeshAsset& asset,
   const std::string key = compose_key(
       {asset.name(),
        std::to_string(
-           static_cast<int>(std::lround(out.served_ratio * cfg_.ratio_levels)))});
+           static_cast<int>(std::lround(out.served_ratio * kRatioLevels)))});
 
   if (const std::uint64_t* cached = cache_.get(key)) {
     out.triangles = *cached;
@@ -89,10 +83,11 @@ DecimationResult DecimationService::request(const render::MeshAsset& asset,
   // device downloads the decimated version.
   out.triangles = asset.triangles_at(out.served_ratio);
   out.cache_hit = false;
-  const double server_s = cfg_.server_ms_per_mtri * 1e-3 *
-                          static_cast<double>(asset.max_triangles()) / 1e6;
+  const double server_s = edgesvc::EdgeServerSpec::decimation_ms_per_mtri *
+                          1e-3 * static_cast<double>(asset.max_triangles()) /
+                          1e6;
   const auto payload = static_cast<std::uint64_t>(
-      cfg_.bytes_per_triangle * static_cast<double>(out.triangles));
+      kBytesPerTriangle * static_cast<double>(out.triangles));
 
   if (edge_ == nullptr) {
     out.delay_s = server_s + link_.nominal_seconds(payload);
@@ -121,11 +116,6 @@ DecimationResult DecimationService::request(const render::MeshAsset& asset,
   degraded.delay_s = resp.elapsed_s;
   degraded.edge_attempts = resp.attempts;
   return degraded;
-}
-
-render::DegradationParams DecimationService::train_parameters(
-    const std::string& mesh_name, std::uint64_t max_triangles) const {
-  return render::synthesize_degradation_params(mesh_name, max_triangles);
 }
 
 }  // namespace hbosim::edge

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <functional>
-#include <string>
 
 #include "hbosim/edge/cache.hpp"
 #include "hbosim/edgesvc/edge_client.hpp"
@@ -19,19 +18,15 @@
 /// versions per object.
 ///
 /// Two remote paths exist:
-///  - the closed form (default): server time plus the link's nominal
-///    exchange time (edgesvc::LinkModel::nominal_seconds — base RTT plus
-///    payload over throughput), always succeeds;
+///  - the closed form (default): the edge server's decimation time
+///    (edgesvc::EdgeServerSpec::decimation_ms_per_mtri) plus the default
+///    link's nominal exchange time (edgesvc::LinkModel::nominal_seconds —
+///    base RTT plus payload over throughput), always succeeds;
 ///  - a contended edgesvc::EdgeClient (via attach_edge): the request
 ///    competes with other tenants for the shared edge box over a lossy
 ///    link, and can fail. On failure the device degrades gracefully —
 ///    it serves the nearest already-cached LOD of the same object, or
 ///    keeps the currently displayed version if nothing is cached.
-///
-/// The service also exposes the offline degradation-parameter trainer the
-/// paper mentions (eAR's per-object fitting): deterministic synthetic
-/// training, so every component that needs Eq. 1 parameters goes through
-/// the same entry point.
 
 namespace hbosim::edge {
 
@@ -50,22 +45,16 @@ struct DecimationResult {
   int edge_attempts = 0;
 };
 
-struct DecimationServiceConfig {
-  // Link of the closed-form path, priced at its nominal exchange time.
-  double rtt_ms = 20.0;       ///< Base round-trip latency.
-  double mbit_per_s = 120.0;  ///< Downlink throughput.
-  std::size_t cache_capacity = 256;
-  /// Quantization levels for cacheable ratios (ratio rounded to 1/levels).
-  int ratio_levels = 64;
-  /// Server-side decimation cost per million input triangles.
-  double server_ms_per_mtri = 35.0;
-  /// Mesh payload size per triangle (position+normal+index data).
-  double bytes_per_triangle = 36.0;
-};
-
 class DecimationService {
  public:
-  explicit DecimationService(DecimationServiceConfig cfg = {});
+  /// Decimated versions the device-local LRU cache holds.
+  static constexpr std::size_t kCacheCapacity = 256;
+  /// Quantization levels for cacheable ratios (ratio rounded to 1/levels).
+  static constexpr int kRatioLevels = 64;
+  /// Mesh payload size per triangle (position+normal+index data).
+  static constexpr double kBytesPerTriangle = 36.0;
+
+  DecimationService();
 
   /// Route cache misses through a contended edge service instead of the
   /// closed form. `clock` supplies the current simulation
@@ -77,15 +66,9 @@ class DecimationService {
   /// Request `asset` decimated to `ratio` (in [0,1]).
   DecimationResult request(const render::MeshAsset& asset, double ratio);
 
-  /// Offline per-object parameter training (eAR study stand-in).
-  render::DegradationParams train_parameters(const std::string& mesh_name,
-                                             std::uint64_t max_triangles) const;
-
   std::uint64_t cache_hits() const { return cache_.hits(); }
   std::uint64_t cache_misses() const { return cache_.misses(); }
   std::uint64_t edge_fallbacks() const { return edge_fallbacks_; }
-  const DecimationServiceConfig& config() const { return cfg_; }
-  bool edge_attached() const { return edge_ != nullptr; }
 
   /// Quantize a ratio onto the service's level grid (never returns 0
   /// unless the input is 0).
@@ -95,8 +78,7 @@ class DecimationService {
   DecimationResult nearest_cached_lod(const render::MeshAsset& asset,
                                       double wanted_ratio) const;
 
-  DecimationServiceConfig cfg_;
-  edgesvc::LinkModel link_;
+  edgesvc::LinkModel link_;  ///< The closed form's default link.
   LruCache cache_;
   edgesvc::EdgeClient* edge_ = nullptr;
   std::function<double()> clock_;

@@ -144,51 +144,4 @@ std::unique_ptr<EdgeClient> EdgeBroker::make_market_client(
   return client;
 }
 
-void EdgeBroker::absorb(const EdgeClient& client) {
-  // Split the absorbed stats: integer counters merge eagerly (commutative
-  // sums), floating-point totals are retained per tenant and re-summed in
-  // tenant-id order at stats() time so the roll-up does not depend on the
-  // completion order of worker threads.
-  EdgeClientStats cs = client.stats();
-  EdgeServerStats ss = client.server().stats();
-  AbsorbedTotals totals;
-  totals.client_elapsed_s = cs.total_elapsed_s;
-  totals.client_units = cs.units;
-  totals.client_own_service_s = cs.own_service_s;
-  totals.server_wait_s = ss.total_wait_s;
-  totals.server_service_s = ss.total_service_s;
-  cs.total_elapsed_s = 0.0;
-  cs.units = 0.0;
-  cs.own_service_s = 0.0;
-  ss.total_wait_s = 0.0;
-  ss.total_service_s = 0.0;
-
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_.client.merge(cs);
-  stats_.server.merge(ss);
-  AbsorbedTotals& acc = absorbed_[client.tenant()];
-  acc.client_elapsed_s += totals.client_elapsed_s;
-  acc.client_units += totals.client_units;
-  acc.client_own_service_s += totals.client_own_service_s;
-  acc.server_wait_s += totals.server_wait_s;
-  acc.server_service_s += totals.server_service_s;
-  ++stats_.clients_absorbed;
-}
-
-EdgeFleetStats EdgeBroker::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  EdgeFleetStats out = stats_;
-  // Deterministic re-summation: tenant-id order, whatever order the
-  // worker threads finished in.
-  for (const auto& [tenant, totals] : absorbed_) {
-    (void)tenant;
-    out.client.total_elapsed_s += totals.client_elapsed_s;
-    out.client.units += totals.client_units;
-    out.client.own_service_s += totals.client_own_service_s;
-    out.server.total_wait_s += totals.server_wait_s;
-    out.server.total_service_s += totals.server_service_s;
-  }
-  return out;
-}
-
 }  // namespace hbosim::edgesvc

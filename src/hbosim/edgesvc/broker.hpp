@@ -1,9 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string_view>
 
 #include "hbosim/edgesvc/edge_client.hpp"
@@ -15,10 +13,10 @@
 /// out per-session EdgeClients — each a deterministic mirror of the
 /// shared server whose background load scales with the tenant count, so
 /// what a session experiences depends only on (spec, tenant count,
-/// session seed), never on thread scheduling — and absorbs their
-/// statistics into a thread-safe fleet-wide roll-up (rejection rate,
-/// fallback rate, queue depth p95) that fleet::FleetMetrics reports next
-/// to ε/Q/B.
+/// session seed), never on thread scheduling. The fleet folds every
+/// client's statistics into an EdgeFleetStats on its main thread, in
+/// session-id order (rejection rate, fallback rate, queue depth p95),
+/// which fleet::FleetMetrics reports next to ε/Q/B.
 
 namespace hbosim::edgesvc {
 
@@ -36,7 +34,7 @@ struct EdgeServiceSpec {
   /// tenant (Little's-law style); scales the link's bandwidth sharing.
   double transfer_flows_per_tenant = 0.02;
   /// Salted into every client's Rng seed.
-  std::uint64_t seed_salt = 0xED6E5EEDull;
+  static constexpr std::uint64_t seed_salt = 0xED6E5EEDull;
 
   void validate() const;
 };
@@ -47,13 +45,12 @@ struct EdgeServiceSpec {
 /// link — the overload regime).
 EdgeServiceSpec edge_service_preset(std::string_view name);
 
-/// Fleet-wide aggregate of every client mirror absorbed so far. Server
+/// Fleet-wide aggregate of every session's client mirror. Server
 /// counters are summed across mirrors, so rates are per-mirror averages
 /// weighted by arrivals (each mirror simulates its own view of the box).
 struct EdgeFleetStats {
   EdgeClientStats client;
   EdgeServerStats server;
-  std::size_t clients_absorbed = 0;
 };
 
 class EdgeBroker {
@@ -88,38 +85,14 @@ class EdgeBroker {
       const marketsvc::TenantAllocation& alloc,
       std::uint64_t session_seed) const;
 
-  /// Fold a finished client's statistics into the fleet view
-  /// (thread-safe; call once per client, after its session completed).
-  /// Aggregation is order-independent: integer counters are commutative
-  /// sums, and floating-point totals are retained per tenant and re-summed
-  /// in tenant-id order at stats() time, so the roll-up is bitwise
-  /// identical no matter how absorb() calls interleave across threads.
-  void absorb(const EdgeClient& client);
-
-  EdgeFleetStats stats() const;
   const EdgeServiceSpec& spec() const { return spec_; }
   /// Background tenants each mirror simulates (sessions - 1 + extra).
   std::size_t background_tenants() const { return background_tenants_; }
 
  private:
-  /// Floating-point totals of one absorbed tenant, kept out of the eager
-  /// merge so stats() can sum them in a thread-count-invariant order.
-  struct AbsorbedTotals {
-    double client_elapsed_s = 0.0;
-    double client_units = 0.0;
-    double client_own_service_s = 0.0;
-    double server_wait_s = 0.0;
-    double server_service_s = 0.0;
-  };
-
   EdgeServiceSpec spec_;
   std::size_t background_tenants_;
   std::unique_ptr<marketsvc::JointAllocator> allocator_;
-
-  mutable std::mutex mu_;
-  EdgeFleetStats stats_;
-  /// Keyed by tenant id; std::map so stats() re-sums in sorted order.
-  std::map<std::uint64_t, AbsorbedTotals> absorbed_;
 };
 
 }  // namespace hbosim::edgesvc

@@ -11,16 +11,6 @@ namespace hbosim::edgesvc {
 void EdgeClientConfig::validate() const {
   HB_REQUIRE(std::isfinite(timeout_s) && timeout_s > 0.0,
              "edge client timeout_s must be positive");
-  HB_REQUIRE(max_attempts >= 1, "edge client max_attempts must be >= 1");
-  HB_REQUIRE(std::isfinite(backoff_base_s) && backoff_base_s >= 0.0,
-             "edge client backoff_base_s must be >= 0");
-  HB_REQUIRE(std::isfinite(backoff_mult) && backoff_mult >= 1.0,
-             "edge client backoff_mult must be >= 1");
-  HB_REQUIRE(std::isfinite(backoff_cap_s) && backoff_cap_s >= 0.0,
-             "edge client backoff_cap_s must be >= 0");
-  HB_REQUIRE(std::isfinite(backoff_jitter_frac) &&
-                 backoff_jitter_frac >= 0.0 && backoff_jitter_frac < 1.0,
-             "edge client backoff_jitter_frac must be in [0, 1)");
 }
 
 void EdgeClientStats::merge(const EdgeClientStats& other) {
@@ -78,10 +68,9 @@ EdgeResponse EdgeClient::perform(RequestClass cls, double units,
       timeout_override_s > 0.0 ? timeout_override_s : cfg_.timeout_s;
   const int max_attempts =
       max_attempts_override > 0 ? max_attempts_override : cfg_.max_attempts;
-  if (resolution_ != 1.0 && cls != RequestClass::RemoteBo) {
+  if (cls != RequestClass::RemoteBo) {
     // Market-trimmed tenant: mesh area (and with it server work and
-    // response size) shrinks with the resolution squared. Guarded so the
-    // default knob leaves the request path bitwise untouched.
+    // response size) shrinks with the resolution squared.
     const double area = resolution_ * resolution_;
     units *= area;
     payload_bytes = static_cast<std::uint64_t>(
@@ -98,8 +87,7 @@ EdgeResponse EdgeClient::perform(RequestClass cls, double units,
       ++stats_.retries;
       HB_TELEM_COUNT("edge.retries", 1.0);
       double backoff = nominal_backoff_s(attempt - 1);
-      if (cfg_.backoff_jitter_frac > 0.0)
-        backoff *= 1.0 + cfg_.backoff_jitter_frac * rng_.uniform(-1.0, 1.0);
+      backoff *= 1.0 + cfg_.backoff_jitter_frac * rng_.uniform(-1.0, 1.0);
       t += backoff;
     }
 

@@ -36,13 +36,14 @@ struct EdgeClientConfig {
   /// mesh download (a few MB over the default link) fits comfortably;
   /// queueing and loss are what push exchanges over it.
   double timeout_s = 1.5;
-  int max_attempts = 3;      ///< 1 initial try + (max_attempts - 1) retries.
-  double backoff_base_s = 0.05;
-  double backoff_mult = 2.0;
-  double backoff_cap_s = 1.0;
+  /// 1 initial try + (max_attempts - 1) retries.
+  static constexpr int max_attempts = 3;
+  static constexpr double backoff_base_s = 0.05;
+  static constexpr double backoff_mult = 2.0;
+  static constexpr double backoff_cap_s = 1.0;
   /// Backoff is scaled by a uniform factor in [1 - f, 1 + f] (decorrelates
-  /// retry storms across tenants); 0 disables jitter.
-  double backoff_jitter_frac = 0.1;
+  /// retry storms across tenants).
+  static constexpr double backoff_jitter_frac = 0.1;
   void validate() const;
 };
 
@@ -116,9 +117,9 @@ class EdgeClient {
   double nominal_backoff_s(int retry) const;
 
   /// Resolution knob assigned by the market (marketsvc): mesh-bearing
-  /// requests (Decimation, MeshTransfer) shrink with the resolution area,
-  /// scaling `units` and `payload_bytes` by r^2. At the default 1.0 the
-  /// request path is bitwise identical to a knob-free client.
+  /// requests (Decimation, MeshTransfer, AiInference) shrink with the
+  /// resolution area, scaling `units` and `payload_bytes` by r^2. At the
+  /// default 1.0 both scale by one, which is exact.
   void set_resolution(double r);
   double resolution() const { return resolution_; }
 

@@ -38,15 +38,6 @@ QueuePolicy queue_policy_from_name(std::string_view name) {
 
 void EdgeServerSpec::validate() const {
   HB_REQUIRE(cores >= 1, "edge server needs at least one core");
-  HB_REQUIRE(std::isfinite(decimation_ms_per_mtri) &&
-                 decimation_ms_per_mtri >= 0.0,
-             "decimation_ms_per_mtri must be finite and >= 0");
-  HB_REQUIRE(std::isfinite(bo_suggest_ms) && bo_suggest_ms >= 0.0,
-             "bo_suggest_ms must be finite and >= 0");
-  HB_REQUIRE(std::isfinite(mesh_ms_per_mtri) && mesh_ms_per_mtri >= 0.0,
-             "mesh_ms_per_mtri must be finite and >= 0");
-  HB_REQUIRE(std::isfinite(ai_ms_per_unit) && ai_ms_per_unit >= 0.0,
-             "ai_ms_per_unit must be finite and >= 0");
 }
 
 double EdgeServerSpec::service_seconds(RequestClass cls, double units) const {
@@ -64,15 +55,8 @@ double EdgeServerSpec::service_seconds(RequestClass cls, double units) const {
 void BackgroundLoadConfig::validate() const {
   HB_REQUIRE(std::isfinite(per_tenant_rps) && per_tenant_rps >= 0.0,
              "background per_tenant_rps must be finite and >= 0");
-  HB_REQUIRE(decimation_weight >= 0.0 && bo_weight >= 0.0 &&
-                 mesh_weight >= 0.0,
-             "background class weights must be >= 0");
-  HB_REQUIRE(decimation_weight + bo_weight + mesh_weight > 0.0,
-             "background class weights sum to zero");
   HB_REQUIRE(std::isfinite(mean_units) && mean_units > 0.0,
              "background mean_units must be positive");
-  HB_REQUIRE(std::isfinite(deadline_s) && deadline_s > 0.0,
-             "background deadline_s must be positive");
 }
 
 double EdgeServerStats::rejection_rate() const {

@@ -22,8 +22,8 @@
 /// background arrival process standing in for the other N-1 tenants.
 /// Contention is therefore statistical (load grows with the configured
 /// tenant count), not causal across sessions — the price of exact replay.
-/// The thread-safe EdgeBroker aggregates every mirror's statistics into
-/// the fleet-wide view (see broker.hpp).
+/// The fleet folds every mirror's statistics into the fleet-wide view
+/// (edgesvc::EdgeFleetStats, see broker.hpp).
 ///
 /// A session request is resolved synchronously at submit(): the mirror
 /// catches its virtual clock up to the arrival time (admitting background
@@ -62,13 +62,15 @@ struct EdgeServerSpec {
 
   /// Per-class service-time models. Decimation and mesh transfers scale
   /// with the request's size in mega-triangles; a BO suggest is flat.
-  double decimation_ms_per_mtri = 35.0;  ///< Matches the legacy service.
-  double bo_suggest_ms = 2.0;            ///< Matches RemoteOptimizerConfig.
-  double mesh_ms_per_mtri = 4.0;         ///< Framing/compression cost.
+  /// edge::DecimationService's closed form prices its misses with
+  /// decimation_ms_per_mtri too.
+  static constexpr double decimation_ms_per_mtri = 35.0;
+  static constexpr double bo_suggest_ms = 2.0;     ///< One remote suggest.
+  static constexpr double mesh_ms_per_mtri = 4.0;  ///< Framing/compression.
   /// Server milliseconds per device-millisecond of offloaded inference
   /// demand (AiInference `units`). 0.25 models an edge core ~4x faster
   /// than the device accelerator the demand was profiled on.
-  double ai_ms_per_unit = 0.25;
+  static constexpr double ai_ms_per_unit = 0.25;
 
   void validate() const;
   double service_seconds(RequestClass cls, double units) const;
@@ -79,12 +81,13 @@ struct EdgeServerSpec {
 struct BackgroundLoadConfig {
   double per_tenant_rps = 0.4;  ///< Poisson arrival rate per tenant (req/s).
   /// Class mix weights (need not be normalized).
-  double decimation_weight = 0.7;
-  double bo_weight = 0.2;
-  double mesh_weight = 0.1;
+  static constexpr double decimation_weight = 0.7;
+  static constexpr double bo_weight = 0.2;
+  static constexpr double mesh_weight = 0.1;
   double mean_units = 0.15;   ///< Exponential mean request size (mtri).
-  double deadline_s = 0.25;   ///< Background clients' patience (for
-                              ///< deadline-ordered queues and shedding).
+  /// Background clients' patience (for deadline-ordered queues and
+  /// shedding).
+  static constexpr double deadline_s = 0.25;
   void validate() const;
 };
 
@@ -128,7 +131,7 @@ struct EdgeServerStats {
   double mean_wait_s() const;
   /// Depth below which 95% of arrivals found the queue.
   double queue_depth_p95() const;
-  /// Element-wise accumulate (for the broker's fleet-wide roll-up).
+  /// Element-wise accumulate (for the fleet-wide roll-up).
   void merge(const EdgeServerStats& other);
 };
 

@@ -32,8 +32,6 @@ void LinkModelConfig::validate() const {
   require_prob(loss_bad, "link loss_bad");
   HB_REQUIRE(std::isfinite(background_flows) && background_flows >= 0.0,
              "link background_flows must be finite and >= 0");
-  HB_REQUIRE(std::isfinite(share_weight) && share_weight >= 0.0,
-             "link share_weight must be finite and >= 0");
 }
 
 LinkModel::LinkModel(LinkModelConfig cfg) : cfg_(cfg) { cfg_.validate(); }
@@ -46,47 +44,6 @@ double LinkModel::effective_mbit_per_s() const {
 double LinkModel::nominal_seconds(std::uint64_t payload_bytes) const {
   const double bits = static_cast<double>(payload_bytes) * 8.0;
   return cfg_.rtt_ms * 1e-3 + bits / (effective_mbit_per_s() * 1e6);
-}
-
-void LinkModel::begin_transfer(std::uint64_t payload_bytes, double now_s) {
-  HB_REQUIRE(std::isfinite(now_s) && now_s >= 0.0,
-             "link transfer start time must be finite and >= 0");
-  transfer_active_ = true;
-  transfer_remaining_bits_ = static_cast<double>(payload_bytes) * 8.0;
-  transfer_settled_s_ = now_s;
-}
-
-void LinkModel::settle_transfer(double now_s) {
-  if (!transfer_active_) return;
-  HB_REQUIRE(now_s >= transfer_settled_s_,
-             "link transfer progress cannot be settled backwards");
-  transfer_remaining_bits_ -=
-      (now_s - transfer_settled_s_) * effective_mbit_per_s() * 1e6;
-  transfer_settled_s_ = now_s;
-  if (transfer_remaining_bits_ <= 0.0) {
-    transfer_remaining_bits_ = 0.0;
-    transfer_active_ = false;
-  }
-}
-
-double LinkModel::transfer_remaining_bytes(double now_s) {
-  settle_transfer(now_s);
-  return transfer_remaining_bits_ / 8.0;
-}
-
-double LinkModel::transfer_completion_s() const {
-  HB_REQUIRE(transfer_active_, "no link transfer in flight");
-  return transfer_settled_s_ +
-         transfer_remaining_bits_ / (effective_mbit_per_s() * 1e6);
-}
-
-void LinkModel::set_background_flows(double flows, double now_s) {
-  HB_REQUIRE(std::isfinite(flows) && flows >= 0.0,
-             "link background_flows must be finite and >= 0");
-  if (flows == cfg_.background_flows) return;  // strict no-op, like
-                                               // PsResource::set_capacity
-  settle_transfer(now_s);  // earned progress settles at the OLD rate
-  cfg_.background_flows = flows;
 }
 
 LinkSample LinkModel::sample(std::uint64_t payload_bytes, Rng& rng) {

@@ -23,8 +23,8 @@
 /// using a LinkModel stays bit-identical run to run and across thread
 /// counts (the fleet determinism guarantee). With jitter, loss, and
 /// background flows all zero, sample() degenerates to exactly the
-/// closed-form nominal_seconds() — the delay edge::DecimationService and
-/// edge::RemoteOptimizerLink charge on their closed-form paths.
+/// closed-form nominal_seconds() — the delay edge::DecimationService
+/// charges on its closed-form path.
 
 namespace hbosim::edgesvc {
 
@@ -44,7 +44,7 @@ struct LinkModelConfig {
   /// Concurrent background transfers sharing the downlink (fair-share:
   /// effective throughput = mbit_per_s / (1 + share_weight * flows)).
   double background_flows = 0.0;
-  double share_weight = 1.0;
+  static constexpr double share_weight = 1.0;
 
   /// Throws hbosim::Error on non-finite or out-of-range values — in
   /// particular a zero/near-zero throughput, which would turn payload
@@ -78,42 +78,12 @@ class LinkModel {
   /// Throughput after fair-sharing with the background flows.
   double effective_mbit_per_s() const;
 
-  // --- Progress-tracked streaming transfer ------------------------------
-  // A transfer whose fair share may change mid-flight (the allocator
-  // admits or evicts tenants while bytes are still moving). Progress
-  // accrues at the effective throughput in force, so a rate change first
-  // settles the bytes already earned at the OLD rate — the same contract
-  // as des::PsResource::set_capacity.
-
-  /// Start tracking one downlink transfer at simulated time `now_s`
-  /// (replaces any transfer still in flight).
-  void begin_transfer(std::uint64_t payload_bytes, double now_s);
-  bool transfer_active() const { return transfer_active_; }
-  /// Bytes still outstanding once progress is settled up to `now_s`.
-  double transfer_remaining_bytes(double now_s);
-  /// Absolute completion time of the in-flight transfer at the current
-  /// effective throughput; marks the transfer done once it is reached.
-  double transfer_completion_s() const;
-
-  /// Re-share the downlink (the background flow count changed because the
-  /// allocator admitted/evicted tenants). Settles in-flight progress at
-  /// the OLD rate up to `now_s` before the new rate takes effect, and is
-  /// a strict no-op when the value is unchanged — mirroring
-  /// des::PsResource::set_capacity semantics.
-  void set_background_flows(double flows, double now_s);
-
   bool in_bad_state() const { return bad_; }
   const LinkModelConfig& config() const { return cfg_; }
 
  private:
-  void settle_transfer(double now_s);
-
   LinkModelConfig cfg_;
   bool bad_ = false;  ///< Gilbert-Elliott state.
-
-  bool transfer_active_ = false;
-  double transfer_remaining_bits_ = 0.0;
-  double transfer_settled_s_ = 0.0;  ///< Progress accrued up to here.
 };
 
 }  // namespace hbosim::edgesvc

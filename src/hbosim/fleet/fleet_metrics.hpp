@@ -142,8 +142,8 @@ struct FleetMetrics {
   SharedSolutionPoolStats pool;  ///< Zeroed when no pool was attached.
 
   /// Health of the shared edge service, rolled up from every session's
-  /// mirror (see edgesvc::EdgeBroker). All-zero when the fleet ran
-  /// without an edge service.
+  /// mirror in session-id order (see edgesvc::EdgeFleetStats). All-zero
+  /// when the fleet ran without an edge service.
   struct EdgeHealth {
     bool enabled = false;
     std::uint64_t requests = 0;
@@ -288,8 +288,8 @@ class FleetAccumulator {
   std::size_t sessions() const { return count_; }
 
   /// Produce the fleet-wide metrics. `wall_seconds` is the end-to-end
-  /// fleet run time; pass the broker's stats as `edge` when the fleet
-  /// shared an edge service (null → edge health left zeroed).
+  /// fleet run time; pass the sessions' merged edge stats as `edge` when
+  /// the fleet shared an edge service (null → edge health left zeroed).
   FleetMetrics finalize(double wall_seconds,
                         const SharedSolutionPoolStats& pool = {},
                         const edgesvc::EdgeFleetStats* edge = nullptr) const;
@@ -325,8 +325,8 @@ class FleetAccumulator {
 /// implemented as a FleetAccumulator(Exact) pass over `sessions`.
 /// `wall_seconds` is the end-to-end fleet run time (not the sum of
 /// per-session times, which overlap under multi-threading). Pass the
-/// broker's stats as `edge` when the fleet shared an edge service (null →
-/// edge health left zeroed).
+/// sessions' merged edge stats as `edge` when the fleet shared an edge
+/// service (null → edge health left zeroed).
 FleetMetrics aggregate_fleet(const std::vector<SessionResult>& sessions,
                              double wall_seconds,
                              const SharedSolutionPoolStats& pool = {},

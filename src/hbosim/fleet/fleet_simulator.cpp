@@ -106,24 +106,21 @@ void FleetSpec::validate() const {
     HB_REQUIRE(market.epoch_sessions >= 1,
                "FleetSpec::market.epoch_sessions needs at least one "
                "session per broker tick");
-    market.allocator.validate();
   }
   if (offload.enabled) {
     // Misconfigured offload fails loudly up front, mirroring the market
     // block above: each rejected combination would otherwise run and
     // silently produce meaningless results.
-    offload.validate();
     HB_REQUIRE(use_edge_service,
                "FleetSpec::offload requires use_edge_service — the edge "
                "coordinate of the 4-target simplex routes inferences to "
                "the session's edge mirror, so there is nothing to offload "
                "to without one (set use_edge_service and FleetSpec::edge, "
                "or disable FleetSpec::offload)");
-    HB_REQUIRE(!(offload.radio_w > 0.0) || use_power_model,
-               "FleetSpec::offload.radio_w charges radio energy to the "
-               "session battery, which needs use_power_model — enable the "
-               "power model or set offload.radio_w = 0 to study latency "
-               "without the energy term");
+    HB_REQUIRE(use_power_model,
+               "FleetSpec::offload charges radio energy to the session "
+               "battery, which needs use_power_model — enable the power "
+               "model");
     HB_REQUIRE(!market.enabled,
                "FleetSpec::offload and FleetSpec::market cannot run "
                "together — the JointAllocator's decided background does "
@@ -141,7 +138,6 @@ void FleetSpec::validate() const {
                "policy epochs need at least one session — the policy layer "
                "and the shared pool freeze every policy.epoch_sessions "
                "sessions");
-    if (policy.mode == PolicyMode::Prior) policy.prior.validate();
     if (policy.mode == PolicyMode::Bandit) {
       policy.bandit.validate();
       HB_REQUIRE(!use_shared_pool,
@@ -153,10 +149,6 @@ void FleetSpec::validate() const {
   if (sched.enabled) {
     HB_REQUIRE(sched.capacity_per_resource >= 1,
                "sched trace ring needs at least one slot");
-    HB_REQUIRE(sched_analysis.starvation_k > 0.0,
-               "sched starvation k must be positive");
-    HB_REQUIRE(sched_analysis.min_wait_floor_s >= 0.0,
-               "sched wait floor must be non-negative");
     HB_REQUIRE(sched_analysis.fairness_window_s > 0.0,
                "sched fairness window must be positive");
   }
@@ -297,20 +289,16 @@ PolicySessionOutput FleetSimulator::run_policy_session_impl(
         spec_.offload, *edge_client, app->sim(), app->power());
     app->set_remote_executor(offloader->executor());
   }
-  if (market != nullptr && market->resolution != 1.0) {
-    // The assigned resolution trims perceived quality (r^gamma) on top of
-    // the r^2 payload/work scaling the edge client applies.
-    app->set_quality_scale(std::pow(
-        market->resolution, broker_->market().config().resolution_gamma));
-  } else if (market == nullptr && edge_client &&
-             spec_.edge_static_resolution != 1.0) {
-    // Static-trim baseline: the same r^2 shedding and r^gamma quality
-    // scale a market session applies, minus the joint allocation — the
-    // mirror background stays the full-resolution static guess.
-    edge_client->set_resolution(spec_.edge_static_resolution);
-    app->set_quality_scale(std::pow(
-        spec_.edge_static_resolution,
-        spec_.market.allocator.resolution_gamma));
+  if (edge_client) {
+    // The resolution knob — the market's decision, else the static trim,
+    // whose mirror background stays the full-resolution static guess —
+    // sheds r^2 of the client's mesh work and payload and scales perceived
+    // quality by r^gamma. At r = 1 both scale by one, which is exact.
+    const double r =
+        market != nullptr ? market->resolution : spec_.edge_static_resolution;
+    edge_client->set_resolution(r);
+    app->set_quality_scale(
+        std::pow(r, marketsvc::MarketConfig::resolution_gamma));
   }
 
   if (bandit) {
@@ -417,7 +405,8 @@ PolicySessionOutput FleetSimulator::run_policy_session_impl(
     out.edge_units = es.units;
     out.edge_service_s = es.own_service_s;
     out.edge_elapsed_s = es.total_elapsed_s;
-    broker_->absorb(*edge_client);
+    output.edge_client = es;
+    output.edge_server = edge_client->server().stats();
   }
   if (offloader) {
     const ai::InferenceEngine& eng = app->engine();
@@ -536,16 +525,22 @@ FleetResult FleetSimulator::run() {
   std::shared_ptr<const PoolSnapshot> pool_snapshot;
   std::uint64_t pool_hits = 0;
   std::uint64_t pool_misses = 0;
+  edgesvc::EdgeFleetStats edge_stats;
 
   // Every completed session flows through here on the main thread, in
-  // session-id order: it feeds the allocator and the learners, then the
-  // roll-up, which keeps the streaming percentiles (and any on_progress
-  // heartbeat) deterministic regardless of worker scheduling. get()
-  // rethrows any session failure to the caller.
+  // session-id order: it feeds the allocator, the learners and the edge
+  // roll-up, then the metrics roll-up, which keeps the streaming
+  // percentiles, the edge sums (and any on_progress heartbeat)
+  // deterministic regardless of worker scheduling. get() rethrows any
+  // session failure to the caller.
   auto consume_next = [&] {
     PolicySessionOutput o = inflight.front().get();
     inflight.pop_front();
     SessionResult& r = o.result;
+    if (broker_) {
+      edge_stats.client.merge(o.edge_client);
+      edge_stats.server.merge(o.edge_server);
+    }
     if (allocator != nullptr) {
       marketsvc::MeasuredUsage usage;
       usage.payload_bytes = r.edge_payload_bytes;
@@ -625,8 +620,6 @@ FleetResult FleetSimulator::run() {
     pool_stats.hits = pool_hits;
     pool_stats.misses = pool_misses;
   }
-  const edgesvc::EdgeFleetStats edge_stats =
-      broker_ ? broker_->stats() : edgesvc::EdgeFleetStats{};
   out.metrics = acc.finalize(seconds_since(t0), pool_stats,
                              broker_ ? &edge_stats : nullptr);
   if (spec_.market.enabled) {

@@ -82,8 +82,10 @@ struct FleetPolicyConfig {
   /// and the learners absorb traffic as sessions are consumed. Smaller
   /// epochs learn faster but serialize more.
   std::size_t epoch_sessions = 32;
-  policy::PriorStoreConfig prior;  ///< Mode Prior knobs.
-  policy::BanditConfig bandit;     ///< Mode Bandit knobs.
+  /// Mode Prior's store constants (nothing settable; the PriorStore
+  /// constructor takes the type).
+  policy::PriorStoreConfig prior;
+  policy::BanditConfig bandit;  ///< Mode Bandit knobs.
 };
 
 /// The edge as an actor (hbosim::marketsvc): per-epoch broker ticks of a
@@ -101,7 +103,7 @@ struct FleetMarketConfig {
   bool enabled = false;
   /// Tenants per broker tick (one allocation round per epoch).
   std::size_t epoch_sessions = 32;
-  /// Policy, budgets, pricing knobs (see marketsvc::MarketConfig).
+  /// Policy (budgets and pricing are marketsvc::MarketConfig constants).
   marketsvc::MarketConfig allocator;
 };
 
@@ -162,8 +164,8 @@ struct FleetSpec {
   /// hbosim::offload): with offload.enabled each session searches the
   /// 4-target CPU/GPU/NPU/edge simplex and routes the decided share of
   /// its inferences to its deterministic edge mirror, with radio energy
-  /// charged to the session battery. Requires use_edge_service; radio
-  /// accounting (radio_w > 0) additionally requires use_power_model.
+  /// charged to the session battery. Requires use_edge_service and
+  /// use_power_model.
   /// Mutually exclusive with market.enabled and PolicyMode::Bandit (see
   /// FleetSpec::validate for why). Disabled (the default), every session
   /// result is bit-identical to the pre-offload fleet.
@@ -187,7 +189,8 @@ struct FleetSpec {
   /// tests), and the roll-up uses only order-independent reductions so
   /// 1-vs-N-thread fleets agree exactly.
   des::SchedTraceConfig sched;
-  /// Starvation-k / fairness-window knobs for the per-session analysis.
+  /// Fairness-window width for the per-session analysis (the starvation
+  /// k and wait floor are SchedAnalyzerConfig constants).
   des::SchedAnalyzerConfig sched_analysis;
 
   /// Keep every SessionResult in FleetResult::sessions (the historical
@@ -255,6 +258,10 @@ struct PolicySessionOutput {
   std::vector<PooledSolution> published;
   std::uint64_t pool_hits = 0;
   std::uint64_t pool_misses = 0;
+  /// Edge fleets: the session's client and server-mirror statistics,
+  /// which the main thread folds into the fleet's EdgeFleetStats.
+  edgesvc::EdgeClientStats edge_client;
+  edgesvc::EdgeServerStats edge_server;
 };
 
 class FleetSimulator {
@@ -306,8 +313,6 @@ class FleetSimulator {
   FleetResult run();
 
   const FleetSpec& spec() const { return spec_; }
-  /// Null unless use_edge_service; reset at the start of every run().
-  const edgesvc::EdgeBroker* edge_broker() const { return broker_.get(); }
   /// Null unless policy mode Prior; reset at the start of every run().
   const policy::PriorStore* prior_store() const { return prior_store_.get(); }
   /// Null unless policy mode Bandit; reset at the start of every run().

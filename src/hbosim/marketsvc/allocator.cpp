@@ -12,7 +12,6 @@ JointAllocator::JointAllocator(MarketConfig cfg, double cores,
                                double link_mbit_per_s,
                                double service_s_per_unit)
     : cfg_(cfg), cores_(cores), link_mbit_per_s_(link_mbit_per_s) {
-  cfg_.validate();
   HB_REQUIRE(cores_ > 0.0, "JointAllocator: cores must be positive");
   HB_REQUIRE(link_mbit_per_s_ > 0.0,
              "JointAllocator: link_mbit_per_s must be positive");

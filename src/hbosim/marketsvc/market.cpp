@@ -32,34 +32,4 @@ MarketPolicy market_policy_from_name(std::string_view name) {
                         "' (expected pf, maxmin or price)");
 }
 
-void MarketConfig::validate() const {
-  HB_REQUIRE(min_resolution > 0.0 && min_resolution <= 1.0,
-             "MarketConfig::min_resolution must be in (0, 1]");
-  HB_REQUIRE(resolution_gamma > 0.0,
-             "MarketConfig::resolution_gamma must be positive");
-  HB_REQUIRE(max_link_activity > 0.0,
-             "MarketConfig::max_link_activity must be positive");
-  HB_REQUIRE(
-      max_compute_utilization > 0.0 && max_compute_utilization <= 1.0,
-      "MarketConfig::max_compute_utilization must be in (0, 1]");
-  HB_REQUIRE(demand_smoothing > 0.0 && demand_smoothing <= 1.0,
-             "MarketConfig::demand_smoothing must be in (0, 1]");
-  HB_REQUIRE(initial_flow_activity > 0.0,
-             "MarketConfig::initial_flow_activity must be positive");
-  HB_REQUIRE(initial_request_rps > 0.0,
-             "MarketConfig::initial_request_rps must be positive");
-  HB_REQUIRE(initial_mean_units > 0.0,
-             "MarketConfig::initial_mean_units must be positive");
-  HB_REQUIRE(initial_price > 0.0,
-             "MarketConfig::initial_price must be positive");
-  HB_REQUIRE(price_step > 0.0, "MarketConfig::price_step must be positive");
-  HB_REQUIRE(max_price_step > 0.0 && max_price_step < 1.0,
-             "MarketConfig::max_price_step must be in (0, 1)");
-  HB_REQUIRE(min_price > 0.0, "MarketConfig::min_price must be positive");
-  HB_REQUIRE(tenant_budget > 0.0,
-             "MarketConfig::tenant_budget must be positive");
-  HB_REQUIRE(denied_bandwidth_frac > 0.0 && denied_bandwidth_frac <= 1.0,
-             "MarketConfig::denied_bandwidth_frac must be in (0, 1]");
-}
-
 }  // namespace hbosim::marketsvc

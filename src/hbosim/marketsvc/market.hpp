@@ -56,48 +56,45 @@ struct MarketConfig {
   MarketPolicy policy = MarketPolicy::ProportionalFair;
 
   /// Floor of the resolution knob (Constraint-10 analogue for resolution).
-  double min_resolution = 0.35;
+  static constexpr double min_resolution = 0.35;
   /// Perceived quality of a tenant running at resolution r is scaled by
   /// r^resolution_gamma (gamma < 1: perceptual diminishing returns).
-  double resolution_gamma = 0.6;
+  static constexpr double resolution_gamma = 0.6;
 
   /// Link congestion budget: the decided concurrent background flow
   /// activity (sum over admitted tenants of f_i * r_i^2) may not exceed
   /// this, so any active transfer is guaranteed at least
   /// 1 / (1 + max_link_activity) of the shared downlink.
-  double max_link_activity = 2.0;
+  static constexpr double max_link_activity = 2.0;
   /// Compute budget as a fraction of EdgeServerSpec cores the decided
   /// aggregate service demand may occupy.
-  double max_compute_utilization = 0.75;
+  static constexpr double max_compute_utilization = 0.75;
 
   /// EWMA weight for folding measured per-tenant usage into the demand
   /// estimates the next tick allocates against.
-  double demand_smoothing = 0.25;
+  static constexpr double demand_smoothing = 0.25;
   /// Demand estimates before anything was measured: expected concurrent
   /// downlink flows per tenant at r = 1 (matches the legacy mirror's
   /// transfer_flows_per_tenant default), edge requests per second, and
   /// mean request size in mega-triangles.
-  double initial_flow_activity = 0.02;
-  double initial_request_rps = 0.4;
-  double initial_mean_units = 0.15;
+  static constexpr double initial_flow_activity = 0.02;
+  static constexpr double initial_request_rps = 0.4;
+  static constexpr double initial_mean_units = 0.15;
 
-  // --- Pricing-policy knobs (ignored by PF / MaxMin) ---------------------
+  // --- Pricing policy (ignored by PF / MaxMin) ----------------------------
   /// Initial posted price per unit of flow activity.
-  double initial_price = 0.5;
+  static constexpr double initial_price = 0.5;
   /// Tatonnement step: price multiplies by (1 + step * excess_demand) per
   /// tick, clamped to +-max_price_step.
-  double price_step = 0.5;
-  double max_price_step = 0.5;
-  double min_price = 1e-3;
+  static constexpr double price_step = 0.5;
+  static constexpr double max_price_step = 0.5;
+  static constexpr double min_price = 1e-3;
   /// Per-tenant spending budget (the willingness-to-pay weight).
-  double tenant_budget = 1.0;
+  static constexpr double tenant_budget = 1.0;
   /// Denied tenants keep a scavenger-class link share: this fraction of
   /// the nominal downlink (their requests mostly time out into on-device
   /// LOD fallbacks, which is the point of denying them).
-  double denied_bandwidth_frac = 0.01;
-
-  /// Throws hbosim::Error on nonsense.
-  void validate() const;
+  static constexpr double denied_bandwidth_frac = 0.01;
 };
 
 /// One tenant's demand as the allocator sees it at a tick. Non-positive

@@ -9,24 +9,6 @@
 
 namespace hbosim::offload {
 
-void OffloadConfig::validate() const {
-  HB_REQUIRE(std::isfinite(max_edge_share) && max_edge_share >= 0.0 &&
-                 max_edge_share <= 1.0,
-             "offload max_edge_share must be in [0, 1]");
-  HB_REQUIRE(std::isfinite(min_edge_share) && min_edge_share >= 0.0 &&
-                 min_edge_share <= 1.0,
-             "offload min_edge_share must be in [0, 1]");
-  HB_REQUIRE(std::isfinite(units_per_device_ms) && units_per_device_ms > 0.0,
-             "offload units_per_device_ms must be positive");
-  HB_REQUIRE(std::isfinite(radio_w) && radio_w >= 0.0,
-             "offload radio_w must be finite and >= 0");
-  HB_REQUIRE(std::isfinite(radio_idle_w) && radio_idle_w >= 0.0,
-             "offload radio_idle_w must be finite and >= 0");
-  HB_REQUIRE(std::isfinite(timeout_s) && timeout_s > 0.0,
-             "offload timeout_s must be positive");
-  HB_REQUIRE(max_attempts >= 1, "offload max_attempts must be >= 1");
-}
-
 std::vector<double> plan_task_shares(double edge_share,
                                      std::span<const double> expected_ms) {
   const std::size_t n = expected_ms.size();
@@ -53,9 +35,7 @@ std::vector<double> plan_task_shares(double edge_share,
 OffloadExecutor::OffloadExecutor(OffloadConfig cfg, edgesvc::EdgeClient& client,
                                  des::Simulator& sim,
                                  power::PowerManager* power)
-    : cfg_(cfg), client_(client), sim_(sim), power_(power) {
-  cfg_.validate();
-}
+    : cfg_(cfg), client_(client), sim_(sim), power_(power) {}
 
 ai::RemoteResult OffloadExecutor::execute(const ai::AiTask& task,
                                           double demand_s) {

@@ -18,7 +18,7 @@
 /// use being imposed from outside the search.
 ///
 /// The subsystem is three small pieces:
-///  - OffloadConfig: the session knobs (validated up front, fleet-style);
+///  - OffloadConfig: the session switch and its constants;
 ///  - plan_task_shares(): the deterministic mapping from the sampled edge
 ///    coordinate to per-AI-task remote fractions;
 ///  - OffloadExecutor: the ai::InferenceEngine::RemoteExecutor backend

@@ -5,15 +5,17 @@
 #include <vector>
 
 /// \file offload_config.hpp
-/// The dependency-light half of hbosim::offload: the session knobs and
-/// the pure edge-share → per-task plan mapping. core::HboConfig and
-/// fleet::FleetSpec embed OffloadConfig from here; the executor that
-/// actually talks to edgesvc/power lives in offload.hpp so that config
-/// consumers do not drag the whole runtime stack into their includes.
+/// The dependency-light half of hbosim::offload: the session switch, its
+/// constants and the pure edge-share → per-task plan mapping.
+/// core::HboConfig and fleet::FleetSpec embed OffloadConfig from here; the
+/// executor that actually talks to edgesvc/power lives in offload.hpp so
+/// that config consumers do not drag the whole runtime stack into their
+/// includes.
 
 namespace hbosim::offload {
 
-/// Per-session (or fleet-wide, via FleetSpec::offload) offload knobs.
+/// Per-session (or fleet-wide, via FleetSpec::offload) offload switch and
+/// the constants an enabled session runs with.
 struct OffloadConfig {
   /// Master switch: grows the HBO simplex to CPU/GPU/NPU/edge and wires
   /// the remote executor. Off = bitwise pre-offload behavior.
@@ -23,7 +25,7 @@ struct OffloadConfig {
   /// controller clamps the edge share to this before planning. 1.0 lets
   /// HBO offload every inference; lower values model an operator policy
   /// ("at most 40% of AI traffic may leave the device").
-  double max_edge_share = 1.0;
+  static constexpr double max_edge_share = 1.0;
 
   /// Sampled edge shares below this snap to exactly 0 (offload off for
   /// that configuration). Continuous simplex samples almost never hit
@@ -32,34 +34,34 @@ struct OffloadConfig {
   /// radio wakeups; with it, "don't offload" is a reachable decision.
   /// Mirrors real deployments that gate offload below a minimum
   /// worthwhile batch fraction.
-  double min_edge_share = 0.05;
+  static constexpr double min_edge_share = 0.05;
 
   /// Edge-request size per device-millisecond of inference demand, in
   /// edgesvc AiInference `units`. 1.0 means a 30 ms on-device inference
   /// posts 30 units (the server then applies its ai_ms_per_unit speed
   /// ratio); raise it to model chattier models, lower it for compact
   /// feature-upload pipelines.
-  double units_per_device_ms = 1.0;
+  static constexpr double units_per_device_ms = 1.0;
 
   /// Downlink response size (detection boxes / feature maps) before the
   /// client's resolution knob scales it — market-trimmed tenants upload
   /// smaller frames and receive proportionally smaller responses.
-  std::uint64_t payload_bytes = 24 * 1024;
+  static constexpr std::uint64_t payload_bytes = 24 * 1024;
 
   /// Radio power while bits are on the air (W): charged for the
   /// exchange's link time (EdgeResponse::link_s) via
   /// power::PowerManager::add_external_energy_j, so a lossy link makes
   /// offloading *cost* energy instead of saving it and the w_energy term
-  /// can learn that. 0 (or no power model) tracks the energy in stats
+  /// can learn that. Without a power model the energy is tracked in stats
   /// only.
-  double radio_w = 0.8;
+  static constexpr double radio_w = 0.8;
 
   /// Radio power while the client idle-listens for the rest of the
   /// exchange — server queueing/service and loss timeouts (W). Modern
   /// radios drop to an RRC-connected listen state there; charging them
   /// full TX power would make every queued exchange look like a
-  /// transfer. Charged with radio_w (same guard: needs radio_w path).
-  double radio_idle_w = 0.12;
+  /// transfer.
+  static constexpr double radio_idle_w = 0.12;
 
   /// Per-exchange response deadline (s). An inference answer is only
   /// useful inside the frame budget, so offload exchanges give up far
@@ -67,14 +69,11 @@ struct OffloadConfig {
   /// passed to EdgeClient::perform as a per-call override. Keeps a
   /// congested link's worst case bounded at one short stall instead of
   /// multi-second retry storms.
-  double timeout_s = 0.25;
+  static constexpr double timeout_s = 0.25;
 
-  /// Attempt budget per exchange. Default 1: retrying a stale frame is
+  /// Attempt budget per exchange. One: retrying a stale frame is
   /// pointless — miss the deadline once and the local fallback runs.
-  int max_attempts = 1;
-
-  /// Throws hbosim::Error naming the offending knob.
-  void validate() const;
+  static constexpr int max_attempts = 1;
 };
 
 /// Map the sampled edge-simplex coordinate to per-task remote fractions.

@@ -10,13 +10,9 @@ namespace hbosim::policy {
 
 void BanditConfig::validate() const {
   HB_REQUIRE(alpha >= 0.0, "UCB alpha must be non-negative");
-  HB_REQUIRE(ridge_lambda > 0.0, "ridge lambda must be positive");
-  for (double t : triangle_levels)
-    HB_REQUIRE(t > 0.0 && t <= 1.0, "triangle levels must lie in (0, 1]");
 }
 
-std::vector<std::vector<double>> make_arm_grid(
-    double r_min, const std::vector<double>& triangle_levels) {
+std::vector<std::vector<double>> make_arm_grid(double r_min) {
   HB_REQUIRE(r_min > 0.0 && r_min <= 1.0, "r_min must lie in (0, 1]");
   constexpr std::size_t n = soc::kNumDelegates;
 
@@ -38,15 +34,13 @@ std::vector<std::vector<double>> make_arm_grid(
   // Centroid: even split across all delegates.
   cs.emplace_back(n, 1.0 / static_cast<double>(n));
 
-  std::vector<double> levels = triangle_levels;
-  if (levels.empty()) {
-    constexpr int k = 4;
-    for (int i = 0; i < k; ++i) {
-      // Endpoint-exact interpolation: r_min + (1-r_min)*t can exceed 1 by
-      // an ulp at t = 1, which the triangle distributor rejects.
-      const double t = static_cast<double>(i) / (k - 1);
-      levels.push_back((1.0 - t) * r_min + t * 1.0);
-    }
+  std::vector<double> levels;
+  constexpr int k = 4;
+  for (int i = 0; i < k; ++i) {
+    // Endpoint-exact interpolation: r_min + (1-r_min)*t can exceed 1 by
+    // an ulp at t = 1, which the triangle distributor rejects.
+    const double t = static_cast<double>(i) / (k - 1);
+    levels.push_back((1.0 - t) * r_min + t * 1.0);
   }
 
   std::vector<std::vector<double>> arms;

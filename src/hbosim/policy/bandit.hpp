@@ -28,20 +28,16 @@ struct BanditConfig {
   /// UCB exploration width (alpha). 0 = pure exploitation.
   double alpha = 0.8;
   /// Ridge regularizer on each arm's design matrix (A = lambda*I + ...).
-  double ridge_lambda = 1.0;
-  /// Triangle-ratio levels crossed with the simplex grid; filled from
-  /// [r_min, 1] when empty (see make_arm_grid).
-  std::vector<double> triangle_levels;
+  static constexpr double ridge_lambda = 1.0;
 
   void validate() const;  ///< Throws hbosim::Error on nonsense.
 };
 
 /// The fixed action grid: simplex vertices, edge midpoints, and the
-/// centroid for c (7 points for N=3), crossed with triangle-ratio levels
-/// (default 4 evenly spaced in [r_min, 1]) — 28 arms. Coarse by design:
-/// the bandit trades HBO's resolution for adaptation speed.
-std::vector<std::vector<double>> make_arm_grid(
-    double r_min, const std::vector<double>& triangle_levels = {});
+/// centroid for c (7 points for N=3), crossed with 4 triangle-ratio
+/// levels evenly spaced in [r_min, 1] — 28 arms. Coarse by design: the
+/// bandit trades HBO's resolution for adaptation speed.
+std::vector<std::vector<double>> make_arm_grid(double r_min);
 
 /// Observable context for arm selection: a pure read of the app (metrics
 /// snapshot + scene/taskset/device shape), no simulation time advanced.

@@ -10,14 +10,6 @@
 
 namespace hbosim::policy {
 
-void PriorStoreConfig::validate() const {
-  HB_REQUIRE(max_observations_per_key >= 1, "need a positive per-key cap");
-  HB_REQUIRE(max_observations_pooled >= 1, "need a positive pooled cap");
-  HB_REQUIRE(min_observations >= 2, "a prior needs at least two observations");
-  HB_REQUIRE(mean_bandwidth > 0.0, "mean bandwidth must be positive");
-  HB_REQUIRE(seed_separation >= 0.0, "seed separation must be non-negative");
-}
-
 namespace {
 
 double sq_distance(std::span<const double> a, std::span<const double> b) {
@@ -158,7 +150,7 @@ std::shared_ptr<const ScenarioPrior> PriorSnapshot::find(
 // ---------------------------------------------------------------------------
 // PriorStore
 
-PriorStore::PriorStore(PriorStoreConfig cfg) : cfg_(cfg) { cfg_.validate(); }
+PriorStore::PriorStore(PriorStoreConfig cfg) : cfg_(cfg) {}
 
 void PriorStore::Bucket::offer(std::span<const double> z, double cost,
                                std::size_t cap) {

@@ -47,30 +47,30 @@ struct PriorKey {
   auto operator<=>(const PriorKey&) const = default;
 };
 
+/// The store's constants. No value here is settable; the type stays
+/// because PriorStore and FleetPolicyConfig::prior take it.
 struct PriorStoreConfig {
   /// Retained observations per exact (device, scenario, env) key; beyond
   /// this, seeded reservoir sampling keeps an unbiased deterministic
   /// subsample (see `seed`).
-  std::size_t max_observations_per_key = 96;
+  static constexpr std::size_t max_observations_per_key = 96;
   /// Retained observations per pooled (device, scenario) fallback bucket,
   /// serving environments no exact key has covered yet.
-  std::size_t max_observations_pooled = 256;
+  static constexpr std::size_t max_observations_pooled = 256;
   /// Keys with fewer observations than this fit no prior (a mean function
   /// extrapolated from two points misleads more than a flat prior).
-  std::size_t min_observations = 6;
+  static constexpr std::size_t min_observations = 6;
   /// Gaussian bandwidth of the Nadaraya-Watson mean function, in z-space
   /// distance (the HBO simplex-box has diameter ~1.4).
-  double mean_bandwidth = 0.25;
+  static constexpr double mean_bandwidth = 0.25;
   /// Seed configurations a fitted prior offers the optimizer.
-  std::size_t max_seed_points = 4;
+  static constexpr std::size_t max_seed_points = 4;
   /// Minimum z-distance between two offered seed points (dedup).
-  double seed_separation = 0.05;
+  static constexpr double seed_separation = 0.05;
   /// Seeds the per-bucket reservoir replacement streams; every tie-break
   /// in the store derives from this and the record order, never from
   /// scheduling.
-  std::uint64_t seed = 0x9E1AC7ED5EEDull;
-
-  void validate() const;  ///< Throws hbosim::Error on nonsense.
+  static constexpr std::uint64_t seed = 0x9E1AC7ED5EEDull;
 };
 
 struct PriorStoreStats {

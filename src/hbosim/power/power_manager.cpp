@@ -24,11 +24,7 @@ GovernorSpec effective_governor(const DevicePowerModel& model,
 }  // namespace
 
 void PowerConfig::validate() const {
-  HB_REQUIRE(tick_s > 0.0, "power tick must be positive");
   HB_REQUIRE(ambient_sigma_c >= 0.0, "ambient sigma must be non-negative");
-  HB_REQUIRE(ambient_theta > 0.0, "ambient OU theta must be positive");
-  HB_REQUIRE(initial_soc >= 0.0 && initial_soc <= 1.0,
-             "initial SoC must be in [0,1]");
   if (throttle_temp_c >= 0.0 && release_temp_c >= 0.0) {
     HB_REQUIRE(release_temp_c < throttle_temp_c,
                "release threshold must sit below the throttle threshold");

@@ -48,15 +48,15 @@ struct PowerConfig {
   /// Thermal/battery sampling interval (simulated seconds). The RC step is
   /// exact for constant power, so the tick only bounds how stale the
   /// sampled utilization and governor decisions can be.
-  double tick_s = 0.1;
+  static constexpr double tick_s = 0.1;
 
   /// Mean ambient temperature and the OU noise around it. sigma == 0
   /// gives a constant ambient (useful for bit-exact regression tests).
   double ambient_c = 25.0;
   double ambient_sigma_c = 0.5;
-  double ambient_theta = 0.02;  ///< OU mean-reversion rate (1/s).
+  static constexpr double ambient_theta = 0.02;  ///< OU mean-reversion (1/s).
 
-  double initial_soc = 1.0;
+  static constexpr double initial_soc = 1.0;
   std::uint64_t seed = 0x9E3779B97F4A7C15ull;
 
   /// Starting die temperature; negative means "use the device model's

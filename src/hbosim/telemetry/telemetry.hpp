@@ -158,9 +158,9 @@ struct TelemetryConfig {
   /// per event the default retains ~4 MiB (65536 events) per thread.
   std::size_t events_per_thread = 1 << 16;
   /// Cap on log lines captured from the logging bridge.
-  std::size_t max_log_records = 4096;
+  static constexpr std::size_t max_log_records = 4096;
   /// Minimum logging level forwarded into the event stream.
-  int log_route_level = 3;  ///< LogLevel::Warn.
+  static constexpr int log_route_level = 3;  ///< LogLevel::Warn.
 };
 
 /// Enables tracing and metrics for its lifetime. At most one session may

@@ -43,13 +43,14 @@ std::string describe(fleet::PolicyMode mode, unsigned blocks) {
 }
 
 /// Six short sessions on one workload, with epochs short enough that
-/// every learner and the market freeze several times per fleet.
+/// every learner and the market freeze several times per fleet, and
+/// activations long enough that every prior-mode fleet fits a prior.
 fleet::FleetSpec matrix_spec(fleet::PolicyMode mode, unsigned blocks) {
   fleet::FleetSpec spec;
   spec.sessions = 6;
-  spec.duration_s = 4.0;
+  spec.duration_s = 6.0;
   spec.session.hbo.n_initial = 2;
-  spec.session.hbo.n_iterations = 2;
+  spec.session.hbo.n_iterations = 4;
   spec.session.hbo.selection_candidates = 1;
   spec.session.hbo.control_period_s = 1.0;
   spec.session.hbo.monitor_period_s = 1.0;
@@ -57,7 +58,6 @@ fleet::FleetSpec matrix_spec(fleet::PolicyMode mode, unsigned blocks) {
   spec.scenarios = {{scenario::ObjectSet::SC2, scenario::TaskSet::CF2, 1.0}};
   spec.policy.mode = mode;
   spec.policy.epoch_sessions = 2;
-  spec.policy.prior.min_observations = 4;
   spec.market.epoch_sessions = 3;
   spec.use_shared_pool = (blocks & kPool) != 0;
   if (blocks & kEdge) {
@@ -195,7 +195,7 @@ int first_mismatch(const std::vector<double>& a,
 }
 
 TEST(FleetConfigMatrix, EveryAcceptedSpecIsFiniteAndThreadCountInvariant) {
-  std::size_t accepted = 0, pooled_market = 0;
+  std::size_t accepted = 0, pooled_market = 0, prior_specs = 0;
   for (fleet::PolicyMode mode :
        {fleet::PolicyMode::Off, fleet::PolicyMode::Prior,
         fleet::PolicyMode::Bandit}) {
@@ -232,9 +232,14 @@ TEST(FleetConfigMatrix, EveryAcceptedSpecIsFiniteAndThreadCountInvariant) {
         EXPECT_EQ(first_mismatch(fields(a), fields(b)), -1)
             << label << ": session " << i;
       }
-      // Every pooled fleet really shares solutions across sessions.
+      // Every pooled fleet really shares solutions across sessions, and
+      // every prior-mode fleet really fits priors.
       if (blocks & kPool) {
         EXPECT_GT(serial.metrics.total_shared_warm_starts, 0u) << label;
+      }
+      if (mode == fleet::PolicyMode::Prior) {
+        ++prior_specs;
+        EXPECT_GT(serial.metrics.policy.priors_fitted, 0u) << label;
       }
     }
   }
@@ -242,6 +247,7 @@ TEST(FleetConfigMatrix, EveryAcceptedSpecIsFiniteAndThreadCountInvariant) {
   // remaining rejection has a modelling reason (see FleetSpec::validate).
   EXPECT_EQ(accepted, 184u);
   EXPECT_EQ(pooled_market, 16u);
+  EXPECT_EQ(prior_specs, 80u);
 }
 
 }  // namespace

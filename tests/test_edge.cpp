@@ -4,12 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <limits>
-#include <utility>
-#include <vector>
+#include <string>
 
 #include "hbosim/common/error.hpp"
 #include "hbosim/edge/decimation_service.hpp"
+#include "hbosim/edgesvc/edge_server.hpp"
 #include "hbosim/edgesvc/link_model.hpp"
 
 namespace hbosim::edge {
@@ -49,7 +48,7 @@ render::MeshAsset test_asset() {
 
 TEST(DecimationService, QuantizesRatiosUpward) {
   DecimationService svc;
-  const int levels = svc.config().ratio_levels;
+  const int levels = DecimationService::kRatioLevels;
   EXPECT_DOUBLE_EQ(svc.quantize_ratio(0.0), 0.0);
   EXPECT_DOUBLE_EQ(svc.quantize_ratio(1.0), 1.0);
   const double q = svc.quantize_ratio(0.501);
@@ -92,56 +91,38 @@ TEST(DecimationService, BiggerPayloadsTakeLonger) {
 }
 
 TEST(DecimationService, MissDelayHasRttFloorAndThroughputTerm) {
-  DecimationServiceConfig cfg;
-  cfg.rtt_ms = 20.0;
-  cfg.mbit_per_s = 80.0;
-  cfg.server_ms_per_mtri = 0.0;  // isolate the link term
-  cfg.bytes_per_triangle = 1.0;
-  DecimationService svc(cfg);
+  DecimationService svc;
   const render::MeshAsset asset = test_asset();
   const DecimationResult r = svc.request(asset, 1.0);
   ASSERT_FALSE(r.cache_hit);
-  // RTT plus the payload (one byte per triangle) at 80 Mbit/s.
+  // The edge server's 35 ms per input Mtri, the default link's 20 ms RTT,
+  // and 36 bytes per served triangle at 120 Mbit/s.
+  const double server_s =
+      0.035 * static_cast<double>(asset.max_triangles()) / 1e6;
   EXPECT_NEAR(r.delay_s,
-              0.020 + static_cast<double>(r.triangles) * 8.0 / 80e6, 1e-12);
-  EXPECT_GT(r.delay_s, 0.020);
+              server_s + 0.020 +
+                  static_cast<double>(r.triangles) * 36.0 * 8.0 / 120e6,
+              1e-12);
+  EXPECT_GT(r.delay_s, server_s + 0.020);
 }
 
 TEST(DecimationService, MissDelayMatchesLinkNominal) {
-  // A closed-form miss costs the server's decimation time plus the link's
-  // nominal exchange time for the decimated mesh, bit for bit.
-  DecimationServiceConfig cfg;
-  cfg.rtt_ms = 12.0;
-  cfg.mbit_per_s = 200.0;
-  DecimationService svc(cfg);
-  const edgesvc::LinkModel link(
-      edgesvc::LinkModelConfig{cfg.rtt_ms, cfg.mbit_per_s});
+  // A closed-form miss costs the edge server's decimation time plus the
+  // default link's nominal exchange time for the decimated mesh, bit for
+  // bit.
+  DecimationService svc;
+  const edgesvc::LinkModel link;
   const render::MeshAsset asset = test_asset();
   for (double ratio : {0.1, 0.5, 1.0}) {
     const DecimationResult r = svc.request(asset, ratio);
     ASSERT_FALSE(r.cache_hit) << ratio;
-    const double server_s = cfg.server_ms_per_mtri * 1e-3 *
-                            static_cast<double>(asset.max_triangles()) / 1e6;
+    const double server_s = edgesvc::EdgeServerSpec::decimation_ms_per_mtri *
+                            1e-3 * static_cast<double>(asset.max_triangles()) /
+                            1e6;
     const auto payload = static_cast<std::uint64_t>(
-        cfg.bytes_per_triangle * static_cast<double>(r.triangles));
+        DecimationService::kBytesPerTriangle *
+        static_cast<double>(r.triangles));
     EXPECT_EQ(r.delay_s, server_s + link.nominal_seconds(payload)) << ratio;
-  }
-}
-
-TEST(DecimationService, RejectsNearZeroThroughputAndNonFiniteLinks) {
-  // Regression: a near-zero bandwidth used to slip past validation and
-  // turn downloads into astronomically large DES event times. The
-  // service refuses such a link when built, before any request.
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double inf = std::numeric_limits<double>::infinity();
-  const std::vector<std::pair<double, double>> bad_links = {
-      {20.0, 1e-9}, {20.0, 0.0}, {nan, 120.0}, {20.0, inf}, {-5.0, 120.0}};
-  for (const auto& [rtt_ms, mbit_per_s] : bad_links) {
-    DecimationServiceConfig cfg;
-    cfg.rtt_ms = rtt_ms;
-    cfg.mbit_per_s = mbit_per_s;
-    EXPECT_THROW(DecimationService{cfg}, hbosim::Error)
-        << rtt_ms << " ms, " << mbit_per_s << " Mbit/s";
   }
 }
 
@@ -156,22 +137,24 @@ TEST(DecimationService, DistinctAssetsDoNotCollide) {
   EXPECT_EQ(r.triangles, plane.triangles_at(r.served_ratio));
 }
 
-TEST(DecimationService, ParameterTrainingIsDeterministicAndValid) {
-  DecimationService svc;
-  const auto p1 = svc.train_parameters("bike", 178552);
-  const auto p2 = svc.train_parameters("bike", 178552);
-  EXPECT_TRUE(p1.valid());
-  EXPECT_DOUBLE_EQ(p1.a, p2.a);
-  EXPECT_DOUBLE_EQ(p1.d, p2.d);
-}
-
 TEST(DecimationService, EvictionForcesRefetch) {
-  DecimationServiceConfig cfg;
-  cfg.cache_capacity = 1;
-  DecimationService svc(cfg);
+  DecimationService svc;
   const render::MeshAsset asset = test_asset();
   svc.request(asset, 0.25);
-  svc.request(asset, 0.75);  // evicts the 0.25 version
+  // Fill the cache with kCacheCapacity newer versions of other objects:
+  // the 0.25 version is now the least recent and gets evicted.
+  const int per_object = DecimationService::kRatioLevels;
+  const int objects =
+      static_cast<int>(DecimationService::kCacheCapacity) / per_object;
+  for (int o = 0; o < objects; ++o) {
+    const std::string name = "filler" + std::to_string(o);
+    const render::MeshAsset filler(
+        name, 100000, render::synthesize_degradation_params(name, 100000));
+    for (int level = 1; level <= per_object; ++level)
+      ASSERT_FALSE(
+          svc.request(filler, static_cast<double>(level) / per_object)
+              .cache_hit);
+  }
   const DecimationResult again = svc.request(asset, 0.25);
   EXPECT_FALSE(again.cache_hit);
 }

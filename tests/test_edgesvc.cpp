@@ -8,7 +8,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "hbosim/common/error.hpp"
 #include "hbosim/core/monitored_session.hpp"
@@ -36,6 +39,20 @@ TEST(LinkModel, ValidatesConfig) {
   cfg = LinkModelConfig{};
   cfg.rtt_ms = -1.0;
   EXPECT_THROW(LinkModel{cfg}, Error);
+
+  // Near-zero throughput and non-finite links are refused when the link
+  // is built, before any exchange is priced.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<double, double>> bad_links = {
+      {20.0, 1e-9}, {20.0, 0.0}, {nan, 120.0}, {20.0, inf}, {-5.0, 120.0}};
+  for (const auto& [rtt_ms, mbit_per_s] : bad_links) {
+    cfg = LinkModelConfig{};
+    cfg.rtt_ms = rtt_ms;
+    cfg.mbit_per_s = mbit_per_s;
+    EXPECT_THROW(LinkModel{cfg}, Error)
+        << rtt_ms << " ms, " << mbit_per_s << " Mbit/s";
+  }
 
   cfg = LinkModelConfig{};
   cfg.rtt_jitter_frac = 1.0;
@@ -91,52 +108,11 @@ TEST(LinkModel, GilbertElliottLossesClusterIntoBursts) {
 TEST(LinkModel, BandwidthSharingDividesThroughput) {
   LinkModelConfig cfg;
   cfg.background_flows = 3.0;
-  cfg.share_weight = 1.0;
   LinkModel link(cfg);
   EXPECT_DOUBLE_EQ(link.effective_mbit_per_s(), 120.0 / 4.0);
   const double bits = 1e6 * 8.0;
   EXPECT_DOUBLE_EQ(link.nominal_seconds(1'000'000),
                    0.020 + bits / (30.0 * 1e6));
-}
-
-TEST(LinkModel, StreamingTransferSettlesAtTheOldRateOnReShare) {
-  LinkModel link;  // 120 Mbit/s, no sharing: 15 MB takes exactly 1 s
-  link.begin_transfer(15'000'000, 0.0);
-  ASSERT_TRUE(link.transfer_active());
-  EXPECT_DOUBLE_EQ(link.transfer_completion_s(), 1.0);
-
-  // Halfway through, the allocator admits a second flow. The first 0.5 s
-  // of progress was earned at the full 120 Mbit/s...
-  link.set_background_flows(1.0, 0.5);
-  EXPECT_DOUBLE_EQ(link.transfer_remaining_bytes(0.5), 7'500'000.0);
-  // ...and the rest drains at the halved rate: done at 0.5 + 1.0.
-  EXPECT_DOUBLE_EQ(link.transfer_completion_s(), 1.5);
-  EXPECT_DOUBLE_EQ(link.transfer_remaining_bytes(1.5), 0.0);
-  EXPECT_FALSE(link.transfer_active());
-}
-
-TEST(LinkModel, UnchangedReShareIsAStrictNoOp) {
-  // Mirroring PsResource::set_capacity: setting the value already in
-  // force must not settle progress (repeated settles at the same rate
-  // could drift the remaining bytes by rounding).
-  LinkModelConfig cfg;
-  cfg.background_flows = 2.0;
-  LinkModel touched(cfg), untouched(cfg);
-  touched.begin_transfer(9'999'991, 0.0);
-  untouched.begin_transfer(9'999'991, 0.0);
-  for (int i = 1; i <= 7; ++i) {
-    touched.set_background_flows(2.0, 0.1 * static_cast<double>(i));
-  }
-  EXPECT_EQ(touched.transfer_remaining_bytes(0.77),
-            untouched.transfer_remaining_bytes(0.77));
-  EXPECT_EQ(touched.transfer_completion_s(), untouched.transfer_completion_s());
-}
-
-TEST(LinkModel, TransferProgressCannotRunBackwards) {
-  LinkModel link;
-  link.begin_transfer(100'000'000, 1.0);  // ~6.7 s at 120 Mbit/s
-  (void)link.transfer_remaining_bytes(2.0);
-  EXPECT_THROW((void)link.transfer_remaining_bytes(1.5), Error);
 }
 
 // ---------------------------------------------------------------------------
@@ -145,8 +121,12 @@ TEST(LinkModel, TransferProgressCannotRunBackwards) {
 EdgeServerSpec one_core_spec() {
   EdgeServerSpec spec;
   spec.cores = 1;
-  spec.decimation_ms_per_mtri = 1000.0;  // 1 s per unit, easy arithmetic
   return spec;
+}
+
+/// Decimation units one core serves in `seconds`.
+double units_for(double seconds) {
+  return seconds / (EdgeServerSpec::decimation_ms_per_mtri * 1e-3);
 }
 
 EdgeRequest decim_request(double units, double arrival,
@@ -159,8 +139,44 @@ EdgeRequest decim_request(double units, double arrival,
   return req;
 }
 
+TEST(EdgeServerSpec, ServiceSecondsFollowThePerClassModels) {
+  const EdgeServerSpec spec;
+  // 35 ms per decimated Mtri, a flat 2 ms suggest, 4 ms per transferred
+  // Mtri and 0.25 ms per device-millisecond of offloaded inference.
+  EXPECT_DOUBLE_EQ(spec.service_seconds(RequestClass::Decimation, 2.0), 0.070);
+  EXPECT_DOUBLE_EQ(spec.service_seconds(RequestClass::RemoteBo, 7.0), 0.002);
+  EXPECT_DOUBLE_EQ(spec.service_seconds(RequestClass::MeshTransfer, 2.0),
+                   0.008);
+  EXPECT_DOUBLE_EQ(spec.service_seconds(RequestClass::AiInference, 40.0),
+                   0.010);
+  EXPECT_THROW(spec.service_seconds(RequestClass::Decimation, -1.0), Error);
+  EXPECT_THROW(spec.service_seconds(RequestClass::Decimation,
+                                    std::numeric_limits<double>::infinity()),
+               Error);
+}
+
+TEST(EdgeServerSim, BackgroundServiceMatchesTheClassMix) {
+  // One background tenant at 1 req/s for 5000 s on an idle box: its
+  // requests are 70 % decimation, 20 % suggests and 10 % mesh transfers
+  // of exponential size (mean 0.15 Mtri), so the mean service time is
+  // 0.15 * (0.7 * 35 + 0.1 * 4) ms + 0.2 * 2 ms = 4.135 ms.
+  BackgroundLoadConfig bg;
+  bg.per_tenant_rps = 1.0;
+  EdgeServerSim sim({}, bg, /*background_tenants=*/1, 2024);
+  ASSERT_EQ(sim.submit(decim_request(0.0, 5000.0)).status,
+            AdmissionStatus::Ok);
+  const EdgeServerStats& st = sim.stats();
+  ASSERT_GT(st.bg_arrivals, 4500u);
+  EXPECT_EQ(st.served, st.bg_arrivals + 1);  // light load: nothing shed
+  const double mean_ms =
+      st.total_service_s / static_cast<double>(st.bg_arrivals) * 1e3;
+  EXPECT_NEAR(mean_ms, 4.135, 0.25);
+}
+
 TEST(EdgeServerSim, FifoRequestsStackInSubmitOrder) {
   EdgeServerSim sim(one_core_spec(), {}, /*background_tenants=*/0, 42);
+  const double s = one_core_spec().service_seconds(RequestClass::Decimation,
+                                                   1.0);
   const AdmissionResult a = sim.submit(decim_request(1.0, 0.0));
   const AdmissionResult b = sim.submit(decim_request(1.0, 0.0));
   const AdmissionResult c = sim.submit(decim_request(1.0, 0.0));
@@ -168,13 +184,13 @@ TEST(EdgeServerSim, FifoRequestsStackInSubmitOrder) {
   ASSERT_EQ(b.status, AdmissionStatus::Ok);
   ASSERT_EQ(c.status, AdmissionStatus::Ok);
   EXPECT_DOUBLE_EQ(a.wait_s, 0.0);
-  EXPECT_DOUBLE_EQ(a.completion_s, 1.0);
-  EXPECT_DOUBLE_EQ(b.wait_s, 1.0);
-  EXPECT_DOUBLE_EQ(b.completion_s, 2.0);
-  // Resolving b ran the virtual clock to 1.0; c's t=0 arrival is clamped
-  // to "now" (started work is never rewound), so it waits 1 s, not 2.
-  EXPECT_DOUBLE_EQ(c.wait_s, 1.0);
-  EXPECT_DOUBLE_EQ(c.completion_s, 3.0);
+  EXPECT_DOUBLE_EQ(a.completion_s, s);
+  EXPECT_DOUBLE_EQ(b.wait_s, s);
+  EXPECT_DOUBLE_EQ(b.completion_s, 2.0 * s);
+  // Resolving b ran the virtual clock to s; c's t=0 arrival is clamped
+  // to "now" (started work is never rewound), so it waits s, not 2s.
+  EXPECT_DOUBLE_EQ(c.wait_s, s);
+  EXPECT_DOUBLE_EQ(c.completion_s, 3.0 * s);
   EXPECT_EQ(sim.stats().served, 3u);
   EXPECT_EQ(sim.stats().bg_arrivals, 0u);
 }
@@ -185,7 +201,8 @@ TEST(EdgeServerSim, DeadlinePolicyShedsExpiredRequests) {
   EdgeServerSim sim(spec, {}, 0, 42);
   // A 10 s job holds the single core; the next request's deadline passes
   // long before the core frees, so the policy drops it unserved.
-  ASSERT_EQ(sim.submit(decim_request(10.0, 0.0)).status, AdmissionStatus::Ok);
+  ASSERT_EQ(sim.submit(decim_request(units_for(10.0), 0.0)).status,
+            AdmissionStatus::Ok);
   const AdmissionResult shed = sim.submit(decim_request(0.1, 0.0, 0.5));
   EXPECT_EQ(shed.status, AdmissionStatus::Shed);
   EXPECT_EQ(sim.stats().shed, 1u);
@@ -194,7 +211,8 @@ TEST(EdgeServerSim, DeadlinePolicyShedsExpiredRequests) {
 
 TEST(EdgeServerSim, FifoNeverSheds) {
   EdgeServerSim sim(one_core_spec(), {}, 0, 42);
-  ASSERT_EQ(sim.submit(decim_request(10.0, 0.0)).status, AdmissionStatus::Ok);
+  ASSERT_EQ(sim.submit(decim_request(units_for(10.0), 0.0)).status,
+            AdmissionStatus::Ok);
   // Same expired request as above: FIFO burns the core on it anyway (the
   // server cannot see client-side timeouts).
   const AdmissionResult late = sim.submit(decim_request(0.1, 0.0, 0.5));
@@ -290,16 +308,10 @@ TEST(EdgeServerSim, QueuePolicyNamesRoundTrip) {
 // ---------------------------------------------------------------------------
 // EdgeClient
 
-EdgeClientConfig no_jitter_client() {
-  EdgeClientConfig cfg;
-  cfg.backoff_jitter_frac = 0.0;
-  return cfg;
-}
-
 TEST(EdgeClient, UncontendedSuccessMatchesClosedFormDelay) {
   EdgeServerSpec server;  // defaults: 35 ms/mtri, 4 cores
   LinkModelConfig link;   // defaults: no jitter/loss/sharing
-  EdgeClient client(no_jitter_client(), server, {}, /*background_tenants=*/0,
+  EdgeClient client({}, server, {}, /*background_tenants=*/0,
                     link, /*tenant=*/0, /*seed=*/5);
   const std::uint64_t payload = 36'000;
   const EdgeResponse resp =
@@ -315,26 +327,21 @@ TEST(EdgeClient, UncontendedSuccessMatchesClosedFormDelay) {
 }
 
 TEST(EdgeClient, BackoffScheduleIsCappedExponential) {
-  EdgeClientConfig cfg;
-  cfg.backoff_base_s = 0.05;
-  cfg.backoff_mult = 2.0;
-  cfg.backoff_cap_s = 0.3;
-  EdgeClient client(cfg, {}, {}, 0, {}, 0, 1);
+  // 50 ms doubling per retry, capped at 1 s.
+  EdgeClient client({}, {}, {}, 0, {}, 0, 1);
   EXPECT_DOUBLE_EQ(client.nominal_backoff_s(1), 0.05);
   EXPECT_DOUBLE_EQ(client.nominal_backoff_s(2), 0.10);
   EXPECT_DOUBLE_EQ(client.nominal_backoff_s(3), 0.20);
-  EXPECT_DOUBLE_EQ(client.nominal_backoff_s(4), 0.30);  // capped
-  EXPECT_DOUBLE_EQ(client.nominal_backoff_s(9), 0.30);
+  EXPECT_DOUBLE_EQ(client.nominal_backoff_s(5), 0.80);
+  EXPECT_DOUBLE_EQ(client.nominal_backoff_s(6), 1.00);  // capped
+  EXPECT_DOUBLE_EQ(client.nominal_backoff_s(9), 1.00);
 }
 
 TEST(EdgeClient, TimeoutTriggersRetriesThenFallback) {
   // Service takes 35 ms but the client only waits 10 ms: every attempt is
-  // answered too late, and after max_attempts the caller must degrade.
-  EdgeClientConfig cfg = no_jitter_client();
+  // answered too late, and after max_attempts (3) the caller must degrade.
+  EdgeClientConfig cfg;
   cfg.timeout_s = 0.010;
-  cfg.max_attempts = 3;
-  cfg.backoff_base_s = 0.05;
-  cfg.backoff_mult = 2.0;
   EdgeClient client(cfg, {}, {}, 0, {}, 0, 2);
   const EdgeResponse resp =
       client.perform(RequestClass::Decimation, 1.0, 1000, 0.0);
@@ -344,8 +351,11 @@ TEST(EdgeClient, TimeoutTriggersRetriesThenFallback) {
   EXPECT_EQ(client.stats().timeout_attempts, 3u);
   EXPECT_EQ(client.stats().retries, 2u);
   EXPECT_EQ(client.stats().fallbacks, 1u);
-  // 3 timeouts + the two nominal backoffs (jitter disabled).
-  EXPECT_DOUBLE_EQ(resp.elapsed_s, 3 * 0.010 + 0.05 + 0.10);
+  // 3 timeouts + the two backoffs, each within its jitter band around the
+  // nominal 50 and 100 ms.
+  const double f = EdgeClientConfig::backoff_jitter_frac;
+  EXPECT_GE(resp.elapsed_s, 3 * 0.010 + (1.0 - f) * (0.05 + 0.10) - 1e-12);
+  EXPECT_LE(resp.elapsed_s, 3 * 0.010 + (1.0 + f) * (0.05 + 0.10) + 1e-12);
   EXPECT_DOUBLE_EQ(client.stats().fallback_rate(), 1.0);
 }
 
@@ -354,11 +364,9 @@ TEST(EdgeClient, LossBurstSurfacesAsLinkLost) {
   link.p_good_to_bad = 1.0;
   link.p_bad_to_good = 0.0;
   link.loss_bad = 1.0;
-  EdgeClientConfig cfg = no_jitter_client();
-  cfg.max_attempts = 2;
-  EdgeClient client(cfg, {}, {}, 0, link, 0, 3);
-  const EdgeResponse resp =
-      client.perform(RequestClass::RemoteBo, 1.0, 88, 0.0);
+  EdgeClient client({}, {}, {}, 0, link, 0, 3);
+  const EdgeResponse resp = client.perform(RequestClass::RemoteBo, 1.0, 88,
+                                           0.0, 0.0, /*max_attempts=*/2);
   EXPECT_FALSE(resp.ok);
   EXPECT_EQ(resp.last_status, EdgeStatus::LinkLost);
   EXPECT_EQ(client.stats().lost_attempts, 2u);
@@ -369,11 +377,9 @@ TEST(EdgeClient, RejectionsAreRetriedAgainstAFullQueue) {
   EdgeServerSpec server;
   server.cores = 1;
   server.queue_capacity = 2;
-  EdgeClientConfig cfg = no_jitter_client();
-  cfg.max_attempts = 2;
-  EdgeClient client(cfg, server, heavy_background(), 4, {}, 0, 11);
-  const EdgeResponse resp =
-      client.perform(RequestClass::Decimation, 0.1, 1000, 1.0);
+  EdgeClient client({}, server, heavy_background(), 4, {}, 0, 11);
+  const EdgeResponse resp = client.perform(RequestClass::Decimation, 0.1,
+                                           1000, 1.0, 0.0, /*max_attempts=*/2);
   EXPECT_FALSE(resp.ok);
   EXPECT_EQ(resp.last_status, EdgeStatus::Rejected);
   EXPECT_EQ(client.stats().rejected_attempts, 2u);
@@ -400,7 +406,7 @@ TEST(EdgeClient, ResolutionScalesMeshWorkByArea) {
   // r = 0.5 quarters both the server-side work and the downlink payload
   // of mesh-bearing requests.
   EdgeServerSpec server;  // defaults: 35 ms/mtri, no jitter/loss/sharing
-  EdgeClient client(no_jitter_client(), server, {}, 0, {}, 0, 5);
+  EdgeClient client({}, server, {}, 0, {}, 0, 5);
   client.set_resolution(0.5);
   const EdgeResponse resp =
       client.perform(RequestClass::Decimation, 1.0, 40'000, 0.0);
@@ -413,7 +419,7 @@ TEST(EdgeClient, ResolutionScalesMeshWorkByArea) {
   EXPECT_EQ(client.stats().payload_bytes, 10'000u);
 
   // The warm-start exchange is not a mesh: RemoteBo is never scaled.
-  EdgeClient bo_client(no_jitter_client(), server, {}, 0, {}, 0, 6);
+  EdgeClient bo_client({}, server, {}, 0, {}, 0, 6);
   bo_client.set_resolution(0.5);
   const EdgeResponse bo =
       bo_client.perform(RequestClass::RemoteBo, 1.0, 88, 0.0);
@@ -427,9 +433,9 @@ TEST(EdgeClient, ResolutionScalesMeshWorkByArea) {
 }
 
 TEST(EdgeClient, FullResolutionIsBitwiseNeutral) {
-  // The r = 1 guard must leave the request path untouched — same draws,
-  // same elapsed times as a knob-free client (the market-off parity
-  // contract at the client level).
+  // Scaling by r = 1 must leave the request path untouched — same draws,
+  // same elapsed times as a client whose knob was never set (the
+  // market-off parity contract at the client level).
   const EdgeServiceSpec spec = edge_service_preset("congested");
   EdgeClient plain(spec.client, spec.server, spec.background, 8, spec.link,
                    0, 77);
@@ -452,11 +458,7 @@ TEST(EdgeClient, ValidatesConfig) {
   EdgeClientConfig cfg;
   cfg.timeout_s = 0.0;
   EXPECT_THROW((EdgeClient{cfg, {}, {}, 0, {}, 0, 1}), Error);
-  cfg = EdgeClientConfig{};
-  cfg.max_attempts = 0;
-  EXPECT_THROW((EdgeClient{cfg, {}, {}, 0, {}, 0, 1}), Error);
-  cfg = EdgeClientConfig{};
-  cfg.backoff_mult = 0.5;
+  cfg.timeout_s = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW((EdgeClient{cfg, {}, {}, 0, {}, 0, 1}), Error);
 }
 
@@ -467,20 +469,6 @@ TEST(EdgeBroker, PresetsValidateAndUnknownThrows) {
   for (const char* name : {"lan", "wifi", "congested"})
     EXPECT_NO_THROW(edge_service_preset(name).validate()) << name;
   EXPECT_THROW(edge_service_preset("dialup"), Error);
-}
-
-TEST(EdgeBroker, AbsorbsClientStatsThreadSafely) {
-  EdgeServiceSpec spec = edge_service_preset("wifi");
-  EdgeBroker broker(spec, /*session_tenants=*/4);
-  EXPECT_EQ(broker.background_tenants(), 3u);
-  auto client = broker.make_client(0, 1234);
-  (void)client->perform(RequestClass::Decimation, 0.2, 10'000, 1.0);
-  (void)client->perform(RequestClass::RemoteBo, 1.0, 88, 2.0);
-  broker.absorb(*client);
-  const EdgeFleetStats stats = broker.stats();
-  EXPECT_EQ(stats.clients_absorbed, 1u);
-  EXPECT_EQ(stats.client.requests, 2u);
-  EXPECT_GT(stats.server.arrivals, 0u);
 }
 
 TEST(EdgeBroker, ClientsAreDeterministicInSeed) {
@@ -496,40 +484,6 @@ TEST(EdgeBroker, ClientsAreDeterministicInSeed) {
     EXPECT_EQ(ra.ok, rb.ok);
     EXPECT_EQ(ra.elapsed_s, rb.elapsed_s);
   }
-}
-
-TEST(EdgeBroker, AbsorbOrderNeverChangesTheRollup) {
-  // Satellite of the marketsvc work: absorb() must be order-independent.
-  // Integer counters are commutative sums; floating-point totals are
-  // retained per tenant and re-summed in tenant-id order at stats() time,
-  // so any interleaving of worker-thread completions yields a bitwise
-  // identical roll-up.
-  const EdgeServiceSpec spec = edge_service_preset("congested");
-  auto run_tenant = [&spec](EdgeBroker& broker, std::uint64_t tenant) {
-    auto client = broker.make_client(tenant, 1000 + tenant);
-    for (int i = 0; i < 10; ++i) {
-      (void)client->perform(RequestClass::Decimation, 0.2, 20'000,
-                            0.4 * (i + 1));
-    }
-    broker.absorb(*client);
-  };
-  EdgeBroker forward(spec, 4), shuffled(spec, 4);
-  for (std::uint64_t t : {0, 1, 2, 3}) run_tenant(forward, t);
-  for (std::uint64_t t : {2, 0, 3, 1}) run_tenant(shuffled, t);
-
-  const EdgeFleetStats a = forward.stats();
-  const EdgeFleetStats b = shuffled.stats();
-  EXPECT_EQ(a.clients_absorbed, b.clients_absorbed);
-  EXPECT_EQ(a.client.requests, b.client.requests);
-  EXPECT_EQ(a.client.retries, b.client.retries);
-  EXPECT_EQ(a.client.fallbacks, b.client.fallbacks);
-  // The floating-point totals are where a naive eager merge would leak
-  // completion order into the last bits.
-  EXPECT_EQ(a.client.total_elapsed_s, b.client.total_elapsed_s);
-  EXPECT_EQ(a.client.units, b.client.units);
-  EXPECT_EQ(a.client.own_service_s, b.client.own_service_s);
-  EXPECT_EQ(a.server.total_wait_s, b.server.total_wait_s);
-  EXPECT_EQ(a.server.total_service_s, b.server.total_service_s);
 }
 
 TEST(EdgeBroker, MarketClientsCarryTheDecidedBackground) {
@@ -577,12 +531,11 @@ TEST(EdgeTelemetry, CountersTrackRequestsRetriesAndFallbacks) {
   telemetry::TelemetrySession session;
   {
     // One clean success...
-    EdgeClient ok_client(no_jitter_client(), {}, {}, 0, {}, 0, 5);
+    EdgeClient ok_client({}, {}, {}, 0, {}, 0, 5);
     (void)ok_client.perform(RequestClass::Decimation, 0.1, 1000, 0.0);
-    // ...and one all-timeouts fallback.
-    EdgeClientConfig cfg = no_jitter_client();
+    // ...and one all-timeouts fallback after max_attempts (3) attempts.
+    EdgeClientConfig cfg;
     cfg.timeout_s = 0.001;
-    cfg.max_attempts = 3;
     EdgeClient bad_client(cfg, {}, {}, 0, {}, 0, 6);
     (void)bad_client.perform(RequestClass::Decimation, 1.0, 1000, 0.0);
   }
@@ -611,9 +564,8 @@ TEST(DecimationFallback, ServesNearestCachedLodWhenEdgeFails) {
   ASSERT_FALSE(primed.cache_hit);
 
   // Attach a client that can never succeed (timeout far below service).
-  EdgeClientConfig cfg = no_jitter_client();
+  EdgeClientConfig cfg;
   cfg.timeout_s = 1e-4;
-  cfg.max_attempts = 2;
   EdgeClient dead(cfg, {}, {}, 0, {}, 0, 9);
   double now = 0.0;
   service.attach_edge(&dead, [&now] { return now; });
@@ -625,7 +577,7 @@ TEST(DecimationFallback, ServesNearestCachedLodWhenEdgeFails) {
   EXPECT_FALSE(res.unchanged);
   EXPECT_EQ(res.served_ratio, primed.served_ratio);
   EXPECT_EQ(res.triangles, primed.triangles);
-  EXPECT_EQ(res.edge_attempts, 2);
+  EXPECT_EQ(res.edge_attempts, EdgeClientConfig::max_attempts);
   EXPECT_GT(res.delay_s, 0.0);  // the user still waited through the retries
   EXPECT_EQ(service.edge_fallbacks(), 1u);
 
@@ -672,7 +624,6 @@ TEST(SessionEdge, StoreFetchFallsBackToLocalBoWhenEdgeIsDown) {
 
   EdgeClientConfig ccfg;
   ccfg.timeout_s = 1e-4;  // RemoteBo takes ~22 ms: every attempt times out
-  ccfg.max_attempts = 2;
   EdgeClient dead(ccfg, {}, {}, 0, {}, 0, 13);
   session.set_edge(&dead);
 
@@ -683,6 +634,52 @@ TEST(SessionEdge, StoreFetchFallsBackToLocalBoWhenEdgeIsDown) {
   EXPECT_EQ(fetches, 0);
   EXPECT_GE(session.edge_bo_fallbacks(), 1u);
   EXPECT_FALSE(session.activations().front().warm_start);
+}
+
+// Section VI: reaching the server-side store costs one remote-BO exchange
+// whose payload is "in the order of a few Bytes" — the observed (z, cost)
+// up and the next configuration down, 48 + 40 bytes.
+TEST(SessionEdge, EachStoreFetchIsOneRemoteBoExchangeOfAFewBytes) {
+  auto app = scenario::make_app(soc::find_builtin("Pixel 7"),
+                                scenario::ObjectSet::SC2,
+                                scenario::TaskSet::CF2, 78);
+  core::MonitoredSessionConfig cfg;
+  cfg.hbo.n_initial = 2;
+  cfg.hbo.n_iterations = 2;
+  cfg.hbo.selection_candidates = 1;
+  cfg.hbo.control_period_s = 1.0;
+  cfg.hbo.monitor_period_s = 1.0;
+  cfg.reference_periods = 2;
+  cfg.use_lookup_table = true;
+  core::MonitoredSession session(*app, cfg);
+
+  std::uint64_t fetches = 0;
+  core::SolutionStoreHooks hooks;
+  hooks.fetch = [&fetches](const core::EnvironmentKey&)
+      -> std::optional<core::StoredSolution> {
+    ++fetches;
+    return std::nullopt;
+  };
+  session.set_solution_store(std::move(hooks));
+  EdgeClient client({}, {}, {}, 0, {}, 0, 21);  // uncontended, loss-free
+  session.set_edge(&client);
+  session.run_until(20.0);
+
+  ASSERT_GE(fetches, 1u);
+  EXPECT_EQ(core::kRemoteBoPayloadBytes, 88u);
+  const EdgeClientStats& st = client.stats();
+  EXPECT_EQ(st.requests, fetches);
+  EXPECT_EQ(st.successes, fetches);
+  EXPECT_EQ(st.payload_bytes, 88u * fetches);
+  EXPECT_DOUBLE_EQ(st.units, static_cast<double>(fetches));
+  // Each exchange costs the server's suggest time plus the link's nominal
+  // time for the payload: two orders of magnitude below a control period.
+  const double exchange_s = EdgeServerSpec::bo_suggest_ms * 1e-3 +
+                            LinkModel().nominal_seconds(88);
+  EXPECT_NEAR(st.total_elapsed_s, static_cast<double>(fetches) * exchange_s,
+              1e-12);
+  EXPECT_LT(exchange_s, 0.025);
+  EXPECT_EQ(session.edge_bo_fallbacks(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -735,6 +732,110 @@ TEST(FleetEdge, PerSessionResultsAreThreadCountInvariantWithEdge) {
   EXPECT_TRUE(serial.metrics.edge.enabled);
   EXPECT_GT(serial.metrics.edge.requests, 0u);
   EXPECT_EQ(serial.metrics.edge.requests, threaded.metrics.edge.requests);
+}
+
+// The fleet folds every session's client and mirror statistics into its
+// edge health on the main thread, in session-id order: the health is the
+// id-order merge of what each session reports, bitwise, on any thread
+// count.
+TEST(FleetEdge, HealthIsTheSessionIdOrderMergeOnAnyThreadCount) {
+  fleet::FleetSpec spec = edge_fleet(9, 1);
+  spec.edge = edge_service_preset("congested");
+  fleet::FleetSimulator serial_sim(spec);
+  const fleet::FleetResult serial = serial_sim.run();
+  spec.threads = 3;
+  const fleet::FleetResult threaded = fleet::FleetSimulator(spec).run();
+
+  // Without pool, policy or market a session re-run reproduces the fleet's.
+  EdgeFleetStats merged;
+  for (std::size_t id = 0; id < spec.sessions; ++id) {
+    const fleet::PolicySessionOutput o = serial_sim.run_policy_session(
+        serial_sim.session_spec(id), nullptr, nullptr);
+    EXPECT_EQ(o.edge_client.requests, serial.sessions[id].edge_requests);
+    merged.client.merge(o.edge_client);
+    merged.server.merge(o.edge_server);
+  }
+  EXPECT_GT(merged.server.total_wait_s, 0.0);  // congested: real sums
+  for (const fleet::FleetResult* r : {&serial, &threaded}) {
+    const fleet::FleetMetrics::EdgeHealth& e = r->metrics.edge;
+    EXPECT_TRUE(e.enabled);
+    EXPECT_EQ(e.requests, merged.client.requests);
+    EXPECT_EQ(e.rejection_rate, merged.server.rejection_rate());
+    EXPECT_EQ(e.fallback_rate, merged.client.fallback_rate());
+    EXPECT_EQ(e.queue_depth_p95, merged.server.queue_depth_p95());
+    EXPECT_EQ(e.mean_wait_ms, merged.server.mean_wait_s() * 1e3);
+  }
+}
+
+/// The finite-valued SessionResult fields a blackout could poison.
+std::vector<double> blackout_fields(const fleet::SessionResult& r) {
+  return {r.sim_seconds,      r.mean_quality,    r.mean_latency_ratio,
+          r.mean_reward,      r.edge_units,      r.edge_service_s,
+          r.edge_elapsed_s,   r.offload_rate,    r.mean_edge_share,
+          r.radio_energy_j,   r.offload_elapsed_s, r.energy_j,
+          r.mean_power_w,     r.max_die_temp_c,  r.battery_soc,
+          r.battery_drain_pct_per_hour};
+}
+
+// Failure injection: an edge blackout degrades every session of a fleet
+// with edge, offload, pool and power, and never aborts it. In the first
+// fleet the link loses every exchange in either state, and its loss chain
+// falls into an absorbing bad state mid-session: decimation misses, store
+// fetches and offloaded inferences all fall back on-device. In the second
+// only the bad state loses, so the blackout starts mid-session; these
+// static scenes fetch from the store before it starts, and the exchanges
+// after it fall back.
+TEST(FleetEdge, BlackoutDegradesEverySessionWithoutAborting) {
+  auto blackout = [](bool from_start, std::size_t threads) {
+    fleet::FleetSpec spec = edge_fleet(6, threads);
+    spec.use_shared_pool = true;
+    spec.use_power_model = true;
+    spec.offload.enabled = true;
+    LinkModelConfig& link = spec.edge.link;
+    link.p_good_to_bad = 0.02;
+    link.p_bad_to_good = 0.0;  // the bad state absorbs
+    link.loss_bad = 1.0;
+    link.loss_good = from_start ? 1.0 : 0.0;
+    return spec;
+  };
+  for (const bool from_start : {true, false}) {
+    const fleet::FleetSpec spec = blackout(from_start, 1);
+    const fleet::FleetResult serial = fleet::FleetSimulator(spec).run();
+    const fleet::FleetResult threaded =
+        fleet::FleetSimulator(blackout(from_start, 3)).run();
+    ASSERT_EQ(serial.sessions.size(), spec.sessions);
+    ASSERT_EQ(threaded.sessions.size(), spec.sessions);
+    std::uint64_t decim = 0, fetch = 0, offload = 0;
+    for (std::size_t i = 0; i < spec.sessions; ++i) {
+      const fleet::SessionResult& a = serial.sessions[i];
+      EXPECT_GE(a.sim_seconds, spec.duration_s) << from_start << " " << i;
+      const std::vector<double> fa = blackout_fields(a);
+      const std::vector<double> fb = blackout_fields(threaded.sessions[i]);
+      for (std::size_t f = 0; f < fa.size(); ++f) {
+        EXPECT_TRUE(std::isfinite(fa[f])) << from_start << " " << i << " " << f;
+        EXPECT_EQ(fa[f], fb[f]) << from_start << " " << i << " " << f;
+      }
+      EXPECT_EQ(a.edge_fallbacks, threaded.sessions[i].edge_fallbacks);
+      EXPECT_EQ(a.offload_fallbacks, threaded.sessions[i].offload_fallbacks);
+      decim += a.edge_decim_fallbacks;
+      fetch += a.edge_bo_fallbacks;
+      offload += a.offload_fallbacks;
+    }
+    EXPECT_GT(decim, 0u) << from_start;
+    EXPECT_GT(offload, 0u) << from_start;
+    const fleet::FleetMetrics::EdgeHealth& e = serial.metrics.edge;
+    EXPECT_EQ(e.decim_fallbacks, decim);
+    EXPECT_EQ(e.bo_fallbacks, fetch);
+    EXPECT_EQ(serial.metrics.offload.fallbacks, offload);
+    if (from_start) {
+      EXPECT_GE(fetch, spec.sessions);  // every first fetch fell back
+      EXPECT_EQ(e.fallback_rate, 1.0);
+      EXPECT_EQ(serial.metrics.offload.remote_inferences, 0u);
+    } else {
+      EXPECT_GT(e.fallback_rate, 0.0);
+      EXPECT_LT(e.fallback_rate, 1.0);
+    }
+  }
 }
 
 TEST(FleetEdge, DisabledEdgeLeavesHealthZeroed) {

@@ -1,5 +1,5 @@
 // Tests for hbosim::marketsvc — the fleet-level resource market that
-// makes the edge an actor: config validation, the three policy solvers
+// makes the edge an actor: the policy vocabulary, the three policy solvers
 // (max-min closed form, proportional-fair water-filling with the
 // symmetric even split, posted-price admission control and tatonnement),
 // the decided-background handout, demand learning from measured usage,
@@ -38,31 +38,6 @@ TEST(MarketConfig, PolicyNamesRoundTrip) {
   EXPECT_THROW(market_policy_from_name("auction"), Error);
 }
 
-TEST(MarketConfig, ValidatesKnobs) {
-  EXPECT_NO_THROW(MarketConfig{}.validate());
-  MarketConfig cfg;
-  cfg.min_resolution = 0.0;
-  EXPECT_THROW(cfg.validate(), Error);
-  cfg = MarketConfig{};
-  cfg.min_resolution = 1.5;
-  EXPECT_THROW(cfg.validate(), Error);
-  cfg = MarketConfig{};
-  cfg.max_link_activity = 0.0;
-  EXPECT_THROW(cfg.validate(), Error);
-  cfg = MarketConfig{};
-  cfg.max_compute_utilization = 1.5;
-  EXPECT_THROW(cfg.validate(), Error);
-  cfg = MarketConfig{};
-  cfg.demand_smoothing = 0.0;
-  EXPECT_THROW(cfg.validate(), Error);
-  cfg = MarketConfig{};
-  cfg.max_price_step = 1.0;
-  EXPECT_THROW(cfg.validate(), Error);
-  cfg = MarketConfig{};
-  cfg.denied_bandwidth_frac = 0.0;
-  EXPECT_THROW(cfg.validate(), Error);
-}
-
 // ---------------------------------------------------------------------------
 // JointAllocator: policy solvers
 
@@ -90,9 +65,6 @@ TEST(JointAllocator, ValidatesConstruction) {
   EXPECT_THROW(JointAllocator({}, 0.0, 120.0, 0.1), Error);
   EXPECT_THROW(JointAllocator({}, 4.0, 0.0, 0.1), Error);
   EXPECT_THROW(JointAllocator({}, 4.0, 120.0, 0.0), Error);
-  MarketConfig bad;
-  bad.min_resolution = 2.0;
-  EXPECT_THROW(JointAllocator(bad, 4.0, 120.0, 0.1), Error);
 }
 
 TEST(JointAllocator, TickRequiresTenants) {
@@ -185,51 +157,111 @@ TEST(JointAllocator, ProportionalFairKeepsUncontendedTenantsAtFull) {
 TEST(JointAllocator, PricingDeniesTheUnaffordableTenant) {
   MarketConfig cfg;
   cfg.policy = MarketPolicy::Pricing;
-  cfg.initial_price = 100.0;  // nobody can afford even the floor
   JointAllocator alloc = make_allocator(cfg);
-  const auto out = alloc.tick({demand(0, 1.0)});
+  // A budget multiplier of 1/200 at the initial price affords what the
+  // full budget would at 200x the price: not even the floor.
+  const auto out = alloc.tick({demand(0, 1.0, 0.1, /*weight=*/0.005)});
   ASSERT_EQ(out.size(), 1u);
   EXPECT_FALSE(out[0].admitted);
   EXPECT_DOUBLE_EQ(out[0].bandwidth_frac, cfg.denied_bandwidth_frac);
   EXPECT_DOUBLE_EQ(out[0].bg_flows, 0.0);
   EXPECT_DOUBLE_EQ(out[0].bg_rps, 0.0);
-  EXPECT_DOUBLE_EQ(out[0].price, 100.0);
+  EXPECT_DOUBLE_EQ(out[0].price, cfg.initial_price);
   EXPECT_EQ(alloc.last().denied, 1u);
   // Nothing was admitted, so the system runs slack and tatonnement decays
   // the price by the maximum step.
-  EXPECT_DOUBLE_EQ(alloc.price(), 100.0 * (1.0 - cfg.max_price_step));
+  EXPECT_DOUBLE_EQ(alloc.price(),
+                   cfg.initial_price * (1.0 - cfg.max_price_step));
 }
 
 TEST(JointAllocator, PricingRaisesThePriceUnderOverload) {
   MarketConfig cfg;
   cfg.policy = MarketPolicy::Pricing;
-  cfg.initial_price = 0.01;  // cheap enough that everyone buys r = 1
   JointAllocator alloc = make_allocator(cfg);
-  const auto out = alloc.tick({demand(0, 4.0), demand(1, 4.0)});
+  // Budgets large enough that both tenants buy r = 1 at the initial price.
+  const auto out = alloc.tick({demand(0, 4.0, 0.1, /*weight=*/50.0),
+                               demand(1, 4.0, 0.1, /*weight=*/50.0)});
   EXPECT_TRUE(out[0].admitted);
   EXPECT_DOUBLE_EQ(out[0].resolution, 1.0);
   // Decided activity 8 against a budget of 2: the price climbs by the
   // clamped maximum step.
-  EXPECT_DOUBLE_EQ(alloc.price(), 0.01 * (1.0 + cfg.max_price_step));
+  EXPECT_DOUBLE_EQ(alloc.price(),
+                   cfg.initial_price * (1.0 + cfg.max_price_step));
 }
 
 TEST(JointAllocator, PricingReadmitsWhenThePriceDecays) {
   MarketConfig cfg;
   cfg.policy = MarketPolicy::Pricing;
-  cfg.initial_price = 50.0;
   JointAllocator alloc = make_allocator(cfg);
-  ASSERT_FALSE(alloc.tick({demand(0, 1.0)})[0].admitted);
+  const TenantDemand poor = demand(0, 1.0, 0.1, /*weight=*/0.01);
+  ASSERT_FALSE(alloc.tick({poor})[0].admitted);
   // Every denied tick runs slack, so the price halves until the tenant
   // can afford the floor again.
   bool readmitted = false;
   for (int i = 0; i < 40 && !readmitted; ++i) {
-    readmitted = alloc.tick({demand(0, 1.0)})[0].admitted;
+    readmitted = alloc.tick({poor})[0].admitted;
   }
   EXPECT_TRUE(readmitted);
 }
 
+TEST(JointAllocator, PricingPriceNeverFallsBelowItsFloor) {
+  MarketConfig cfg;
+  cfg.policy = MarketPolicy::Pricing;
+  JointAllocator alloc = make_allocator(cfg);
+  // A tenant that never affords the floor keeps the system slack, so the
+  // price halves every tick until min_price holds it.
+  const TenantDemand broke = demand(0, 1.0, 0.1, /*weight=*/1e-9);
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_FALSE(alloc.tick({broke})[0].admitted) << i;
+    EXPECT_GE(alloc.price(), cfg.min_price) << i;
+  }
+  EXPECT_EQ(alloc.price(), cfg.min_price);
+}
+
 // ---------------------------------------------------------------------------
 // JointAllocator: demand learning
+
+TEST(JointAllocator, FreshTenantsUseTheInitialDemandEstimates) {
+  MarketConfig cfg;
+  cfg.policy = MarketPolicy::MaxMin;
+  JointAllocator alloc = make_allocator(cfg);
+  // 200 tenants nobody has measured, at the initial 0.02 flows each: 4
+  // flows against the link budget of 2, so the common level is x = 0.5.
+  std::vector<TenantDemand> fresh(200);
+  for (std::size_t i = 0; i < fresh.size(); ++i) fresh[i].tenant = i;
+  const std::vector<TenantAllocation> out = alloc.tick(fresh);
+  EXPECT_NEAR(out[0].resolution * out[0].resolution, 0.5, 1e-12);
+  EXPECT_NEAR(alloc.last().link_activity, cfg.max_link_activity, 1e-12);
+  // Each mirror carries the others' initial request rate, at the request
+  // size the decided resolution leaves them.
+  EXPECT_NEAR(out[0].bg_rps, 199 * cfg.initial_request_rps, 1e-9);
+  EXPECT_NEAR(out[0].bg_mean_units, cfg.initial_mean_units * 0.5, 1e-12);
+}
+
+TEST(JointAllocator, ObserveMovesTheEstimateByTheSmoothingWeight) {
+  MarketConfig cfg;
+  cfg.policy = MarketPolicy::MaxMin;
+  JointAllocator alloc = make_allocator(cfg);
+  // One epoch measured at 8.02 flows, with the initial request rate, size
+  // and cost. The EWMA moves the 0.02-flow estimate a quarter of the way:
+  // 0.02 + 0.25 * 8.0 = 2.02 flows, so a lone tenant's level is 2 / 2.02.
+  MeasuredUsage usage;
+  usage.payload_bytes =
+      static_cast<std::uint64_t>(8.02 * 120e6 / 8.0 * 10.0 + 0.5);
+  usage.requests = 4;
+  usage.units = 4 * cfg.initial_mean_units;
+  usage.service_s = 4 * cfg.initial_mean_units * 0.1;
+  usage.duration_s = 10.0;
+  alloc.observe(0, usage, 1.0);
+  TenantDemand learned;
+  learned.tenant = 0;
+  const double r = alloc.tick({learned})[0].resolution;
+  EXPECT_NEAR(r * r, 2.0 / (cfg.initial_flow_activity +
+                            cfg.demand_smoothing *
+                                (8.02 - cfg.initial_flow_activity)),
+              1e-9);
+  EXPECT_NEAR(r * r, 2.0 / 2.02, 1e-9);
+}
 
 TEST(JointAllocator, ObserveFoldsMeasuredUsageIntoTheNextTick) {
   MarketConfig cfg;
@@ -389,11 +421,6 @@ TEST(FleetMarket, ValidationRejectsNonsenseCombinations) {
   spec.market.epoch_sessions = 0;
   EXPECT_THROW(spec.validate(), Error);
 
-  // Allocator knobs are validated through the fleet spec too.
-  spec = market_fleet(8, 1, MarketPolicy::ProportionalFair);
-  spec.market.allocator.min_resolution = 0.0;
-  EXPECT_THROW(spec.validate(), Error);
-
   EXPECT_NO_THROW(
       market_fleet(8, 1, MarketPolicy::ProportionalFair).validate());
 }
@@ -437,8 +464,8 @@ TEST(FleetMarket, PerSessionResultsAreThreadCountInvariant) {
         << "session " << i;
     EXPECT_EQ(a.market_price, b.market_price) << "session " << i;
   }
-  // The roll-up (including the order-independent broker re-summation of
-  // floating-point totals) agrees too.
+  // The roll-up (including the edge sums, folded in session-id order)
+  // agrees too.
   EXPECT_EQ(serial.metrics.market.resolution.mean,
             threaded.metrics.market.resolution.mean);
   EXPECT_EQ(serial.metrics.market.link_activity,
@@ -470,25 +497,44 @@ TEST(FleetMarket, RollupReportsMarketHealth) {
 }
 
 TEST(FleetMarket, PricingOverloadDeniesIntoBestEffort) {
-  // A posted price nobody can afford: every tenant is bumped into the
-  // scavenger class, survives on on-device fallbacks, and the roll-up
-  // says so.
+  // Tenants whose budget affords nothing at the posted price are bumped
+  // into the scavenger class, survive on on-device fallbacks, and the
+  // roll-up says so.
   fleet::FleetSpec spec = market_fleet(6, 2, MarketPolicy::Pricing);
   spec.market.epoch_sessions = 3;
-  spec.market.allocator.initial_price = 1e6;
-  fleet::FleetResult result = fleet::FleetSimulator(spec).run();
-  const fleet::FleetMetrics::MarketHealth& mh = result.metrics.market;
-  EXPECT_TRUE(mh.enabled);
-  EXPECT_EQ(mh.policy, "price");
-  EXPECT_EQ(mh.denied_sessions, 6u);
-  EXPECT_DOUBLE_EQ(mh.admission_rate, 0.0);
-  EXPECT_LT(mh.final_price, 1e6);  // tatonnement decays while slack
-  for (const fleet::SessionResult& s : result.sessions) {
+  fleet::FleetSimulator fleet(spec);
+  (void)fleet.run();  // builds the broker whose market clients we need
+
+  // The same allocator the broker runs, ticked on budgets too small for
+  // even the resolution floor.
+  const edgesvc::EdgeServiceSpec& edge = spec.edge;
+  JointAllocator alloc(
+      spec.market.allocator, static_cast<double>(edge.server.cores),
+      edge.link.mbit_per_s,
+      edgesvc::EdgeServerSpec::decimation_ms_per_mtri * 1e-3);
+  std::vector<TenantDemand> poor(spec.sessions);
+  for (std::size_t i = 0; i < poor.size(); ++i) {
+    poor[i].tenant = i;
+    poor[i].weight = 1e-4;
+  }
+  const std::vector<TenantAllocation> denied = alloc.tick(poor);
+
+  std::vector<fleet::SessionResult> results;
+  for (std::size_t i = 0; i < spec.sessions; ++i) {
+    ASSERT_FALSE(denied[i].admitted);
+    results.push_back(
+        fleet.run_market_session(fleet.session_spec(i), denied[i]));
+  }
+  const fleet::FleetMetrics m = fleet::aggregate_fleet(results, 0.0);
+  EXPECT_EQ(m.market.denied_sessions, 6u);
+  EXPECT_DOUBLE_EQ(m.market.admission_rate, 0.0);
+  for (const fleet::SessionResult& s : results) {
     EXPECT_TRUE(s.market_denied);
     EXPECT_GT(s.market_price, 0.0);
     // The session still completed — degraded, not wedged.
-    EXPECT_GT(s.sim_seconds, 0.0);
+    EXPECT_GE(s.sim_seconds, spec.duration_s);
     EXPECT_GT(s.activations, 0u);
+    EXPECT_GT(s.edge_requests, 0u);
   }
 }
 
@@ -502,7 +548,6 @@ TEST(FleetMarket, WithPriorsIsThreadCountInvariant) {
     spec.market.epoch_sessions = 3;
     spec.policy.mode = fleet::PolicyMode::Prior;
     spec.policy.epoch_sessions = 4;
-    spec.policy.prior.min_observations = 4;
     return spec;
   };
   const fleet::FleetResult serial = fleet::FleetSimulator(combined(1)).run();
@@ -524,10 +569,12 @@ TEST(FleetMarket, WithPriorsIsThreadCountInvariant) {
   EXPECT_EQ(serial.metrics.policy.prior_activations,
             threaded.metrics.policy.prior_activations);
 
-  // A store that can never fit a prior leaves the market-only fleet
-  // untouched: the extra policy barriers move no bit.
+  // A prior-mode fleet whose one learner barrier precedes all traffic
+  // snapshots an empty store, so it never fits a prior and leaves the
+  // market-only fleet untouched: the policy layer's barrier, store feed
+  // and hooks move no bit.
   fleet::FleetSpec inert = combined(2);
-  inert.policy.prior.min_observations = 1u << 20;
+  inert.policy.epoch_sessions = inert.sessions;
   fleet::FleetSpec market_only = combined(2);
   market_only.policy.mode = fleet::PolicyMode::Off;
   const fleet::FleetResult a = fleet::FleetSimulator(inert).run();
@@ -544,6 +591,7 @@ TEST(FleetMarket, WithPriorsIsThreadCountInvariant) {
               b.sessions[i].edge_payload_bytes);
     EXPECT_EQ(a.sessions[i].prior_activations, 0u);
   }
+  EXPECT_EQ(a.metrics.policy.priors_fitted, 0u);
   EXPECT_EQ(a.metrics.market.final_price, b.metrics.market.final_price);
 }
 
@@ -592,7 +640,6 @@ TEST(FleetMarket, RerunStartsFromAFreshMarketAndStore) {
   spec.market.epoch_sessions = 3;
   spec.policy.mode = fleet::PolicyMode::Prior;
   spec.policy.epoch_sessions = 4;
-  spec.policy.prior.min_observations = 4;
   fleet::FleetSimulator sim(spec);
   const fleet::FleetResult first = sim.run();
   const fleet::FleetResult second = sim.run();

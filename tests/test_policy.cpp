@@ -28,30 +28,12 @@ using policy::PriorKey;
 // ---------------------------------------------------------------------------
 // ScenarioPrior / PriorStore
 
-policy::PriorStoreConfig small_store_cfg() {
-  policy::PriorStoreConfig cfg;
-  cfg.min_observations = 3;
-  return cfg;
-}
-
-TEST(PriorStoreConfig, ValidateRejectsNonsense) {
-  policy::PriorStoreConfig cfg;
-  cfg.max_observations_per_key = 0;
-  EXPECT_THROW(policy::PriorStore{cfg}, Error);
-  cfg = {};
-  cfg.min_observations = 1;
-  EXPECT_THROW(policy::PriorStore{cfg}, Error);
-  cfg = {};
-  cfg.mean_bandwidth = 0.0;
-  EXPECT_THROW(policy::PriorStore{cfg}, Error);
-}
-
 TEST(ScenarioPrior, MeanInterpolatesSupportAndFallsBackToGlobalMean) {
   // Support on a 2-d segment: cost rises with the first coordinate.
   std::vector<std::vector<double>> zs = {
       {0.0, 0.0}, {0.5, 0.0}, {1.0, 0.0}};
   std::vector<double> costs = {0.0, 0.5, 1.0};
-  policy::ScenarioPrior prior(zs, costs, small_store_cfg());
+  policy::ScenarioPrior prior(zs, costs, {});
 
   // On top of a support point the estimate is dominated by it.
   EXPECT_NEAR(prior.mean(std::vector<double>{0.0, 0.0}), 0.0, 0.1);
@@ -70,22 +52,22 @@ TEST(ScenarioPrior, MeanInterpolatesSupportAndFallsBackToGlobalMean) {
 
 TEST(ScenarioPrior, LengthScaleFactorClampedAndSeedsCostOrdered) {
   std::vector<std::vector<double>> zs = {
-      {0.0, 0.0}, {0.3, 0.0}, {0.6, 0.0}, {0.9, 0.0}};
-  std::vector<double> costs = {0.4, -1.0, 0.2, 0.9};
-  policy::PriorStoreConfig cfg = small_store_cfg();
-  cfg.max_seed_points = 3;
+      {0.0, 0.0}, {0.3, 0.0}, {0.6, 0.0}, {0.9, 0.0}, {0.0, 0.6}};
+  std::vector<double> costs = {0.4, -1.0, 0.2, 0.9, 1.5};
+  const policy::PriorStoreConfig cfg;
   policy::ScenarioPrior prior(zs, costs, cfg);
 
   const double f = prior.length_scale_factor();
   EXPECT_GE(f, 0.15);
   EXPECT_LE(f, 1.5);
 
-  // Seeds come back best-cost-first.
+  // Seeds come back best-cost-first, at most max_seed_points (4) of them.
   const auto seeds = prior.seed_points(8);
-  ASSERT_EQ(seeds.size(), 3u);
+  ASSERT_EQ(seeds.size(), policy::PriorStoreConfig::max_seed_points);
   EXPECT_DOUBLE_EQ(seeds[0][0], 0.3);  // cost -1.0
   EXPECT_DOUBLE_EQ(seeds[1][0], 0.6);  // cost 0.2
   EXPECT_DOUBLE_EQ(seeds[2][0], 0.0);  // cost 0.4
+  EXPECT_DOUBLE_EQ(seeds[3][0], 0.9);  // cost 0.9; 1.5 is left out
   EXPECT_EQ(prior.seed_points(1).size(), 1u);
 
   // Coincident points are deduplicated by the separation rule.
@@ -96,13 +78,14 @@ TEST(ScenarioPrior, LengthScaleFactorClampedAndSeedsCostOrdered) {
 }
 
 TEST(PriorStore, RecordSnapshotAndExactOverPooledFallback) {
-  policy::PriorStore store(small_store_cfg());
+  policy::PriorStore store;
   const core::EnvironmentKey env_a{12, 4, 99};
   const core::EnvironmentKey env_b{13, 4, 99};
   const PriorKey key_a{"Pixel 7", "SC2/CF2", env_a};
 
-  for (int i = 0; i < 4; ++i) {
-    const double t = 0.25 * i;
+  // Exactly min_observations (6): the fewest a key fits a prior from.
+  for (int i = 0; i < 6; ++i) {
+    const double t = 0.2 * i;
     store.record(key_a, std::vector<double>{t, 1.0 - t, 0.0, 0.8},
                  -1.0 + 0.1 * i);
   }
@@ -117,8 +100,8 @@ TEST(PriorStore, RecordSnapshotAndExactOverPooledFallback) {
   const policy::PriorStoreStats stats = store.stats();
   EXPECT_EQ(stats.keys, 1u);
   EXPECT_EQ(stats.pooled_keys, 1u);
-  EXPECT_EQ(stats.observations, 4u);
-  EXPECT_EQ(stats.recorded, 4u);
+  EXPECT_EQ(stats.observations, 6u);
+  EXPECT_EQ(stats.recorded, 6u);
   EXPECT_EQ(stats.snapshots, 1u);
 
   // Snapshots are frozen: later records never mutate an issued snapshot.
@@ -135,13 +118,11 @@ TEST(PriorStore, RecordSnapshotAndExactOverPooledFallback) {
 }
 
 TEST(PriorStore, ReservoirSubsamplingIsDeterministic) {
-  policy::PriorStoreConfig cfg = small_store_cfg();
-  cfg.max_observations_per_key = 8;
   const PriorKey key{"Pixel 7", "SC2/CF2", {1, 2, 3}};
   auto fill = [&] {
-    policy::PriorStore store(cfg);
-    for (int i = 0; i < 100; ++i) {
-      const double t = static_cast<double>(i) / 99.0;
+    policy::PriorStore store;
+    for (int i = 0; i < 400; ++i) {
+      const double t = static_cast<double>(i) / 399.0;
       store.record(key, std::vector<double>{t, 1.0 - t, 0.0, 0.5 + 0.5 * t},
                    std::sin(7.0 * t));
     }
@@ -153,12 +134,54 @@ TEST(PriorStore, ReservoirSubsamplingIsDeterministic) {
   auto pb = b->find(key);
   ASSERT_NE(pa, nullptr);
   ASSERT_NE(pb, nullptr);
-  EXPECT_EQ(pa->support_size(), 8u);
+  EXPECT_EQ(pa->support_size(),
+            policy::PriorStoreConfig::max_observations_per_key);
   // Identical record streams -> bitwise identical fits.
   EXPECT_EQ(pa->global_mean(), pb->global_mean());
   EXPECT_EQ(pa->length_scale_factor(), pb->length_scale_factor());
   const std::vector<double> probe{0.25, 0.25, 0.5, 0.7};
   EXPECT_EQ(pa->mean(probe), pb->mean(probe));
+}
+
+TEST(PriorStore, KeysBelowMinObservationsFitNoPrior) {
+  // A key fits a prior from min_observations (6) records on, not before.
+  policy::PriorStore store;
+  const PriorKey key{"Pixel 7", "SC2/CF2", {4, 2, 7}};
+  const std::size_t need = policy::PriorStoreConfig::min_observations;
+  auto record = [&store, &key](std::size_t i) {
+    const double t = 0.1 * static_cast<double>(i);
+    store.record(key, std::vector<double>{t, 0.5, 0.5 - t, 0.7}, -0.5 + t);
+  };
+  for (std::size_t i = 0; i + 1 < need; ++i) record(i);
+  EXPECT_EQ(store.snapshot()->find(key), nullptr);
+  EXPECT_EQ(store.snapshot()->prior_count(), 0u);
+  record(need - 1);
+  const auto snap = store.snapshot();
+  ASSERT_NE(snap->find(key), nullptr);
+  EXPECT_EQ(snap->find(key)->support_size(), need);
+}
+
+TEST(PriorStore, PooledBucketKeepsAtMostItsCap) {
+  // Forty environments of one (device, scenario) feed one pooled bucket,
+  // which keeps a reservoir of max_observations_pooled (256) of the 600
+  // records; each exact key keeps all 15 of its own.
+  policy::PriorStore store;
+  for (int i = 0; i < 600; ++i) {
+    const PriorKey key{"Pixel 7", "SC2/CF2",
+                       {static_cast<std::uint64_t>(i % 40), 1, 1}};
+    const double t = static_cast<double>(i) / 599.0;
+    store.record(key, std::vector<double>{t, 1.0 - t, 0.0, 0.5},
+                 std::cos(3.0 * t));
+  }
+  const auto snap = store.snapshot();
+  const auto pooled = snap->find("Pixel 7", "SC2/CF2", {999, 1, 1});
+  ASSERT_NE(pooled, nullptr);
+  EXPECT_EQ(pooled->support_size(),
+            policy::PriorStoreConfig::max_observations_pooled);
+  const auto exact = snap->find(PriorKey{"Pixel 7", "SC2/CF2", {0, 1, 1}});
+  ASSERT_NE(exact, nullptr);
+  EXPECT_EQ(exact->support_size(), 15u);
+  EXPECT_EQ(store.stats().observations, 600u);
 }
 
 // ---------------------------------------------------------------------------
@@ -370,7 +393,6 @@ fleet::FleetSpec prior_fleet(std::size_t sessions, std::size_t threads) {
   spec.devices = {{"Pixel 7", 1.0}};  // concentrate traffic on few keys
   spec.policy.mode = fleet::PolicyMode::Prior;
   spec.policy.epoch_sessions = 4;
-  spec.policy.prior.min_observations = 4;
   return spec;
 }
 
@@ -392,16 +414,15 @@ TEST(FleetPolicy, ValidateRejectsNonsense) {
   EXPECT_THROW(fleet::FleetSimulator{spec}, Error);
 }
 
-// Bitwise-parity pin: a Prior-mode fleet whose store can never fit a
-// prior (min_observations out of reach) must reproduce the Off-mode fleet
-// exactly — the hooks fire, find() returns null, and every session runs
-// the unchanged flat-prior code path.
+// Bitwise-parity pin: a Prior-mode fleet whose store never fits a prior
+// (its one learner barrier snapshots the empty store before any traffic)
+// must reproduce the Off-mode fleet exactly — the hooks fire, find()
+// returns null, and every session runs the unchanged flat-prior code path.
 TEST(FleetPolicy, NullPriorsLeaveResultsBitwiseIdenticalToPolicyOff) {
   fleet::FleetSpec off = fast_fleet(12, 2);
   fleet::FleetSpec inert = fast_fleet(12, 2);
   inert.policy.mode = fleet::PolicyMode::Prior;
-  inert.policy.epoch_sessions = 4;
-  inert.policy.prior.min_observations = 1u << 20;
+  inert.policy.epoch_sessions = inert.sessions;
 
   fleet::FleetResult a = fleet::FleetSimulator(off).run();
   fleet::FleetResult b = fleet::FleetSimulator(inert).run();

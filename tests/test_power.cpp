@@ -190,15 +190,24 @@ TEST(PowerConfig, ValidateRejectsNonsense) {
   PowerConfig good;
   EXPECT_NO_THROW(good.validate());
   PowerConfig c = good;
-  c.tick_s = 0.0;
-  EXPECT_THROW(c.validate(), Error);
-  c = good;
-  c.initial_soc = 1.5;
+  c.ambient_sigma_c = -0.5;
   EXPECT_THROW(c.validate(), Error);
   c = good;
   c.throttle_temp_c = 50.0;
   c.release_temp_c = 55.0;  // inverted override
   EXPECT_THROW(c.validate(), Error);
+}
+
+TEST(PowerManager, TicksEveryTenthOfASecondFromAFullBattery) {
+  const soc::DeviceProfile device = soc::find_builtin("Pixel 7");
+  des::Simulator sim;
+  soc::SocRuntime soc(sim, device);
+  PowerManager pm(sim, soc, find_power_model("Pixel 7"), PowerConfig{});
+  EXPECT_EQ(pm.battery_soc(), 1.0);
+  sim.run_until(1.05);  // ticks at 0.1, 0.2, ..., 1.0
+  EXPECT_EQ(sim.events_executed(), 10u);
+  EXPECT_LT(pm.battery_soc(), 1.0);  // an idle SoC still draws base power
+  pm.stop();
 }
 
 // --- whole-app guarantees --------------------------------------------------

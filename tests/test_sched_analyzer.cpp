@@ -368,15 +368,15 @@ TEST(SchedAnalyzer, RejectsJobIdsThatDecreaseWithSubmission) {
 }
 
 // The starvation rule is strict: a job starves when its wait exceeds
-// k x max(class median, floor), not when it reaches it. Four sequential
-// jobs of one class (ideal 1 s each) wait 0, 0, 2 and 2.5 s; the median is
-// 1, so with k = 2 and a 1 s floor the limit is exactly 2 s, and only the
-// last job starves — in the analyzer and in the meter.
+// k x max(class median, floor), not when it reaches it. Five sequential
+// jobs of one class (ideal 1 s each) wait 0, 0.5, 1, 4 and 4.5 s; the
+// median is 1 s, above the 1 ms floor, so with k = 4 the limit is exactly
+// 4 s, and only the last job starves — in the analyzer and in the meter.
 TEST(SchedAnalyzer, WaitAtTheStarvationLimitDoesNotStarve) {
   auto feed = [](des::SchedSink& sink) {
     const std::uint16_t rid = sink.register_resource("cpu");
-    const double spans[][2] = {{0.0, 1.0}, {1.0, 2.0}, {2.0, 5.0},
-                               {5.0, 8.5}};
+    const double spans[][2] = {
+        {0.0, 1.0}, {1.0, 2.5}, {2.5, 4.5}, {4.5, 9.5}, {9.5, 15.0}};
     JobId id = 0;
     for (const auto& [submit, end] : spans) {
       des::SchedEvent ev;
@@ -395,16 +395,13 @@ TEST(SchedAnalyzer, WaitAtTheStarvationLimitDoesNotStarve) {
       sink.record(ev);
     }
   };
-  des::SchedAnalyzerConfig cfg;
-  cfg.starvation_k = 2.0;
-  cfg.min_wait_floor_s = 1.0;
   des::SchedTrace trace;
   feed(trace);
-  const des::SchedAnalyzer an(trace, cfg);
+  const des::SchedAnalyzer an(trace);
   ASSERT_EQ(an.starved().size(), 1u);
-  EXPECT_EQ(an.starved().front().job.job, 4u);
-  EXPECT_EQ(an.starved().front().threshold_s, 2.0);
-  des::SchedMeter meter(cfg);
+  EXPECT_EQ(an.starved().front().job.job, 5u);
+  EXPECT_EQ(an.starved().front().threshold_s, 4.0);
+  des::SchedMeter meter;
   feed(meter);
   EXPECT_EQ(meter.finish().starved_jobs, 1u);
 }
@@ -956,11 +953,6 @@ TEST(FleetSched, ValidateRejectsNonsenseKnobs) {
   fleet::FleetSpec spec = fast_fleet(1, 1);
   spec.sched.enabled = true;
   spec.sched.capacity_per_resource = 0;
-  EXPECT_THROW(fleet::FleetSimulator{spec}, Error);
-
-  spec = fast_fleet(1, 1);
-  spec.sched.enabled = true;
-  spec.sched_analysis.starvation_k = 0.0;
   EXPECT_THROW(fleet::FleetSimulator{spec}, Error);
 
   spec = fast_fleet(1, 1);

@@ -1,16 +1,12 @@
-// Tests for MonitoredSession (the packaged Section IV-E loop) and the
-// Section VI remote-optimizer offload model.
+// Tests for MonitoredSession (the packaged Section IV-E loop).
 
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <utility>
 #include <vector>
 
 #include "hbosim/common/error.hpp"
 #include "hbosim/core/monitored_session.hpp"
-#include "hbosim/edge/remote_optimizer.hpp"
-#include "hbosim/edgesvc/link_model.hpp"
 #include "hbosim/scenario/scenarios.hpp"
 #include "hbosim/soc/devices_builtin.hpp"
 
@@ -208,65 +204,6 @@ TEST(MonitoredSession, InvalidConfigThrows) {
   cfg = fast_session();
   cfg.warm_start_tolerance = -1.0;
   EXPECT_THROW(core::MonitoredSession(app, cfg), Error);
-}
-
-TEST(RemoteOptimizer, RoundTripSumsLinkAndServerTime) {
-  edge::RemoteOptimizerConfig cfg;
-  cfg.rtt_ms = 10.0;
-  cfg.mbit_per_s = 100.0;
-  cfg.upload_bytes = 48;
-  cfg.download_bytes = 40;
-  cfg.server_suggest_ms = 2.0;
-  edge::RemoteOptimizerLink link(cfg);
-  // Two RTTs dominate; payloads are a few microseconds at 100 Mbit/s.
-  EXPECT_NEAR(link.round_trip_seconds(), 0.010 + 0.002 + 0.010, 1e-4);
-  EXPECT_EQ(link.bytes_per_iteration(), 88u);
-}
-
-TEST(RemoteOptimizer, RoundTripPricesPayloadsAtLinkNominal) {
-  // Both payloads cost the link's nominal exchange time, bit for bit.
-  edge::RemoteOptimizerConfig cfg;
-  cfg.rtt_ms = 12.0;
-  cfg.mbit_per_s = 200.0;
-  cfg.upload_bytes = 4096;
-  cfg.download_bytes = 65536;
-  const edge::RemoteOptimizerLink remote(cfg);
-  const edgesvc::LinkModel link(
-      edgesvc::LinkModelConfig{cfg.rtt_ms, cfg.mbit_per_s});
-  EXPECT_EQ(remote.round_trip_seconds(),
-            link.nominal_seconds(cfg.upload_bytes) +
-                cfg.server_suggest_ms * 1e-3 +
-                link.nominal_seconds(cfg.download_bytes));
-}
-
-TEST(RemoteOptimizer, RejectsNearZeroThroughputAndNonFiniteLinks) {
-  // The same link checks as the decimation service's closed form: the
-  // link is refused when built, before any exchange is priced.
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double inf = std::numeric_limits<double>::infinity();
-  const std::vector<std::pair<double, double>> bad_links = {
-      {20.0, 1e-9}, {20.0, 0.0}, {nan, 120.0}, {20.0, inf}, {-5.0, 120.0}};
-  for (const auto& [rtt_ms, mbit_per_s] : bad_links) {
-    edge::RemoteOptimizerConfig cfg;
-    cfg.rtt_ms = rtt_ms;
-    cfg.mbit_per_s = mbit_per_s;
-    EXPECT_THROW(edge::RemoteOptimizerLink{cfg}, Error)
-        << rtt_ms << " ms, " << mbit_per_s << " Mbit/s";
-  }
-}
-
-TEST(RemoteOptimizer, OffloadDecisionComparesAgainstLocalCost) {
-  edge::RemoteOptimizerConfig cfg;
-  cfg.rtt_ms = 10.0;
-  edge::RemoteOptimizerLink link(cfg);
-  EXPECT_TRUE(link.offload_pays_off(0.100));   // slow device: 100 ms local
-  EXPECT_FALSE(link.offload_pays_off(0.001));  // fast device: 1 ms local
-  EXPECT_THROW(link.offload_pays_off(-1.0), Error);
-}
-
-TEST(RemoteOptimizer, PayloadIsAFewBytesAsThePaperClaims) {
-  const edge::RemoteOptimizerLink link;
-  EXPECT_LT(link.bytes_per_iteration(), 256u);
 }
 
 }  // namespace

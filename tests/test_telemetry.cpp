@@ -395,6 +395,18 @@ TEST(Telemetry, LogRoutingHonoursLevel) {
   EXPECT_EQ(logs[0].level, static_cast<int>(LogLevel::Error));
 }
 
+TEST(Telemetry, LogCaptureStopsAtMaxLogRecords) {
+  TelemetrySession session;
+  const std::size_t cap = TelemetryConfig::max_log_records;
+  for (std::size_t i = 0; i < cap + 100; ++i)
+    session.record_log(static_cast<int>(LogLevel::Warn), "flood",
+                       std::to_string(i));
+  const std::vector<LogRecord> logs = session.log_records();
+  ASSERT_EQ(logs.size(), cap);
+  EXPECT_EQ(logs.front().message, "0");  // the first lines are kept
+  EXPECT_EQ(logs.back().message, std::to_string(cap - 1));
+}
+
 TEST(Logging, ComponentLevelOverrides) {
   set_component_level("chatty", LogLevel::Trace);
   EXPECT_TRUE(log_enabled(LogLevel::Trace, "chatty"));
