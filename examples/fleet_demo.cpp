@@ -339,7 +339,11 @@ int main(int argc, char** argv) {
               << " fallback rate=" << m.edge.fallback_rate
               << " queue depth p95=" << std::setprecision(1)
               << m.edge.queue_depth_p95 << " mean wait="
-              << std::setprecision(3) << m.edge.mean_wait_ms << " ms\n";
+              << std::setprecision(3) << m.edge.mean_wait_ms << " ms\n"
+              << "        mean exchange=" << m.edge.mean_exchange_ms
+              << " ms request units=" << m.edge.units
+              << " own service=" << m.edge.own_service_s
+              << " s mean service=" << m.edge.mean_service_ms << " ms\n";
   }
   if (m.market.enabled) {
     std::cout << "  market (" << m.market.policy << "): " << m.market.ticks

@@ -64,15 +64,13 @@ std::vector<double> BayesianOptimizer::suggest(Rng& rng) {
   }
 
   // Standardize the observed costs so the surrogate's fixed prior variance
-  // stays commensurate with the data. With a learned prior the GP models
-  // the residual cost - m0(z): subtract the cached prior means first, so
-  // the surrogate only has to explain what past traffic did not predict.
+  // stays commensurate with the data. The GP models the residual cost -
+  // m0(z): subtracting the cached prior means leaves the surrogate only
+  // what past traffic did not predict (without a prior m0 = 0).
   std::vector<double> y;
   y.reserve(data_.size());
-  for (const auto& obs : data_) y.push_back(obs.cost);
-  if (cfg_.prior) {
-    for (std::size_t i = 0; i < y.size(); ++i) y[i] -= prior_mean_obs_[i];
-  }
+  for (std::size_t i = 0; i < data_.size(); ++i)
+    y.push_back(data_[i].cost - prior_mean_obs_[i]);
   const double sd = stdev(y);
   const double scale = sd > 1e-12 ? sd : 1.0;
   const double m = mean(y);
@@ -80,20 +78,13 @@ std::vector<double> BayesianOptimizer::suggest(Rng& rng) {
 
   const GaussianProcess& gp = fit_surrogate(y);
 
-  // With a prior the GP's posterior is over standardized *residuals*; add
-  // each point's prior mean back, divided by the standardization scale, so
-  // acquisition compares total predicted costs, observed incumbent
-  // included. Constant offsets cancel inside EI, so only the z-dependent
-  // part matters.
-  const bool has_prior = cfg_.prior != nullptr;
-  double best_y;
-  if (has_prior) {
-    best_y = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < y.size(); ++i)
-      best_y = std::min(best_y, y[i] + prior_mean_obs_[i] / scale);
-  } else {
-    best_y = *std::min_element(y.begin(), y.end());
-  }
+  // The GP's posterior is over standardized *residuals*; add each point's
+  // prior mean back, divided by the standardization scale, so acquisition
+  // compares total predicted costs, observed incumbent included. Constant
+  // offsets cancel inside EI, so only the z-dependent part matters.
+  double best_y = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < y.size(); ++i)
+    best_y = std::min(best_y, y[i] + prior_mean_obs_[i] / scale);
   const std::vector<double>& incumbent = best().z;
 
   // The candidate set, packed flat for the batched predict: uniform
@@ -116,6 +107,14 @@ std::vector<double> BayesianOptimizer::suggest(Rng& rng) {
     }
   }
 
+  // The prior mean of every candidate in one batched call. Without a
+  // prior the buffer keeps the zeros resize() gave it.
+  prior_mean_cand_.resize(total);
+  if (cfg_.prior) {
+    HB_TRACE_SCOPE("bo", "bo.prior_mean");
+    cfg_.prior->mean_many(cand_flat_, total, prior_mean_cand_);
+  }
+
   std::size_t best_idx = 0;
   {
     HB_TRACE_SCOPE("bo", "bo.score");
@@ -125,10 +124,7 @@ std::vector<double> BayesianOptimizer::suggest(Rng& rng) {
     // Argmax with ties going to the first candidate in generation order.
     double best_score = -std::numeric_limits<double>::infinity();
     for (std::size_t c = 0; c < total; ++c) {
-      double mu = preds_[c].mean;
-      if (has_prior) {
-        mu += cfg_.prior->mean({cand_flat_.data() + c * dim, dim}) / scale;
-      }
+      const double mu = preds_[c].mean + prior_mean_cand_[c] / scale;
       const double score =
           acquisition_score(cfg_.acquisition, mu, std::sqrt(preds_[c].variance),
                             best_y, kAcquisitionParams);
@@ -192,7 +188,7 @@ void BayesianOptimizer::tell(std::vector<double> z, double cost) {
   HB_REQUIRE(space_.contains(z, 1e-6),
              "tell(): configuration violates Constraints 8-10");
   HB_REQUIRE(std::isfinite(cost), "tell(): cost must be finite");
-  if (cfg_.prior) prior_mean_obs_.push_back(cfg_.prior->mean(z));
+  prior_mean_obs_.push_back(cfg_.prior ? cfg_.prior->mean(z) : 0.0);
 
   // Extend the cached distance matrix by the new point's row/column.
   // Every kernel is stationary, so this one matrix serves the Gram of

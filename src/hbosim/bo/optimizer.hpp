@@ -86,8 +86,9 @@ struct BoConfig {
   /// the residual cost - prior->mean(z), acquisition scores add the prior
   /// mean back per candidate, the prior's seed configurations replace the
   /// first initialization draws, and its length-scale hint joins the
-  /// refit grid. Null (the default) leaves every code path bitwise
-  /// identical to a prior-free optimizer.
+  /// refit grid. Null (the default) is a zero mean: the same formulas run,
+  /// and subtracting 0.0, adding 0.0 and dividing 0.0 by the scale are
+  /// exact, so the optimizer behaves as if it had no prior term at all.
   std::shared_ptr<const SurrogatePrior> prior;
 };
 
@@ -130,7 +131,7 @@ class BayesianOptimizer {
   BoConfig cfg_;
   std::vector<Observation> data_;
 
-  // --- learned-prior state (cfg_.prior; empty/unused without one) ---
+  // --- learned-prior state (zero means without cfg_.prior) ---
   std::vector<double> prior_mean_obs_;  ///< prior->mean(z_i) per observation
   std::vector<std::vector<double>> prior_seeds_;  ///< clipped seed points
   bool prior_seeds_ready_ = false;
@@ -144,6 +145,7 @@ class BayesianOptimizer {
   // Reused per-suggest buffers (steady state: zero allocations in the
   // candidate-generation and scoring loops).
   std::vector<double> cand_flat_;
+  std::vector<double> prior_mean_cand_;  ///< prior mean per candidate
   std::vector<GaussianProcess::Prediction> preds_;
   GaussianProcess::BatchScratch batch_scratch_;
   std::vector<double> clip_scratch_;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -16,7 +17,8 @@
 /// header only defines the contract so bo stays dependency-free.
 ///
 /// Determinism contract: every method must be a pure function of the
-/// prior's frozen state — no clocks, no shared mutable state, no
+/// prior's frozen state — no clocks, no shared mutable state (per-call
+/// scratch lives on the caller's stack, never in the prior), no
 /// unseeded randomness — because one prior instance may be consulted
 /// concurrently by many fleet sessions whose trajectories must stay
 /// bit-identical across thread counts.
@@ -27,9 +29,22 @@ class SurrogatePrior {
  public:
   virtual ~SurrogatePrior() = default;
 
-  /// Prior mean of the raw (unstandardized) cost phi at configuration z.
-  /// Must be finite for every feasible z.
-  virtual double mean(std::span<const double> z) const = 0;
+  /// Prior mean of the raw (unstandardized) cost phi at each of `count`
+  /// configurations packed row-major in zs_flat (count >= 1 points of
+  /// zs_flat.size() / count coordinates each), into out[0..count). Must
+  /// be finite for every feasible point. The only override point: the
+  /// optimizer scores its whole candidate set with one call, and mean()
+  /// below goes through the same code, so a prior cannot have a scalar
+  /// and a batched answer that disagree.
+  virtual void mean_many(std::span<const double> zs_flat, std::size_t count,
+                         std::span<double> out) const = 0;
+
+  /// mean_many over the one point z.
+  double mean(std::span<const double> z) const {
+    double out = 0.0;
+    mean_many(z, 1, {&out, 1});
+    return out;
+  }
 
   /// Multiplier applied to the base length scale (bo::kLengthScale) and
   /// appended to the length-scale grid (bo::kLengthScaleGrid) for the

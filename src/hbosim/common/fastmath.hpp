@@ -4,7 +4,8 @@
 
 /// \file fastmath.hpp
 /// Flat, vectorization-friendly numeric loops for the BO hot path (batched
-/// GP prediction and incremental Cholesky maintenance). These are the only
+/// GP prediction, incremental Cholesky maintenance and the learned prior's
+/// batched mean). These are the only
 /// routines in hbosim where throughput beats readability: the acquisition
 /// step scores ~600 candidates against the surrogate per control period,
 /// and each score is an O(n^2) triangular solve plus n kernel evaluations.
@@ -72,6 +73,28 @@ void accum_rowsq(const double* v, std::size_t n, std::size_t stride,
 /// reproducibility against Cholesky::solve_lower is required.
 void trsm_lower_inplace(const double* l, std::size_t lstride, std::size_t n,
                         double* b, std::size_t count, std::size_t bstride);
+
+/// Widest candidate block nw_block takes.
+inline constexpr std::size_t kNwBlock = 64;
+
+/// Fused Nadaraya-Watson sums for bc <= kNwBlock candidates given
+/// TRANSPOSED as ct (d x bstride, coordinate-major) against n >= 1 support
+/// points x (row-major, n x d) with values v. Per candidate c, with
+/// d2(i, c) = ||z_c - x_i||^2 accumulated coordinate by coordinate:
+///   min_d2[c] = min_i d2(i, c),
+///   num[c]    = sum_i v[i] * exp((min_d2[c] - d2(i, c)) * k),
+///   den[c]    = sum_i exp((min_d2[c] - d2(i, c)) * k),
+/// both sums in support order, each exp within 2 ulp of std::exp (the
+/// exp_many core, clamped at -700). The first pass takes the minimum and
+/// the second recomputes every distance instead of storing an n x bc
+/// block, so the working set is the block and its three output rows
+/// whatever n is. The recomputation is bitwise equal to the first pass,
+/// so the nearest point weighs exactly 1 and den[c] >= 1. k must be >= 0.
+/// Vectorized across candidates for d = 5 (the offload z-space); other
+/// dimensions run the same arithmetic unvectorized.
+void nw_block(const double* ct, std::size_t bstride, std::size_t bc,
+              std::size_t d, const double* x, const double* v, std::size_t n,
+              double k, double* min_d2, double* num, double* den);
 
 /// Matern-5/2 covariance from distances: out[i] = sigma2 * (1 + s + s^2/3)
 /// * exp(-s) with s = sqrt(5) * r[i] / length. out may alias r.

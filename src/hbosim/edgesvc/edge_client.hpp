@@ -81,13 +81,20 @@ struct EdgeClientStats {
   /// Downlink demand actually placed on the shared link: response bytes
   /// of every served attempt (lost/late ones still occupied the medium).
   std::uint64_t payload_bytes = 0;
-  double units = 0.0;          ///< Request sizes (mtri) that reached a core.
+  /// Request units that reached a core, summed over every class:
+  /// mega-triangles for Decimation and MeshTransfer, AI compute units for
+  /// AiInference and 1 per RemoteBo fetch.
+  double units = 0.0;
   double own_service_s = 0.0;  ///< Core-seconds burned by own requests.
 
   double fallback_rate() const {
     return requests ? static_cast<double>(fallbacks) /
                           static_cast<double>(requests)
                     : 0.0;
+  }
+  /// total_elapsed_s / requests.
+  double mean_elapsed_s() const {
+    return requests ? total_elapsed_s / static_cast<double>(requests) : 0.0;
   }
   void merge(const EdgeClientStats& other);
 };

@@ -69,6 +69,10 @@ double EdgeServerStats::mean_wait_s() const {
   return served ? total_wait_s / static_cast<double>(served) : 0.0;
 }
 
+double EdgeServerStats::mean_service_s() const {
+  return served ? total_service_s / static_cast<double>(served) : 0.0;
+}
+
 double EdgeServerStats::queue_depth_p95() const {
   std::uint64_t total = 0;
   for (std::uint64_t c : depth_hist) total += c;

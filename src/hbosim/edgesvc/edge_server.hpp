@@ -129,6 +129,7 @@ struct EdgeServerStats {
 
   double rejection_rate() const;
   double mean_wait_s() const;
+  double mean_service_s() const;  ///< total_service_s / served.
   /// Depth below which 95% of arrivals found the queue.
   double queue_depth_p95() const;
   /// Element-wise accumulate (for the fleet-wide roll-up).

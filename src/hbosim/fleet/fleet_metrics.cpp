@@ -142,6 +142,10 @@ FleetMetrics FleetAccumulator::finalize(
     out.edge.fallback_rate = edge->client.fallback_rate();
     out.edge.queue_depth_p95 = edge->server.queue_depth_p95();
     out.edge.mean_wait_ms = edge->server.mean_wait_s() * 1e3;
+    out.edge.mean_exchange_ms = edge->client.mean_elapsed_s() * 1e3;
+    out.edge.units = edge->client.units;
+    out.edge.own_service_s = edge->client.own_service_s;
+    out.edge.mean_service_ms = edge->server.mean_service_s() * 1e3;
   }
   if (count_ == 0) {
     // No sessions: zero roll-up (pool/edge context above still applies),

@@ -61,7 +61,7 @@ struct SessionResult {
   // Measured edge demand (feeds the market's learning loop, and gives the
   // saturation bench a per-tenant end-to-end response-time figure).
   std::uint64_t edge_payload_bytes = 0;  ///< Downlink bytes moved.
-  double edge_units = 0.0;               ///< Request sizes (mtri) served.
+  double edge_units = 0.0;               ///< Request units served (mixed).
   double edge_service_s = 0.0;           ///< Core-seconds of own requests.
   double edge_elapsed_s = 0.0;           ///< Summed perform() elapsed time.
 
@@ -157,6 +157,15 @@ struct FleetMetrics {
     double fallback_rate = 0.0;   ///< Client-side: fallbacks / requests.
     double queue_depth_p95 = 0.0; ///< Arrival-weighted queue depth p95.
     double mean_wait_ms = 0.0;    ///< Mean admitted-request queue wait.
+    /// Client-side: mean perform() elapsed time per request, retries and
+    /// backoff included.
+    double mean_exchange_ms = 0.0;
+    /// Client-side: EdgeClientStats::units summed over the sessions, a
+    /// mix of unlike units when the fleet issues several request classes.
+    double units = 0.0;
+    double own_service_s = 0.0;  ///< Core-seconds the sessions' requests used.
+    /// Server-side: mean core time per served request, background included.
+    double mean_service_ms = 0.0;
   };
   EdgeHealth edge;
 

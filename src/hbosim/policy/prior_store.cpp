@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
-#include <limits>
 
 #include "hbosim/common/error.hpp"
+#include "hbosim/common/fastmath.hpp"
 #include "hbosim/telemetry/telemetry.hpp"
 
 namespace hbosim::policy {
@@ -32,6 +31,8 @@ ScenarioPrior::ScenarioPrior(std::vector<std::vector<double>> zs,
   HB_REQUIRE(!zs.empty() && zs.size() == costs.size(),
              "prior needs matching non-empty support");
   dim_ = zs.front().size();
+  HB_REQUIRE(dim_ >= 1 && dim_ <= kMaxDim,
+             "prior support dimension must be in [1, ScenarioPrior::kMaxDim]");
   costs_ = std::move(costs);
   zs_flat_.reserve(zs.size() * dim_);
   for (const std::vector<double>& z : zs) {
@@ -91,31 +92,39 @@ ScenarioPrior::ScenarioPrior(std::vector<std::vector<double>> zs,
   }
 }
 
-double ScenarioPrior::mean(std::span<const double> z) const {
-  if (z.size() != dim_) return global_mean_;
-  const std::size_t n = costs_.size();
-  // Subtract the minimum distance before exponentiating: far from the
-  // support every raw weight underflows to 0 and the estimate would be
-  // 0/0. With the shift the nearest point always has weight 1, and the
-  // estimate degrades gracefully toward it (then we blend to the global
-  // mean as even the nearest point becomes remote).
-  double min_d2 = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < n; ++i)
-    min_d2 = std::min(
-        min_d2, sq_distance(z, {zs_flat_.data() + i * dim_, dim_}));
-  double num = 0.0;
-  double den = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d2 = sq_distance(z, {zs_flat_.data() + i * dim_, dim_});
-    const double w = std::exp(-(d2 - min_d2) * inv_two_h2_);
-    num += w * costs_[i];
-    den += w;
+void ScenarioPrior::mean_many(std::span<const double> zs_flat,
+                              std::size_t count, std::span<double> out) const {
+  if (zs_flat.size() != count * dim_) {
+    std::fill_n(out.begin(), count, global_mean_);
+    return;
   }
-  const double local = num / den;  // den >= 1 by the shift
-  // Confidence in the local estimate: how close the nearest support point
-  // is, on the same kernel scale. 1 on top of data, ~0 far away.
-  const double conf = std::exp(-min_d2 * inv_two_h2_);
-  return conf * local + (1.0 - conf) * global_mean_;
+  constexpr std::size_t kBlock = fastmath::kNwBlock;
+  // Left uninitialised: the packing loop writes every ct entry the kernel
+  // reads, and the kernel writes min_d2, num and den before reading them.
+  double ct[kMaxDim * kBlock];
+  double min_d2[kBlock];
+  double num[kBlock];
+  double den[kBlock];
+  for (std::size_t c0 = 0; c0 < count; c0 += kBlock) {
+    const std::size_t bc = std::min(kBlock, count - c0);
+    const double* z = zs_flat.data() + c0 * dim_;
+    for (std::size_t c = 0; c < bc; ++c)
+      for (std::size_t j = 0; j < dim_; ++j)
+        ct[j * kBlock + c] = z[c * dim_ + j];
+    // The kernel weighs each support point by exp(-(d2 - min_d2) / 2h^2):
+    // shifted by the nearest point's distance, the weights cannot all
+    // underflow to 0/0 far from the support, the nearest point weighs 1,
+    // and the estimate degrades gracefully toward it.
+    fastmath::nw_block(ct, kBlock, bc, dim_, zs_flat_.data(), costs_.data(),
+                       costs_.size(), inv_two_h2_, min_d2, num, den);
+    for (std::size_t c = 0; c < bc; ++c) {
+      const double local = num[c] / den[c];  // den >= 1 by the shift
+      // Confidence in the local estimate: how close the nearest support
+      // point is, on the same kernel scale. 1 on top of data, ~0 far away.
+      const double conf = std::exp(-min_d2[c] * inv_two_h2_);
+      out[c0 + c] = conf * local + (1.0 - conf) * global_mean_;
+    }
+  }
 }
 
 std::vector<std::vector<double>> ScenarioPrior::seed_points(
@@ -195,7 +204,8 @@ std::uint64_t PriorStore::key_hash(const PriorKey& key) {
 
 void PriorStore::record(const PriorKey& key, std::span<const double> z,
                        double cost) {
-  HB_REQUIRE(!z.empty(), "cannot record an empty configuration");
+  HB_REQUIRE(!z.empty() && z.size() <= ScenarioPrior::kMaxDim,
+             "configuration dimension must be in [1, ScenarioPrior::kMaxDim]");
   HB_REQUIRE(std::isfinite(cost), "cannot record a non-finite cost");
   const std::uint64_t h = key_hash(key);
   std::lock_guard<std::mutex> lock(mu_);

@@ -88,14 +88,24 @@ struct PriorStoreStats {
 /// fitting; safe for concurrent reads from any number of sessions.
 class ScenarioPrior : public bo::SurrogatePrior {
  public:
-  /// Fit from support observations (zs: n points of dimension dim).
-  /// Requires n >= 1; callers gate on PriorStoreConfig::min_observations.
+  /// Widest support dimension a prior fits: mean_many packs one candidate
+  /// block of kMaxDim x fastmath::kNwBlock coordinates on the stack. The
+  /// HBO z-space has 4 coordinates, 5 with edge offload.
+  static constexpr std::size_t kMaxDim = 8;
+
+  /// Fit from support observations (zs: n points of dimension dim, 1 <=
+  /// dim <= kMaxDim). Requires n >= 1; callers gate on
+  /// PriorStoreConfig::min_observations.
   ScenarioPrior(std::vector<std::vector<double>> zs, std::vector<double> costs,
                 const PriorStoreConfig& cfg);
 
-  /// Gaussian-kernel Nadaraya-Watson estimate of the cost at z; falls back
-  /// to the global support mean far from every support point.
-  double mean(std::span<const double> z) const override;
+  /// Gaussian-kernel Nadaraya-Watson estimate of the cost at each point,
+  /// blended toward the global support mean as the nearest support point
+  /// recedes. Computed in blocks of fastmath::kNwBlock points by
+  /// fastmath::nw_block. Points of another dimension than the support get
+  /// the global mean.
+  void mean_many(std::span<const double> zs_flat, std::size_t count,
+                 std::span<double> out) const override;
 
   /// Median pairwise support distance, clamped to [0.15, 1.5]; 0 with
   /// fewer than two distinct support points.

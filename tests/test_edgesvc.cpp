@@ -756,6 +756,7 @@ TEST(FleetEdge, HealthIsTheSessionIdOrderMergeOnAnyThreadCount) {
     merged.server.merge(o.edge_server);
   }
   EXPECT_GT(merged.server.total_wait_s, 0.0);  // congested: real sums
+  EXPECT_GT(merged.server.total_service_s, 0.0);
   for (const fleet::FleetResult* r : {&serial, &threaded}) {
     const fleet::FleetMetrics::EdgeHealth& e = r->metrics.edge;
     EXPECT_TRUE(e.enabled);
@@ -764,6 +765,21 @@ TEST(FleetEdge, HealthIsTheSessionIdOrderMergeOnAnyThreadCount) {
     EXPECT_EQ(e.fallback_rate, merged.client.fallback_rate());
     EXPECT_EQ(e.queue_depth_p95, merged.server.queue_depth_p95());
     EXPECT_EQ(e.mean_wait_ms, merged.server.mean_wait_s() * 1e3);
+    EXPECT_EQ(e.mean_service_ms, merged.server.mean_service_s() * 1e3);
+
+    // The client doubles are the session-id-order sums of what each
+    // session reports.
+    double elapsed_s = 0.0, units = 0.0, service_s = 0.0;
+    for (const fleet::SessionResult& s : r->sessions) {
+      elapsed_s += s.edge_elapsed_s;
+      units += s.edge_units;
+      service_s += s.edge_service_s;
+    }
+    EXPECT_GT(units, 0.0);
+    EXPECT_EQ(e.mean_exchange_ms,
+              elapsed_s / static_cast<double>(e.requests) * 1e3);
+    EXPECT_EQ(e.units, units);
+    EXPECT_EQ(e.own_service_s, service_s);
   }
 }
 

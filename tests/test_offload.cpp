@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -411,7 +412,10 @@ TEST(HboControllerOffload, DisabledKeepsTheThreeTargetSpace) {
 class FixedDimPrior : public bo::SurrogatePrior {
  public:
   explicit FixedDimPrior(std::size_t dim) : dim_(dim) {}
-  double mean(std::span<const double>) const override { return -0.5; }
+  void mean_many(std::span<const double>, std::size_t count,
+                 std::span<double> out) const override {
+    std::fill_n(out.begin(), count, -0.5);
+  }
   std::size_t dim() const override { return dim_; }
 
  private:

@@ -10,6 +10,7 @@
 #include "hbosim/bo/optimizer.hpp"
 #include "hbosim/common/error.hpp"
 #include "hbosim/common/mathx.hpp"
+#include "hbosim/policy/prior_store.hpp"
 
 namespace hbosim::bo {
 namespace {
@@ -169,8 +170,13 @@ TEST(Optimizer, PinnedBoxSearchesOnlyTheSimplex) {
 /// default grid.
 class BowlPrior : public SurrogatePrior {
  public:
-  double mean(std::span<const double> z) const override {
-    return 0.5 * synthetic_cost(z) + 0.3 * z[1];
+  void mean_many(std::span<const double> zs, std::size_t count,
+                 std::span<double> out) const override {
+    const std::size_t dim = zs.size() / count;
+    for (std::size_t c = 0; c < count; ++c) {
+      const std::span<const double> z = zs.subspan(c * dim, dim);
+      out[c] = 0.5 * synthetic_cost(z) + 0.3 * z[1];
+    }
   }
   double length_scale_factor() const override { return 0.45; }
   std::vector<std::vector<double>> seed_points(std::size_t) const override {
@@ -178,11 +184,20 @@ class BowlPrior : public SurrogatePrior {
   }
 };
 
+/// The synthetic bowl in the 5-dim offload space (four allocation targets
+/// plus the triangle ratio).
+double offload_cost(std::span<const double> z) {
+  const std::vector<double> target = {0.4, 0.1, 0.2, 0.3, 0.7};
+  const double d = euclidean_distance(z, target);
+  return d * d;
+}
+
 /// Drives the optimizer and the from-scratch reference on the same seed
 /// and history for `iterations` suggests; every coordinate must agree.
-void expect_matches_reference(const BoConfig& cfg, std::uint64_t seed,
-                              int iterations) {
-  const SimplexBoxSpace space(3, 0.2, 1.0);
+void expect_matches_reference(
+    const BoConfig& cfg, std::uint64_t seed, int iterations,
+    const SimplexBoxSpace& space = SimplexBoxSpace(3, 0.2, 1.0),
+    double (*cost_of)(std::span<const double>) = synthetic_cost) {
   BayesianOptimizer opt(space, cfg);
   Rng rng(seed);
   Rng rng_ref(seed);
@@ -193,7 +208,7 @@ void expect_matches_reference(const BoConfig& cfg, std::uint64_t seed,
     ASSERT_EQ(z.size(), want.size()) << "iteration " << i;
     for (std::size_t j = 0; j < z.size(); ++j)
       ASSERT_NEAR(z[j], want[j], 1e-8) << "iteration " << i << " coord " << j;
-    const double cost = synthetic_cost(z);
+    const double cost = cost_of(z);
     opt.tell(std::move(z), cost);
   }
 }
@@ -234,6 +249,22 @@ TEST(Optimizer, IncrementalMatchesFullRefitWithLearnedPrior) {
   BoConfig cfg;
   cfg.prior = std::make_shared<BowlPrior>();
   expect_matches_reference(cfg, 7, 30);
+
+  // A fitted ScenarioPrior in the offload space, 96 support points: the
+  // optimizer scores its candidates through one batched mean_many, the
+  // reference calls mean() once per candidate.
+  const SimplexBoxSpace offload(4, 0.2, 1.0);
+  Rng rng(96);
+  std::vector<std::vector<double>> zs;
+  std::vector<double> costs;
+  for (int i = 0; i < 96; ++i) {
+    zs.push_back(offload.sample(rng));
+    costs.push_back(offload_cost(zs.back()) + 0.2 * zs.back()[3]);
+  }
+  cfg.prior = std::make_shared<policy::ScenarioPrior>(zs, costs,
+                                                      policy::PriorStoreConfig{});
+  SCOPED_TRACE("ScenarioPrior, 5-dim");
+  expect_matches_reference(cfg, 7, 30, offload, offload_cost);
 }
 
 TEST(Optimizer, BestMatchesFullRescan) {

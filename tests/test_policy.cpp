@@ -8,8 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <span>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "hbosim/bo/optimizer.hpp"
 #include "hbosim/common/error.hpp"
@@ -77,6 +86,137 @@ TEST(ScenarioPrior, LengthScaleFactorClampedAndSeedsCostOrdered) {
   EXPECT_DOUBLE_EQ(dup_prior.length_scale_factor(), 0.0);  // no evidence
 }
 
+/// The Nadaraya-Watson prior mean written out with std::exp, one point at
+/// a time, independent of fastmath.
+double reference_prior_mean(const std::vector<std::vector<double>>& zs,
+                            const std::vector<double>& costs,
+                            std::span<const double> z) {
+  const double h = policy::PriorStoreConfig::mean_bandwidth;
+  const double k = 1.0 / (2.0 * h * h);
+  std::vector<double> d2(zs.size(), 0.0);
+  double min_d2 = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < zs.size(); ++i) {
+    for (std::size_t j = 0; j < z.size(); ++j)
+      d2[i] += (z[j] - zs[i][j]) * (z[j] - zs[i][j]);
+    min_d2 = std::min(min_d2, d2[i]);
+  }
+  double num = 0.0;
+  double den = 0.0;
+  double sum = 0.0;
+  for (std::size_t i = 0; i < zs.size(); ++i) {
+    const double w = std::exp(-(d2[i] - min_d2) * k);
+    num += w * costs[i];
+    den += w;
+    sum += costs[i];
+  }
+  const double conf = std::exp(-min_d2 * k);
+  return conf * (num / den) +
+         (1.0 - conf) * (sum / static_cast<double>(costs.size()));
+}
+
+/// n support points in [0, 1]^dim with costs in [-1, 2]; with
+/// `coincident`, every other point repeats its predecessor.
+std::pair<std::vector<std::vector<double>>, std::vector<double>>
+random_support(std::size_t n, std::size_t dim, bool coincident, Rng& rng) {
+  std::vector<std::vector<double>> zs;
+  std::vector<double> costs;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<double> z(dim);
+    for (double& v : z) v = rng.uniform(0.0, 1.0);
+    if (coincident && i % 2 == 1) z = zs.back();
+    zs.push_back(std::move(z));
+    costs.push_back(rng.uniform(-1.0, 2.0));
+  }
+  return {std::move(zs), std::move(costs)};
+}
+
+// mean_many against the scalar formula, across support sizes (one point
+// to the pooled cap), counts on both sides of the 64-candidate block
+// edge, the HBO z-spaces (4 on device, 5 with offload) and a small one,
+// coincident support points and probes so far away that the kernel's exp
+// clamps at -700 and the confidence underflows to 0. The batched exp is
+// within 2 ulp of std::exp and distances may contract to FMA, so entries
+// agree to a few ulp of the cost scale; 1e-14 of it leaves room and still
+// catches any wrong weight, order or blend.
+TEST(ScenarioPrior, MeanManyMatchesTheScalarFormula) {
+  const double kTol = 1e-14;
+  Rng rng(2024);
+  double worst = 0.0;
+  for (std::size_t dim : {2u, 4u, 5u}) {
+    for (std::size_t n : {1u, 6u, 96u, 256u}) {
+      for (bool coincident : {false, true}) {
+        const auto [zs, costs] = random_support(n, dim, coincident, rng);
+        const policy::ScenarioPrior prior(zs, costs, {});
+        double scale = 0.0;
+        for (double c : costs) scale = std::max(scale, std::abs(c));
+        for (std::size_t count : {1u, 63u, 64u, 65u, 576u}) {
+          SCOPED_TRACE("dim " + std::to_string(dim) + " n " +
+                       std::to_string(n) + " count " + std::to_string(count) +
+                       (coincident ? " coincident" : ""));
+          // Probes cycle through: on a support point, near the support,
+          // and so far out that most weights clamp and the confidence is 0.
+          std::vector<double> flat;
+          for (std::size_t c = 0; c < count; ++c) {
+            std::vector<double> z = zs[c % n];
+            for (double& v : z) {
+              if (c % 3 == 1) v += rng.uniform(-0.3, 0.3);
+              if (c % 3 == 2) v = rng.uniform(-1e3, 1e3);
+            }
+            flat.insert(flat.end(), z.begin(), z.end());
+          }
+          std::vector<double> out(count);
+          prior.mean_many(flat, count, out);
+          for (std::size_t c = 0; c < count; ++c) {
+            const double want = reference_prior_mean(
+                zs, costs, std::span<const double>(flat).subspan(c * dim, dim));
+            ASSERT_TRUE(std::isfinite(out[c])) << "entry " << c;
+            worst = std::max(worst, std::abs(out[c] - want) / scale);
+            ASSERT_LE(std::abs(out[c] - want), kTol * scale) << "entry " << c;
+            if (c % 3 == 2) {
+              EXPECT_EQ(out[c], prior.global_mean());
+            }
+          }
+        }
+      }
+    }
+  }
+  std::ostringstream worst_text;
+  worst_text << std::scientific << worst;
+  RecordProperty("worst_error_over_cost_scale", worst_text.str());
+}
+
+// mean(z) is mean_many over one point, which runs the kernel's scalar
+// tail; a 576-point block runs its vector body. Both must give the same
+// bits at every lane position.
+TEST(ScenarioPrior, MeanEqualsTheMeanManyEntryBitwise) {
+  Rng rng(77);
+  for (std::size_t dim : {2u, 4u, 5u}) {
+    const auto [zs, costs] = random_support(96, dim, false, rng);
+    const policy::ScenarioPrior prior(zs, costs, {});
+    std::vector<double> flat(576 * dim);
+    for (double& v : flat) v = rng.uniform(-0.2, 1.2);
+    std::vector<double> out(576);
+    prior.mean_many(flat, 576, out);
+    for (std::size_t c = 0; c < 576; ++c) {
+      const double one =
+          prior.mean(std::span<const double>(flat).subspan(c * dim, dim));
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(one),
+                std::bit_cast<std::uint64_t>(out[c]))
+          << "dim " << dim << " entry " << c;
+    }
+  }
+  // A block of another dimension than the support gets the global mean.
+  const auto [zs, costs] = random_support(8, 5, false, rng);
+  const policy::ScenarioPrior prior(zs, costs, {});
+  std::vector<double> out(3);
+  prior.mean_many(std::vector<double>(12, 0.5), 3, out);
+  for (double v : out) EXPECT_EQ(v, prior.global_mean());
+  EXPECT_THROW(policy::ScenarioPrior(
+                   {std::vector<double>(policy::ScenarioPrior::kMaxDim + 1)},
+                   {1.0}, {}),
+               Error);
+}
+
 TEST(PriorStore, RecordSnapshotAndExactOverPooledFallback) {
   policy::PriorStore store;
   const core::EnvironmentKey env_a{12, 4, 99};
@@ -111,6 +251,12 @@ TEST(PriorStore, RecordSnapshotAndExactOverPooledFallback) {
   EXPECT_EQ(snap->find(key_a), before);
 
   EXPECT_THROW(store.record(key_a, std::vector<double>{0.5}, 0.0), Error);
+  // A configuration wider than a prior can fit is rejected up front.
+  EXPECT_THROW(
+      store.record(PriorKey{"Pixel 7", "SC9/CF9", env_a},
+                   std::vector<double>(policy::ScenarioPrior::kMaxDim + 1, 0.1),
+                   0.0),
+      Error);
   EXPECT_THROW(
       store.record(key_a, std::vector<double>{0.1, 0.2, 0.7, 0.5},
                    std::nan("")),
@@ -202,8 +348,11 @@ class OracleQuadraticPrior : public bo::SurrogatePrior {
     }
     return d2;
   }
-  double mean(std::span<const double> z) const override {
-    return cost(z, target_);
+  void mean_many(std::span<const double> zs, std::size_t count,
+                 std::span<double> out) const override {
+    const std::size_t dim = zs.size() / count;
+    for (std::size_t c = 0; c < count; ++c)
+      out[c] = cost(zs.subspan(c * dim, dim), target_);
   }
   std::vector<std::vector<double>> seed_points(std::size_t k) const override {
     if (k == 0) return {};
@@ -254,7 +403,10 @@ TEST(OptimizerPrior, LengthScaleHintJoinsGridOnlyWhenPositive) {
   class HintPrior : public bo::SurrogatePrior {
    public:
     explicit HintPrior(double f) : f_(f) {}
-    double mean(std::span<const double>) const override { return 0.0; }
+    void mean_many(std::span<const double>, std::size_t count,
+                   std::span<double> out) const override {
+      std::fill_n(out.begin(), count, 0.0);
+    }
     double length_scale_factor() const override { return f_; }
 
    private:
