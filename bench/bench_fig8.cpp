@@ -64,7 +64,7 @@ SessionResult run_session(bool use_event_policy) {
 
   core::HboConfig cfg;
   core::HboController hbo(*app, cfg);
-  core::EventActivationPolicy event_policy(cfg.up_fraction, cfg.down_fraction);
+  core::EventActivationPolicy event_policy;
   core::PeriodicActivationPolicy periodic_policy(10);  // every ~20 s monitored
 
   SessionResult out;

@@ -104,13 +104,16 @@
 #include <memory>
 #include <string>
 
+#include "hbosim/common/error.hpp"
 #include "hbosim/common/meminfo.hpp"
 #include "hbosim/fleet/fleet_simulator.hpp"
 #include "hbosim/marketsvc/market.hpp"
 #include "hbosim/telemetry/report.hpp"
 #include "hbosim/telemetry/telemetry.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace hbosim;
 
   std::string trace_path;
@@ -517,4 +520,17 @@ int main(int argc, char** argv) {
     telem->report().print(std::cout);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A rejected option or fleet spec (unknown preset, an excluded layer
+  // combination) is a usage error, reported like the ones parsed above.
+  try {
+    return run(argc, argv);
+  } catch (const hbosim::Error& e) {
+    std::cerr << "fleet_demo: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -19,15 +19,12 @@ InferenceEngine::InferenceEngine(des::Simulator& sim, soc::SocRuntime& soc,
                                  EngineConfig cfg)
     : sim_(sim), soc_(soc), cfg_(cfg), rng_(cfg.seed) {
   HB_REQUIRE(cfg_.inference_gap_s >= 0.0, "inference gap must be >= 0");
-  HB_REQUIRE(cfg_.gap_jitter >= 0.0 && cfg_.gap_jitter <= 1.0,
-             "gap jitter must be in [0,1]");
   HB_REQUIRE(cfg_.latency_noise >= 0.0, "latency noise must be >= 0");
 }
 
 double InferenceEngine::next_gap() {
-  if (cfg_.gap_jitter <= 0.0) return cfg_.inference_gap_s;
-  return cfg_.inference_gap_s *
-         rng_.uniform(1.0 - cfg_.gap_jitter, 1.0 + cfg_.gap_jitter);
+  return cfg_.inference_gap_s * rng_.uniform(1.0 - EngineConfig::gap_jitter,
+                                             1.0 + EngineConfig::gap_jitter);
 }
 
 TaskId InferenceEngine::add_task(const std::string& model,

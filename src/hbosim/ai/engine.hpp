@@ -43,7 +43,7 @@ struct EngineConfig {
   /// frames never arrive on a perfect clock; without jitter the task
   /// loops phase-lock on the shared accelerators and produce artificial
   /// latency beats.
-  double gap_jitter = 0.25;
+  static constexpr double gap_jitter = 0.25;
   /// Multiplicative log-normal noise applied to each inference's compute
   /// demand (sigma of log factor); 0 disables noise.
   double latency_noise = 0.03;

@@ -2,17 +2,6 @@
 
 namespace hbosim::ai {
 
-const char* task_type_name(TaskType t) {
-  switch (t) {
-    case TaskType::ImageSegmentation: return "Image Segmentation";
-    case TaskType::ObjectDetection: return "Object Detection";
-    case TaskType::ImageClassification: return "Image Classification";
-    case TaskType::GestureDetection: return "Gesture Detection";
-    case TaskType::DigitClassification: return "Digit Classifier";
-  }
-  return "?";
-}
-
 const char* task_type_abbrev(TaskType t) {
   switch (t) {
     case TaskType::ImageSegmentation: return "IS";

@@ -18,7 +18,6 @@ enum class TaskType {
   DigitClassification,  // DC (mnist, Table II)
 };
 
-const char* task_type_name(TaskType t);
 const char* task_type_abbrev(TaskType t);
 
 struct ModelInfo {

@@ -31,11 +31,13 @@ std::vector<std::string> ProfileTable::model_names() const {
 
 namespace {
 
-/// One isolated measurement: a fresh simulator, one task, `reps`
+/// Inferences averaged per (model, delegate) profile.
+constexpr int kProfileReps = 3;
+
+/// One isolated measurement: a fresh simulator, one task, kProfileReps
 /// inferences, mean latency in ms.
 double measure_isolated_ms(const soc::DeviceProfile& device,
-                           const std::string& model, soc::Delegate delegate,
-                           int reps) {
+                           const std::string& model, soc::Delegate delegate) {
   des::Simulator sim;
   soc::SocRuntime soc(sim, device);
   EngineConfig cfg;
@@ -44,7 +46,7 @@ double measure_isolated_ms(const soc::DeviceProfile& device,
   InferenceEngine engine(sim, soc, cfg);
   const TaskId id = engine.add_task(model, model, delegate);
 
-  int remaining = reps;
+  int remaining = kProfileReps;
   engine.set_observer([&](const AiTask&, double) { --remaining; });
   engine.start();
   while (remaining > 0) {
@@ -56,9 +58,7 @@ double measure_isolated_ms(const soc::DeviceProfile& device,
 }  // namespace
 
 ProfileTable profile_models(const soc::DeviceProfile& device,
-                            const std::vector<std::string>& models,
-                            int reps) {
-  HB_REQUIRE(reps > 0, "profiling needs at least one repetition");
+                            const std::vector<std::string>& models) {
   ProfileTable table;
   for (const std::string& model : models) {
     if (table.has(model)) continue;  // duplicates share one profile
@@ -68,7 +68,7 @@ ProfileTable profile_models(const soc::DeviceProfile& device,
     for (int i = 0; i < soc::kNumDelegates; ++i) {
       const auto d = soc::delegate_from_index(i);
       if (!device.supports(model, d)) continue;
-      const double v = measure_isolated_ms(device, model, d, reps);
+      const double v = measure_isolated_ms(device, model, d);
       p.isolation_ms[static_cast<std::size_t>(i)] = v;
       if (first || v < best_ms) {
         best_ms = v;

@@ -47,12 +47,11 @@ struct PriorityEntry {
 };
 
 /// Measure isolation latency of every model in `models` on every
-/// compatible delegate, by running `reps` inferences on a fresh private
+/// compatible delegate, as the mean of 3 inferences on a fresh private
 /// simulator. Noise is disabled so profiles are exact (the paper averages
 /// repeated runs to the same effect).
 ProfileTable profile_models(const soc::DeviceProfile& device,
-                            const std::vector<std::string>& models,
-                            int reps = 3);
+                            const std::vector<std::string>& models);
 
 /// Build Algorithm 1's priority queue entries for an ordered taskset:
 /// one entry per (task, compatible delegate), sorted by latency

@@ -12,17 +12,11 @@ MarApp::MarApp(const soc::DeviceProfile& device, MarAppConfig cfg)
     : cfg_(cfg),
       device_(device),
       soc_(sim_, device_),
-      scene_(cfg.culling),
       render_binder_(scene_, soc_),
       engine_(sim_, soc_, cfg.engine) {
-  HB_REQUIRE(cfg_.control_period_s > 0.0, "control period must be positive");
   if (cfg_.enable_power) {
-    power::DevicePowerModel model =
-        cfg_.power_model ? *cfg_.power_model
-                         : power::find_power_model(device_.name());
-    power_ = std::make_unique<power::PowerManager>(sim_, soc_,
-                                                   std::move(model),
-                                                   cfg_.power);
+    power_ = std::make_unique<power::PowerManager>(
+        sim_, soc_, power::find_power_model(device_.name()), cfg_.power);
   }
 }
 
@@ -138,7 +132,7 @@ void MarApp::apply_uniform_ratio(double ratio) {
 void MarApp::ensure_profiles() {
   if (profiles_) return;
   profiles_ = std::make_unique<ai::ProfileTable>(
-      ai::profile_models(device_, task_models(), cfg_.profile_reps));
+      ai::profile_models(device_, task_models()));
 }
 
 const ai::ProfileTable& MarApp::profiles() {
@@ -152,19 +146,18 @@ double MarApp::expected_ms(TaskId id) {
 }
 
 PeriodMetrics MarApp::run_period(double seconds) {
-  const double span = seconds < 0.0 ? cfg_.control_period_s : seconds;
-  HB_REQUIRE(span > 0.0, "period length must be positive");
+  HB_REQUIRE(seconds > 0.0, "period length must be positive");
   HB_REQUIRE(engine_.started(), "start() the app before measuring");
   ensure_profiles();
 
   engine_.reset_window();
   const SimTime t0 = sim_.now();
   const double e0 = power_ ? power_->total_energy_j() : 0.0;
-  sim_.run_until(t0 + span);
+  sim_.run_until(t0 + seconds);
   PeriodMetrics m = snapshot();
   m.period_start = t0;
   m.period_end = sim_.now();
-  if (power_) m.avg_power_w = (power_->total_energy_j() - e0) / span;
+  if (power_) m.avg_power_w = (power_->total_energy_j() - e0) / seconds;
   return m;
 }
 

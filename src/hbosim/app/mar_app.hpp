@@ -26,23 +26,15 @@ namespace hbosim::app {
 
 struct MarAppConfig {
   ai::EngineConfig engine;
-  render::CullingModel culling;
-  /// Length of one measurement/control period (the paper samples reward
-  /// every 2 seconds).
-  double control_period_s = 2.0;
-  /// Repetitions used by the isolation profiler.
-  int profile_reps = 3;
 
-  /// Attach a power/thermal/DVFS model (hbosim::power) to the session.
-  /// Off by default: with power disabled the app's event sequence is
-  /// bitwise identical to builds that predate the power subsystem.
+  /// Attach a power/thermal/DVFS model (hbosim::power) to the session,
+  /// looked up by the device profile's name via power::find_power_model
+  /// (which throws for devices without a builtin model). Off by default:
+  /// with power disabled the app's event sequence is bitwise identical to
+  /// builds that predate the power subsystem.
   bool enable_power = false;
   /// Tick/ambient/governor knobs; only read when enable_power is set.
   power::PowerConfig power;
-  /// Explicit device power model. When unset the model is looked up by
-  /// the device profile's name via power::find_power_model (which throws
-  /// for devices without a builtin model).
-  std::optional<power::DevicePowerModel> power_model;
 };
 
 class MarApp {
@@ -124,9 +116,9 @@ class MarApp {
   /// Convenience: one ratio for every object.
   void apply_uniform_ratio(double ratio);
 
-  /// Advance the simulation by `seconds` (default: one control period)
-  /// while measuring, and return the period's metrics.
-  PeriodMetrics run_period(double seconds = -1.0);
+  /// Advance the simulation by `seconds` (> 0) while measuring, and
+  /// return the period's metrics.
+  PeriodMetrics run_period(double seconds);
 
   /// Isolation profiles (tau^e and the Table-I-style matrix) for the
   /// current taskset. Computed lazily, cached per model.
@@ -145,7 +137,6 @@ class MarApp {
   /// less of the scene's mesh quality. The default 1.0 multiplies
   /// quality by one, which is exact.
   void set_quality_scale(double scale);
-  double quality_scale() const { return quality_scale_; }
 
  private:
   void ensure_profiles();

@@ -2,7 +2,7 @@
 
 namespace hbosim::baselines {
 
-BaselineOutcome run_alln(app::MarApp& app, double settle_s) {
+BaselineOutcome run_alln(app::MarApp& app) {
   BaselineOutcome out;
   out.name = "AllN";
   out.triangle_ratio = 1.0;
@@ -19,7 +19,7 @@ BaselineOutcome run_alln(app::MarApp& app, double settle_s) {
   app.start();
   app.apply_allocation(out.allocation);
   if (!out.object_ratios.empty()) app.apply_object_ratios(out.object_ratios);
-  out.metrics = app.run_period(settle_s);
+  out.metrics = app.run_period(kSettleS);
   return out;
 }
 

@@ -11,6 +11,6 @@
 
 namespace hbosim::baselines {
 
-BaselineOutcome run_alln(app::MarApp& app, double settle_s = 4.0);
+BaselineOutcome run_alln(app::MarApp& app);
 
 }  // namespace hbosim::baselines

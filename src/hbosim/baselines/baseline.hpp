@@ -12,6 +12,10 @@
 
 namespace hbosim::baselines {
 
+/// Length of the settle period every baseline measures its final
+/// configuration over.
+inline constexpr double kSettleS = 4.0;
+
 struct BaselineOutcome {
   std::string name;
   std::vector<soc::Delegate> allocation;

@@ -6,8 +6,7 @@
 
 namespace hbosim::baselines {
 
-BaselineOutcome run_bnt(app::MarApp& app, const core::HboConfig& cfg,
-                        double settle_s) {
+BaselineOutcome run_bnt(app::MarApp& app, const core::HboConfig& cfg) {
   cfg.validate();
   BaselineOutcome out;
   out.name = "BNT";
@@ -42,7 +41,7 @@ BaselineOutcome run_bnt(app::MarApp& app, const core::HboConfig& cfg,
   (void)best_x;
   out.allocation = allocator.allocate(best_usage).delegates;
   app.apply_allocation(out.allocation);
-  out.metrics = app.run_period(settle_s);
+  out.metrics = app.run_period(kSettleS);
   return out;
 }
 

@@ -14,7 +14,6 @@ namespace hbosim::baselines {
 
 /// `cfg` supplies the BO settings (initial samples, iterations, kernel);
 /// its w is ignored because BNT's cost is epsilon only.
-BaselineOutcome run_bnt(app::MarApp& app, const core::HboConfig& cfg,
-                        double settle_s = 4.0);
+BaselineOutcome run_bnt(app::MarApp& app, const core::HboConfig& cfg);
 
 }  // namespace hbosim::baselines

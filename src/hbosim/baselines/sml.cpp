@@ -1,16 +1,12 @@
 #include "hbosim/baselines/sml.hpp"
 
 #include "hbosim/baselines/static_alloc.hpp"
-#include "hbosim/common/error.hpp"
 #include "hbosim/core/controller.hpp"
 #include "hbosim/core/triangle_distribution.hpp"
 
 namespace hbosim::baselines {
 
 BaselineOutcome run_sml(app::MarApp& app, const SmlConfig& cfg) {
-  HB_REQUIRE(cfg.step > 0.0, "SML step must be positive");
-  HB_REQUIRE(cfg.floor > 0.0 && cfg.floor <= 1.0, "SML floor out of range");
-
   BaselineOutcome out;
   out.name = "SML";
   out.allocation = static_best_allocation(app);
@@ -28,13 +24,13 @@ BaselineOutcome run_sml(app::MarApp& app, const SmlConfig& cfg) {
   for (;;) {
     out.object_ratios = core::distribute_waterfill(objects, x);
     app.apply_object_ratios(out.object_ratios);
-    out.metrics = app.run_period(cfg.probe_s);
+    out.metrics = app.run_period(SmlConfig::probe_s);
     if (out.metrics.latency_ratio <= cfg.target_latency_ratio) break;
-    if (x <= cfg.floor) break;
-    x = std::max(x - cfg.step, cfg.floor);
+    if (x <= core::HboConfig::r_min) break;
+    x = std::max(x - SmlConfig::step, core::HboConfig::r_min);
   }
   out.triangle_ratio = x;
-  out.metrics = app.run_period(cfg.settle_s);
+  out.metrics = app.run_period(kSettleS);
   return out;
 }
 

@@ -12,15 +12,13 @@ namespace hbosim::baselines {
 
 struct SmlConfig {
   double target_latency_ratio = 0.0;  ///< HBO's epsilon to match.
-  double step = 0.05;                 ///< Ratio decrement per probe.
-  /// Do not reduce x below this — the system-wide R_min of Constraint 10
-  /// applies to every strategy (the paper's SML bottoms out at 0.2 in the
-  /// user study).
-  double floor = 0.2;
-  double probe_s = 2.0;               ///< Measurement window per probe.
-  double settle_s = 4.0;              ///< Final measurement window.
+  static constexpr double step = 0.05;    ///< Ratio decrement per probe.
+  static constexpr double probe_s = 2.0;  ///< Measurement window per probe.
 };
 
+/// Scans x down from 1 by SmlConfig::step, never below the system-wide
+/// R_min of Constraint 10 (core::HboConfig::r_min; the paper's SML bottoms
+/// out at 0.2 in the user study), then measures kSettleS.
 BaselineOutcome run_sml(app::MarApp& app, const SmlConfig& cfg);
 
 }  // namespace hbosim::baselines

@@ -7,7 +7,7 @@ namespace hbosim::baselines {
 
 BaselineOutcome run_smq(app::MarApp& app,
                         const std::vector<double>& hbo_object_ratios,
-                        double hbo_triangle_ratio, double settle_s) {
+                        double hbo_triangle_ratio) {
   HB_REQUIRE(hbo_object_ratios.size() == app.scene().object_count(),
              "SMQ requires HBO's per-object ratios for this scene");
   BaselineOutcome out;
@@ -19,7 +19,7 @@ BaselineOutcome run_smq(app::MarApp& app,
   app.start();
   app.apply_allocation(out.allocation);
   app.apply_object_ratios(out.object_ratios);
-  out.metrics = app.run_period(settle_s);
+  out.metrics = app.run_period(kSettleS);
   return out;
 }
 

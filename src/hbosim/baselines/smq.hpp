@@ -11,9 +11,9 @@
 namespace hbosim::baselines {
 
 /// `hbo_object_ratios` / `hbo_triangle_ratio` come from HBO's best
-/// configuration on an identical app. `settle_s` is how long to measure.
+/// configuration on an identical app.
 BaselineOutcome run_smq(app::MarApp& app,
                         const std::vector<double>& hbo_object_ratios,
-                        double hbo_triangle_ratio, double settle_s = 4.0);
+                        double hbo_triangle_ratio);
 
 }  // namespace hbosim::baselines

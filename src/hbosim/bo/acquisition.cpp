@@ -40,14 +40,15 @@ double lower_confidence_bound_score(double mu, double sigma, double kappa) {
 }
 
 double acquisition_score(AcquisitionKind kind, double mu, double sigma,
-                         double best_observed, const AcquisitionParams& p) {
+                         double best_observed) {
   switch (kind) {
     case AcquisitionKind::ExpectedImprovement:
-      return expected_improvement(mu, sigma, best_observed, p.xi);
+      return expected_improvement(mu, sigma, best_observed, kAcquisitionXi);
     case AcquisitionKind::ProbabilityOfImprovement:
-      return probability_of_improvement(mu, sigma, best_observed, p.xi);
+      return probability_of_improvement(mu, sigma, best_observed,
+                                        kAcquisitionXi);
     case AcquisitionKind::LowerConfidenceBound:
-      return lower_confidence_bound_score(mu, sigma, p.kappa);
+      return lower_confidence_bound_score(mu, sigma, kAcquisitionKappa);
   }
   HB_ASSERT(false, "unreachable acquisition kind");
   return 0.0;

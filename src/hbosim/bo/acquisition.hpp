@@ -34,13 +34,13 @@ double probability_of_improvement(double mu, double sigma,
 /// a more promising (lower, or more uncertain) point.
 double lower_confidence_bound_score(double mu, double sigma, double kappa);
 
-struct AcquisitionParams {
-  double xi = 0.01;    ///< Improvement margin for EI/PI.
-  double kappa = 2.0;  ///< Exploration weight for LCB.
-};
+/// Improvement margin xi of EI/PI as the optimizer scores them.
+inline constexpr double kAcquisitionXi = 0.01;
+/// Exploration weight kappa of LCB as the optimizer scores it.
+inline constexpr double kAcquisitionKappa = 2.0;
 
-/// Dispatch on the kind.
+/// Dispatch on the kind, at kAcquisitionXi / kAcquisitionKappa.
 double acquisition_score(AcquisitionKind kind, double mu, double sigma,
-                         double best_observed, const AcquisitionParams& p);
+                         double best_observed);
 
 }  // namespace hbosim::bo

@@ -125,9 +125,8 @@ std::vector<double> BayesianOptimizer::suggest(Rng& rng) {
     double best_score = -std::numeric_limits<double>::infinity();
     for (std::size_t c = 0; c < total; ++c) {
       const double mu = preds_[c].mean + prior_mean_cand_[c] / scale;
-      const double score =
-          acquisition_score(cfg_.acquisition, mu, std::sqrt(preds_[c].variance),
-                            best_y, kAcquisitionParams);
+      const double score = acquisition_score(
+          cfg_.acquisition, mu, std::sqrt(preds_[c].variance), best_y);
       if (score > best_score) {
         best_score = score;
         best_idx = c;

@@ -53,9 +53,6 @@ inline constexpr int kLocalCandidates = 192;
 inline constexpr double kLocalScale = 0.06;
 inline constexpr double kLocalScaleCoarse = 0.18;
 
-/// EI/PI improvement margin and LCB exploration weight.
-inline constexpr AcquisitionParams kAcquisitionParams{};
-
 /// Kernel scale (paper: l = 1, Eq. 7). Like skopt's gp_minimize, the
 /// length scale is refit at every suggest() by maximizing the log
 /// marginal likelihood over kLengthScale times each grid factor; a fixed

@@ -76,34 +76,6 @@ void exp_many(const double* x, double* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = exp_core(x[i]);
 }
 
-HB_FASTMATH_CLONES
-void axpy(double a, const double* x, double* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
-}
-
-HB_FASTMATH_CLONES
-void sq_accum(const double* x, double* acc, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) acc[i] += x[i] * x[i];
-}
-
-HB_FASTMATH_CLONES
-void sq_dist_accum(const double* x, double c, double* acc, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = x[i] - c;
-    acc[i] += d * d;
-  }
-}
-
-HB_FASTMATH_CLONES
-void sqrt_many(double* x, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) x[i] = std::sqrt(x[i]);
-}
-
-HB_FASTMATH_CLONES
-void div_many(double* x, double d, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) x[i] /= d;
-}
-
 // The block routines take __restrict__ pointers (callers pass distinct
 // buffers) and mark provably independent inner loops with GCC ivdep: the
 // vectorizer otherwise emits runtime overlap checks per row, which at

@@ -19,8 +19,8 @@
 /// from a scalar baseline evaluation by a few ulp; callers that need
 /// bitwise reproducibility must use the scalar paths instead.
 ///
-/// All pointers must be non-null for n > 0; `x` and `y`/`acc` must not
-/// alias (in-place variants say so explicitly).
+/// All pointers must be non-null for n > 0; inputs and outputs must not
+/// alias unless a routine says so.
 
 namespace hbosim::fastmath {
 
@@ -28,23 +28,6 @@ namespace hbosim::fastmath {
 /// outside that range are clamped first (the BO kernels only ever pass
 /// non-positive arguments well inside it). out may alias x.
 void exp_many(const double* x, double* out, std::size_t n);
-
-/// y[i] += a * x[i].
-void axpy(double a, const double* x, double* y, std::size_t n);
-
-/// acc[i] += x[i] * x[i].
-void sq_accum(const double* x, double* acc, std::size_t n);
-
-/// acc[i] += (x[i] - c) * (x[i] - c). One coordinate's contribution to a
-/// batch of squared Euclidean distances.
-void sq_dist_accum(const double* x, double c, double* acc, std::size_t n);
-
-/// x[i] = sqrt(x[i]), in place. Inputs must be >= 0.
-void sqrt_many(double* x, std::size_t n);
-
-/// x[i] /= d, in place. IEEE division (not multiplication by 1/d), so the
-/// result is bitwise identical to the scalar triangular solves.
-void div_many(double* x, double d, std::size_t n);
 
 /// Distance block for batched GP prediction: out(i, c) = ||z_c - x_i||
 /// for n training points x (row-major, n x d) against bc candidates given

@@ -108,7 +108,7 @@ void Matrix::matvec_transposed(std::span<const double> v,
 }
 
 Cholesky::Cholesky(const Matrix& a, double jitter) : jitter_(jitter) {
-  HB_REQUIRE(a.is_square(), "Cholesky requires a square matrix");
+  HB_REQUIRE(a.rows() == a.cols(), "Cholesky requires a square matrix");
   const std::size_t n = a.rows();
   l_ = Matrix(n, n, 0.0);
   for (std::size_t j = 0; j < n; ++j) {

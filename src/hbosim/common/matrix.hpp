@@ -64,8 +64,6 @@ class Matrix {
   void matvec_transposed(std::span<const double> v,
                          std::span<double> out) const;
 
-  bool is_square() const { return rows_ == cols_; }
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;

@@ -4,19 +4,9 @@
 #include <cmath>
 
 #include "hbosim/common/error.hpp"
+#include "hbosim/core/config.hpp"
 
 namespace hbosim::core {
-
-EventActivationPolicy::EventActivationPolicy(double up_fraction,
-                                             double down_fraction,
-                                             double reference_floor)
-    : up_fraction_(up_fraction),
-      down_fraction_(down_fraction),
-      reference_floor_(reference_floor) {
-  HB_REQUIRE(up_fraction_ >= 0.0 && down_fraction_ >= 0.0,
-             "activation fractions must be non-negative");
-  HB_REQUIRE(reference_floor_ > 0.0, "reference floor must be positive");
-}
 
 double EventActivationPolicy::reference() const {
   HB_REQUIRE(has_reference_, "no reference reward recorded yet");
@@ -31,10 +21,10 @@ void EventActivationPolicy::set_reference(double reward) {
 bool EventActivationPolicy::should_activate(double current_reward) const {
   ++evaluations_;
   if (!has_reference_) return true;
-  const double base = std::max(std::abs(reference_), reference_floor_);
+  const double base = std::max(std::abs(reference_), reference_floor);
   const double delta = current_reward - reference_;
-  if (delta > up_fraction_ * base) return true;
-  if (delta < -down_fraction_ * base) return true;
+  if (delta > HboConfig::up_fraction * base) return true;
+  if (delta < -HboConfig::down_fraction * base) return true;
   return false;
 }
 

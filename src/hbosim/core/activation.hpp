@@ -6,7 +6,7 @@
 /// Section IV-E: the event-based activation policy. HBO runs once after
 /// the first object placement to establish a reference reward B_ref, then
 /// monitors B_t periodically and re-activates only when the reward departs
-/// from the reference by more than a tunable fraction — upward (e.g. the
+/// from the reference by more than a fixed fraction — upward (e.g. the
 /// user stepped back and quality headroom appeared; paper threshold +5%)
 /// or downward (e.g. a heavy object landed and AI latency spiked; paper
 /// threshold -10%). A periodic policy is provided for the Fig. 8b
@@ -14,16 +14,15 @@
 
 namespace hbosim::core {
 
+/// Fires on HboConfig::up_fraction / down_fraction (the paper's 5% / 10%)
+/// of max(|reference|, reference_floor).
 class EventActivationPolicy {
  public:
-  /// Fractions are relative to max(|reference|, floor). The floor sets
-  /// the absolute threshold scale when the reference reward is small: the
-  /// default keeps the 5%/10% fractions above the reward-measurement
-  /// noise of a 2-second control window (NPU-collision jitter alone
-  /// moves a window's epsilon by a few percent).
-  EventActivationPolicy(double up_fraction = 0.05,
-                        double down_fraction = 0.10,
-                        double reference_floor = 2.0);
+  /// The floor sets the absolute threshold scale when the reference
+  /// reward is small: it keeps the 5%/10% fractions above the
+  /// reward-measurement noise of a 2-second control window (NPU-collision
+  /// jitter alone moves a window's epsilon by a few percent).
+  static constexpr double reference_floor = 2.0;
 
   bool has_reference() const { return has_reference_; }
   double reference() const;
@@ -39,9 +38,6 @@ class EventActivationPolicy {
   std::size_t evaluations() const { return evaluations_; }
 
  private:
-  double up_fraction_;
-  double down_fraction_;
-  double reference_floor_;
   bool has_reference_ = false;
   double reference_ = 0.0;
   mutable std::size_t evaluations_ = 0;

@@ -9,8 +9,6 @@ namespace hbosim::core {
 void HboConfig::validate() const {
   // An infinite weight or price makes every measured cost infinite, which
   // the optimizer rejects mid-run; an infinite period never ends.
-  HB_REQUIRE(std::isfinite(w) && w >= 0.0,
-             "weight w must be finite and non-negative");
   HB_REQUIRE(std::isfinite(w_energy) && w_energy >= 0.0,
              "weight w_energy must be finite and non-negative");
   HB_REQUIRE(std::isfinite(market_price) && market_price >= 0.0,
@@ -18,13 +16,10 @@ void HboConfig::validate() const {
   HB_REQUIRE(n_initial >= 1, "need at least one initial configuration");
   HB_REQUIRE(n_iterations >= 0, "iteration count must be non-negative");
   HB_REQUIRE(selection_candidates >= 1, "need at least one selection candidate");
-  HB_REQUIRE(r_min > 0.0 && r_min <= 1.0, "R_min must be in (0,1]");
   HB_REQUIRE(std::isfinite(control_period_s) && control_period_s > 0.0,
              "control period must be finite and positive");
   HB_REQUIRE(std::isfinite(monitor_period_s) && monitor_period_s > 0.0,
              "monitor period must be finite and positive");
-  HB_REQUIRE(up_fraction >= 0.0 && down_fraction >= 0.0,
-             "activation thresholds must be non-negative");
 }
 
 }  // namespace hbosim::core

@@ -16,7 +16,7 @@ namespace hbosim::core {
 
 struct HboConfig {
   /// Latency/quality weight in Eq. 3 (paper's example: 2.5).
-  double w = 2.5;
+  static constexpr double w = 2.5;
 
   /// Weight of the optional battery-draw term in the extended cost
   /// phi = -(Q - w*eps) + w_energy * P_avg (per watt of mean period
@@ -40,7 +40,8 @@ struct HboConfig {
   int n_iterations = 15;
 
   /// Lower bound R_min of Constraint 10.
-  double r_min = 0.2;
+  static constexpr double r_min = 0.2;
+  static_assert(r_min > 0.0 && r_min <= 1.0, "R_min must be in (0,1]");
 
   /// After the iteration loop, the lowest-cost configurations are
   /// re-applied and re-measured for one control period each, and the
@@ -60,8 +61,8 @@ struct HboConfig {
   /// monitor_period_s; re-run HBO when it rises by up_fraction or falls
   /// by down_fraction relative to the reference (paper: 5% / 10%).
   double monitor_period_s = 2.0;
-  double up_fraction = 0.05;
-  double down_fraction = 0.10;
+  static constexpr double up_fraction = 0.05;
+  static constexpr double down_fraction = 0.10;
 
   /// Edge offloading as a fourth allocation target: when
   /// offload.enabled the Constraints 8-10 simplex grows from the

@@ -135,13 +135,13 @@ ActivationResult HboController::run_activation() {
     // evaluate its mean function out of domain; fall back to flat.
     bo_cfg.prior = nullptr;
   }
-  optimizer_ = std::make_unique<bo::BayesianOptimizer>(
+  bo::BayesianOptimizer optimizer(
       bo::SimplexBoxSpace(n_simplex, cfg_.r_min, 1.0), bo_cfg);
 
   ActivationResult result;
   const int total_iters = cfg_.n_initial + cfg_.n_iterations;
   for (int iter = 0; iter < total_iters; ++iter) {
-    const std::vector<double> z = optimizer_->suggest(rng_);
+    const std::vector<double> z = optimizer.suggest(rng_);
     IterationRecord rec = apply_configuration(z);
     rec.index = iter;
     rec.random_init = iter < cfg_.n_initial;
@@ -152,7 +152,7 @@ ActivationResult HboController::run_activation() {
     rec.latency_ratio = metrics.latency_ratio;
     rec.cost = cost_of(metrics,
                        CostTerms{cfg_.w, cfg_.w_energy, cfg_.market_price});
-    optimizer_->tell(rec.z, rec.cost);
+    optimizer.tell(rec.z, rec.cost);
     result.history.push_back(std::move(rec));
   }
 

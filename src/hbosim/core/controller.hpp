@@ -74,12 +74,6 @@ class HboController {
   /// tasks in place). Applies the best configuration before returning.
   ActivationResult run_activation();
 
-  /// The optimizer used by the most recent activation (for inspection);
-  /// null before the first activation.
-  const bo::BayesianOptimizer* last_optimizer() const {
-    return optimizer_.get();
-  }
-
   /// Current per-object states (effective distances, Eq. 1 parameters) —
   /// the TD input. Exposed for baselines that reuse HBO's distributor.
   static std::vector<ObjectState> object_states(app::MarApp& app);
@@ -96,15 +90,11 @@ class HboController {
   void set_surrogate_prior(std::shared_ptr<const bo::SurrogatePrior> prior) {
     prior_ = std::move(prior);
   }
-  const std::shared_ptr<const bo::SurrogatePrior>& surrogate_prior() const {
-    return prior_;
-  }
 
  private:
   app::MarApp& app_;
   HboConfig cfg_;
   Rng rng_;
-  std::unique_ptr<bo::BayesianOptimizer> optimizer_;
   std::unique_ptr<HeuristicAllocator> allocator_;
   std::shared_ptr<const bo::SurrogatePrior> prior_;
 

@@ -13,8 +13,7 @@ MonitoredSession::MonitoredSession(app::MarApp& app,
     : app_(app),
       cfg_(cfg),
       controller_(app, cfg.hbo),
-      policy_(cfg.hbo.up_fraction, cfg.hbo.down_fraction),
-      smoothed_(cfg.smoothing_alpha) {
+      smoothed_(MonitoredSessionConfig::smoothing_alpha) {
   HB_REQUIRE(cfg_.reference_periods >= 1,
              "need at least one reference period");
   HB_REQUIRE(cfg_.warm_start_tolerance >= 0.0,
@@ -43,7 +42,7 @@ double MonitoredSession::settle_and_reference() {
     observe(m);
   }
   policy_.set_reference(reference);
-  smoothed_ = Ewma(cfg_.smoothing_alpha);
+  smoothed_ = Ewma(MonitoredSessionConfig::smoothing_alpha);
   smoothed_.add(reference);
   return reference;
 }

@@ -35,7 +35,7 @@ inline constexpr std::uint64_t kRemoteBoPayloadBytes = 48 + 40;
 struct MonitoredSessionConfig {
   HboConfig hbo;
   /// EWMA weight for the monitored reward.
-  double smoothing_alpha = 0.3;
+  static constexpr double smoothing_alpha = 0.3;
   /// Settled periods averaged into a new reference after an activation.
   int reference_periods = 3;
   /// Enable the Section VI lookup-table fast path.

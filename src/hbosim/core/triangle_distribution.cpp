@@ -10,27 +10,28 @@ namespace hbosim::core {
 
 namespace {
 
+/// Bisection iterations for the water-filling multiplier search.
+constexpr int kBisectionIters = 60;
+/// Reference decimation ratio of the sensitivity heuristic.
+constexpr double kSensitivityReferenceRatio = 0.5;
+
 double effective_pow(const ObjectState& o) {
   return std::pow(std::max(o.distance, 1.0), o.params.d);
 }
 
 /// r_i(lambda): the unique ratio where object i's marginal quality gain
-/// per triangle equals lambda, clamped into [floor, 1].
-double ratio_at_multiplier(const ObjectState& o, double lambda,
-                           double floor_ratio) {
+/// per triangle equals lambda, clamped into [kObjectRatioFloor, 1].
+double ratio_at_multiplier(const ObjectState& o, double lambda) {
   const double t = static_cast<double>(o.max_triangles);
   const double r =
       (-o.params.b - lambda * effective_pow(o) * t) / (2.0 * o.params.a);
-  return clampd(r, floor_ratio, 1.0);
+  return clampd(r, kObjectRatioFloor, 1.0);
 }
 
 void validate_inputs(const std::vector<ObjectState>& objects,
-                     double total_ratio,
-                     const TriangleDistributionConfig& cfg) {
+                     double total_ratio) {
   HB_REQUIRE(total_ratio >= 0.0 && total_ratio <= 1.0,
              "total triangle ratio must be in [0,1]");
-  HB_REQUIRE(cfg.floor_ratio > 0.0 && cfg.floor_ratio <= 1.0,
-             "floor ratio must be in (0,1]");
   for (const ObjectState& o : objects) {
     HB_REQUIRE(o.params.valid(), "invalid degradation parameters");
     HB_REQUIRE(o.max_triangles > 0, "object must have triangles");
@@ -41,16 +42,14 @@ void validate_inputs(const std::vector<ObjectState>& objects,
 }  // namespace
 
 std::vector<double> distribute_waterfill(
-    const std::vector<ObjectState>& objects, double total_ratio,
-    const TriangleDistributionConfig& cfg) {
-  validate_inputs(objects, total_ratio, cfg);
+    const std::vector<ObjectState>& objects, double total_ratio) {
+  validate_inputs(objects, total_ratio);
   if (objects.empty()) return {};
 
   double total_max = 0.0;
   for (const ObjectState& o : objects)
     total_max += static_cast<double>(o.max_triangles);
-  const double budget =
-      std::max(total_ratio, cfg.floor_ratio) * total_max;
+  const double budget = std::max(total_ratio, kObjectRatioFloor) * total_max;
 
   // lambda = 0 gives every object ratio 1 (validity implies the error is
   // still falling at R=1, so unconstrained optima sit at or above 1).
@@ -66,14 +65,14 @@ std::vector<double> distribute_waterfill(
   auto triangles_at = [&](double lambda) {
     double acc = 0.0;
     for (const ObjectState& o : objects)
-      acc += ratio_at_multiplier(o, lambda, cfg.floor_ratio) *
+      acc += ratio_at_multiplier(o, lambda) *
              static_cast<double>(o.max_triangles);
     return acc;
   };
 
   double lo = 0.0;
   double hi = lambda_hi;
-  for (int i = 0; i < cfg.bisection_iters; ++i) {
+  for (int i = 0; i < kBisectionIters; ++i) {
     const double mid = 0.5 * (lo + hi);
     if (triangles_at(mid) > budget) {
       lo = mid;
@@ -85,20 +84,19 @@ std::vector<double> distribute_waterfill(
 
   std::vector<double> ratios(objects.size());
   for (std::size_t i = 0; i < objects.size(); ++i)
-    ratios[i] = ratio_at_multiplier(objects[i], lambda, cfg.floor_ratio);
+    ratios[i] = ratio_at_multiplier(objects[i], lambda);
   return ratios;
 }
 
 std::vector<double> distribute_sensitivity(
-    const std::vector<ObjectState>& objects, double total_ratio,
-    const TriangleDistributionConfig& cfg) {
-  validate_inputs(objects, total_ratio, cfg);
+    const std::vector<ObjectState>& objects, double total_ratio) {
+  validate_inputs(objects, total_ratio);
   if (objects.empty()) return {};
 
   double total_max = 0.0;
   for (const ObjectState& o : objects)
     total_max += static_cast<double>(o.max_triangles);
-  const double budget = std::max(total_ratio, cfg.floor_ratio) * total_max;
+  const double budget = std::max(total_ratio, kObjectRatioFloor) * total_max;
   if (budget >= total_max) return std::vector<double>(objects.size(), 1.0);
 
   // Sensitivity: degradation at the common reference ratio minus the
@@ -108,7 +106,8 @@ std::vector<double> distribute_sensitivity(
   for (std::size_t i = 0; i < objects.size(); ++i) {
     const ObjectState& o = objects[i];
     const double s =
-        render::degradation_error(o.params, cfg.reference_ratio, o.distance) -
+        render::degradation_error(o.params, kSensitivityReferenceRatio,
+                                  o.distance) -
         render::degradation_error(o.params, 1.0, o.distance);
     weight[i] = std::max(s, 1e-6);
   }
@@ -140,8 +139,8 @@ std::vector<double> distribute_sensitivity(
               ? remaining_budget * (weight[idx] * t) / remaining_weight
               : 0.0;
       const double r = share / t;
-      if (r >= 1.0 || r <= cfg.floor_ratio) {
-        ratios[idx] = clampd(r, cfg.floor_ratio, 1.0);
+      if (r >= 1.0 || r <= kObjectRatioFloor) {
+        ratios[idx] = clampd(r, kObjectRatioFloor, 1.0);
         fixed[idx] = true;
         remaining_budget -= ratios[idx] * t;
         remaining_weight -= weight[idx] * t;
@@ -152,7 +151,7 @@ std::vector<double> distribute_sensitivity(
     }
     if (!clamped_any) break;
   }
-  for (auto& r : ratios) r = clampd(r, cfg.floor_ratio, 1.0);
+  for (auto& r : ratios) r = clampd(r, kObjectRatioFloor, 1.0);
   return ratios;
 }
 

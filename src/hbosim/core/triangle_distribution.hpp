@@ -27,7 +27,7 @@
 ///    construction.
 ///
 /// Both respect the budget exactly (up to rounding) and never assign a
-/// ratio outside [floor_ratio, 1].
+/// ratio outside [kObjectRatioFloor, 1].
 
 namespace hbosim::core {
 
@@ -38,25 +38,19 @@ struct ObjectState {
   std::uint64_t max_triangles = 1;
 };
 
-struct TriangleDistributionConfig {
-  /// Per-object ratio floor (objects never vanish entirely).
-  double floor_ratio = 0.05;
-  /// Bisection iterations for the multiplier search.
-  int bisection_iters = 60;
-  /// Reference decimation ratio of the sensitivity heuristic.
-  double reference_ratio = 0.5;
-};
+/// Per-object ratio floor (objects never vanish entirely).
+inline constexpr double kObjectRatioFloor = 0.05;
+static_assert(kObjectRatioFloor > 0.0 && kObjectRatioFloor <= 1.0,
+              "object ratio floor must be in (0,1]");
 
 /// Exact concave water-filling. `total_ratio` is the paper's x in
 /// [0, 1]; returns one ratio per object (same order as `objects`).
 std::vector<double> distribute_waterfill(
-    const std::vector<ObjectState>& objects, double total_ratio,
-    const TriangleDistributionConfig& cfg = {});
+    const std::vector<ObjectState>& objects, double total_ratio);
 
 /// The paper's sensitivity-weighted heuristic (O(L log L)).
 std::vector<double> distribute_sensitivity(
-    const std::vector<ObjectState>& objects, double total_ratio,
-    const TriangleDistributionConfig& cfg = {});
+    const std::vector<ObjectState>& objects, double total_ratio);
 
 /// Average quality (Eq. 2) a ratio assignment would yield.
 double assignment_quality(const std::vector<ObjectState>& objects,

@@ -8,16 +8,6 @@
 
 namespace hbosim::edgesvc {
 
-const char* request_class_name(RequestClass c) {
-  switch (c) {
-    case RequestClass::Decimation: return "decimation";
-    case RequestClass::RemoteBo: return "remote_bo";
-    case RequestClass::MeshTransfer: return "mesh_transfer";
-    case RequestClass::AiInference: return "ai_inference";
-  }
-  return "?";
-}
-
 const char* queue_policy_name(QueuePolicy p) {
   switch (p) {
     case QueuePolicy::Fifo: return "fifo";

@@ -50,7 +50,6 @@ enum class RequestClass : std::uint8_t {
 };
 enum class QueuePolicy : std::uint8_t { Fifo, DeadlinePriority, TenantFairShare };
 
-const char* request_class_name(RequestClass c);
 const char* queue_policy_name(QueuePolicy p);
 /// Parse "fifo" / "deadline" / "fair" (throws hbosim::Error otherwise).
 QueuePolicy queue_policy_from_name(std::string_view name);
@@ -152,7 +151,6 @@ class EdgeServerSim {
 
   const EdgeServerStats& stats() const { return stats_; }
   const EdgeServerSpec& spec() const { return spec_; }
-  double virtual_now() const { return vnow_; }
   std::size_t queue_depth() const { return queue_.size(); }
 
  private:

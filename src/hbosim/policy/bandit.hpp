@@ -64,7 +64,6 @@ class LinUcbBandit {
 
   const std::vector<std::vector<double>>& arms() const { return arms_; }
   std::size_t arm_count() const { return arms_.size(); }
-  std::size_t context_dim() const { return dim_; }
   std::uint64_t updates() const { return updates_; }
   /// Point estimate theta . x for one arm (for tests/diagnostics).
   double predicted_reward(std::size_t arm,

@@ -23,8 +23,7 @@ BanditSession::BanditSession(app::MarApp& app, BanditSessionConfig cfg,
       cfg_(cfg),
       controller_(app, cfg.hbo),
       owned_(std::make_unique<LinUcbBandit>(make_arm_grid(cfg.hbo.r_min),
-                                            bandit_cfg)),
-      learner_(owned_.get()) {
+                                            bandit_cfg)) {
   app_.start();
 }
 
@@ -39,7 +38,7 @@ void BanditSession::observe(const app::PeriodMetrics& m) {
 void BanditSession::pull() {
   HB_TRACE_SCOPE("policy", "policy.bandit_pull");
   HB_TELEM_COUNT("policy.bandit_pulls", 1.0);
-  const LinUcbBandit* selector = model_ ? model_.get() : learner_;
+  const LinUcbBandit* selector = model();
 
   Experience exp;
   exp.at = app_.sim().now();
@@ -53,7 +52,7 @@ void BanditSession::pull() {
   exp.reward = -exp.cost;
   observe(m);
 
-  if (learner_ != nullptr) learner_->update(exp.arm, exp.context, exp.reward);
+  if (owned_ != nullptr) owned_->update(exp.arm, exp.context, exp.reward);
   experiences_.push_back(std::move(exp));
 }
 

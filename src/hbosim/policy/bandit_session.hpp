@@ -21,9 +21,8 @@
 /// behind when a bad arm yields a stable-but-poor reward.
 ///
 /// Two wiring modes, mirroring how the fleet handles priors:
-///   - Online (set_learner, or the convenience own-learner constructor):
-///     every pull immediately updates the learner. Single-session
-///     benches and the baselines wrapper use this.
+///   - Online (own-learner constructor): every pull immediately updates
+///     the session's own learner. Single-session benches use this.
 ///   - Frozen (model constructor): pulls select against an immutable
 ///     model and are recorded as Experience; a fleet drains
 ///     experiences() on its main thread in session-id order and trains
@@ -59,12 +58,6 @@ class BanditSession {
   BanditSession(app::MarApp& app, BanditSessionConfig cfg = {},
                 BanditConfig bandit_cfg = {});
 
-  /// Train this learner on every pull (in addition to recording the
-  /// Experience). Pass nullptr to stop training. The learner must outlive
-  /// the session. Selection still goes through the frozen model when one
-  /// was given; otherwise through the learner itself.
-  void set_learner(LinUcbBandit* learner) { learner_ = learner; }
-
   /// One decision round: pull an arm and measure one control period.
   /// Before the first object placement there is nothing to decide over;
   /// the session idles one monitor period and returns false.
@@ -78,7 +71,7 @@ class BanditSession {
   }
 
   const LinUcbBandit* model() const {
-    return model_ ? model_.get() : learner_;
+    return model_ ? model_.get() : owned_.get();
   }
   const BanditSessionConfig& config() const { return cfg_; }
 
@@ -99,7 +92,6 @@ class BanditSession {
   core::HboController controller_;  ///< Only for apply_configuration.
   std::shared_ptr<const LinUcbBandit> model_;  ///< Frozen selection model.
   std::unique_ptr<LinUcbBandit> owned_;        ///< Online-mode learner.
-  LinUcbBandit* learner_ = nullptr;
   RunningStat quality_stat_;
   RunningStat latency_stat_;
   RunningStat reward_stat_;

@@ -12,15 +12,16 @@ namespace hbosim::render {
 
 struct CullingModel {
   /// Fraction of triangles surviving backface culling up close.
-  double near_fraction = 0.95;
+  static constexpr double near_fraction = 0.95;
   /// Asymptotic fraction as distance grows (backface-culled and
   /// sub-pixel geometry contribute no GPU load).
-  double far_fraction = 0.45;
+  static constexpr double far_fraction = 0.45;
+  static_assert(near_fraction > far_fraction, "near fraction must dominate");
   /// Distance (meters) at which half the near->far transition happened.
-  double half_distance_m = 4.0;
+  static constexpr double half_distance_m = 4.0;
 
   /// Visible (GPU-loading) triangle fraction at the given distance.
-  double visible_fraction(double distance_m) const;
+  static double visible_fraction(double distance_m);
 };
 
 }  // namespace hbosim::render

@@ -4,8 +4,6 @@
 
 namespace hbosim::render {
 
-Scene::Scene(CullingModel culling) : culling_(culling) {}
-
 ObjectId Scene::add_object(std::shared_ptr<const MeshAsset> asset,
                            double distance_m) {
   const ObjectId id = next_id_++;
@@ -73,7 +71,7 @@ double Scene::culled_triangles() const {
   for (const auto& [id, obj] : objects_) {
     const double dist = obj.base_distance() * distance_scale_;
     total += static_cast<double>(obj.triangles()) *
-             culling_.visible_fraction(dist);
+             CullingModel::visible_fraction(dist);
   }
   return total;
 }

@@ -20,8 +20,6 @@ class Scene {
  public:
   using ChangeListener = std::function<void()>;
 
-  explicit Scene(CullingModel culling = {});
-
   /// Place an object; returns its id. Fires the change listener.
   ObjectId add_object(std::shared_ptr<const MeshAsset> asset,
                       double distance_m);
@@ -37,7 +35,6 @@ class Scene {
   /// Multiplier on every object's base distance: the user walking away
   /// doubles it, stepping closer shrinks it. Fires the change listener.
   void set_user_distance_scale(double scale);
-  double user_distance_scale() const { return distance_scale_; }
 
   /// Effective viewing distance of one object.
   double effective_distance(ObjectId id) const;
@@ -61,8 +58,6 @@ class Scene {
   /// Apply one ratio to all objects.
   void set_uniform_ratio(double ratio);
 
-  const CullingModel& culling() const { return culling_; }
-
   /// Invoked after every mutation that changes render load (add/remove,
   /// ratio change, distance change) — the app wires this to the SoC's
   /// render-load update.
@@ -71,7 +66,6 @@ class Scene {
  private:
   void notify();
 
-  CullingModel culling_;
   std::map<ObjectId, VirtualObject> objects_;
   ObjectId next_id_ = 1;
   double distance_scale_ = 1.0;

@@ -4,15 +4,6 @@
 
 namespace hbosim::soc {
 
-const char* unit_name(Unit u) {
-  switch (u) {
-    case Unit::Cpu: return "CPU";
-    case Unit::Gpu: return "GPU";
-    case Unit::Npu: return "NPU";
-  }
-  return "?";
-}
-
 const char* delegate_name(Delegate d) {
   switch (d) {
     case Delegate::Cpu: return "CPU";

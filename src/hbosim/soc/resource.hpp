@@ -19,8 +19,6 @@ namespace hbosim::soc {
 enum class Unit { Cpu = 0, Gpu = 1, Npu = 2 };
 inline constexpr int kNumUnits = 3;
 
-const char* unit_name(Unit u);
-
 /// Coarse-grained allocation choices (the paper's N resources).
 enum class Delegate { Cpu = 0, Gpu = 1, Nnapi = 2 };
 inline constexpr int kNumDelegates = 3;

@@ -2,24 +2,19 @@
 
 #include <algorithm>
 
-#include "hbosim/common/error.hpp"
 #include "hbosim/common/mathx.hpp"
 
 namespace hbosim::study {
 
-RaterPanel::RaterPanel(RaterPanelConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
-  HB_REQUIRE(cfg_.raters > 0, "panel needs at least one rater");
-  HB_REQUIRE(cfg_.quality_floor < cfg_.quality_ceiling,
-             "quality floor must be below the ceiling");
-  biases_.reserve(static_cast<std::size_t>(cfg_.raters));
-  for (int i = 0; i < cfg_.raters; ++i)
-    biases_.push_back(rng_.normal(0.0, cfg_.rater_bias_sigma));
+RaterPanel::RaterPanel() : rng_(seed) {
+  biases_.reserve(static_cast<std::size_t>(raters));
+  for (int i = 0; i < raters; ++i)
+    biases_.push_back(rng_.normal(0.0, rater_bias_sigma));
 }
 
 double RaterPanel::perceptual_score(double quality) const {
-  const double f = clampd((quality - cfg_.quality_floor) /
-                              (cfg_.quality_ceiling - cfg_.quality_floor),
-                          0.0, 1.0);
+  const double f = clampd(
+      (quality - quality_floor) / (quality_ceiling - quality_floor), 0.0, 1.0);
   return 1.0 + 4.0 * f;
 }
 
@@ -29,7 +24,7 @@ StudyResult RaterPanel::evaluate(double quality) {
   out.scores.reserve(biases_.size());
   for (double bias : biases_) {
     const double s =
-        base + bias + rng_.normal(0.0, cfg_.trial_noise_sigma);
+        base + bias + rng_.normal(0.0, trial_noise_sigma);
     out.scores.push_back(clampd(s, 1.0, 5.0));
   }
   out.mean = mean(out.scores);

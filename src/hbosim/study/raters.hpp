@@ -17,17 +17,6 @@
 
 namespace hbosim::study {
 
-struct RaterPanelConfig {
-  int raters = 7;  ///< The paper recruited seven students.
-  /// Quality at (or below) which a condition is scored 1 ("much worse").
-  double quality_floor = 0.35;
-  /// Quality at (or above) which a condition saturates to 5.
-  double quality_ceiling = 0.90;
-  double rater_bias_sigma = 0.15;  ///< Persistent per-rater offset (score units).
-  double trial_noise_sigma = 0.12; ///< Per-trial noise (score units).
-  std::uint64_t seed = 0x57EDu;
-};
-
 struct StudyResult {
   std::vector<double> scores;  ///< One score per rater, in [1, 5].
   double mean = 0.0;
@@ -36,7 +25,19 @@ struct StudyResult {
 
 class RaterPanel {
  public:
-  explicit RaterPanel(RaterPanelConfig cfg = {});
+  static constexpr int raters = 7;  ///< The paper recruited seven students.
+  /// Quality at (or below) which a condition is scored 1 ("much worse").
+  static constexpr double quality_floor = 0.35;
+  /// Quality at (or above) which a condition saturates to 5.
+  static constexpr double quality_ceiling = 0.90;
+  static_assert(quality_floor < quality_ceiling,
+                "quality floor must be below the ceiling");
+  /// Persistent per-rater offset (score units).
+  static constexpr double rater_bias_sigma = 0.15;
+  static constexpr double trial_noise_sigma = 0.12;  ///< Per-trial noise.
+  static constexpr std::uint64_t seed = 0x57EDu;
+
+  RaterPanel();
 
   /// The deterministic perceptual curve: estimated quality -> noiseless
   /// score in [1, 5].
@@ -45,10 +46,7 @@ class RaterPanel {
   /// Have every rater score one condition with this estimated quality.
   StudyResult evaluate(double quality);
 
-  const RaterPanelConfig& config() const { return cfg_; }
-
  private:
-  RaterPanelConfig cfg_;
   std::vector<double> biases_;
   Rng rng_;
 };

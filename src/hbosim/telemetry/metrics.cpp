@@ -311,9 +311,4 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   return out;
 }
 
-std::size_t MetricsRegistry::metric_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return descriptors_.size();
-}
-
 }  // namespace hbosim::telemetry

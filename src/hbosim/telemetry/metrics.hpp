@@ -105,8 +105,6 @@ class MetricsRegistry {
   /// shard is locked briefly); the result is a consistent per-shard view.
   MetricsSnapshot snapshot() const;
 
-  std::size_t metric_count() const;
-
  private:
   struct Cell {
     double sum = 0.0;

@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "hbosim/common/error.hpp"
-#include "hbosim/common/logging.hpp"
 #include "hbosim/telemetry/report.hpp"
 
 namespace hbosim::telemetry {
@@ -107,19 +106,9 @@ TelemetrySession::TelemetrySession(TelemetryConfig cfg) : cfg_(cfg) {
   // The constructing thread is almost always the interesting "main" track;
   // register it eagerly so it gets tid 0.
   set_thread_name("main");
-
-  // Route Warn+ log lines into the event stream for the session lifetime.
-  set_log_event_hook([this](LogLevel level, const std::string& component,
-                            const std::string& message) {
-    if (static_cast<int>(level) < cfg_.log_route_level) return;
-    record_log(static_cast<int>(level), component, message);
-  });
 }
 
 TelemetrySession::~TelemetrySession() {
-  // Blocks until any in-flight log-hook invocation returns, so no thread
-  // can call record_log() on this object afterwards.
-  set_log_event_hook(nullptr);
   detail::g_enabled.store(false, std::memory_order_release);
   g_session.store(nullptr, std::memory_order_release);
   // Stale TLS ring pointers are invalidated lazily: the next session has a
@@ -143,27 +132,6 @@ ThreadRing* TelemetrySession::ring_for_this_thread() {
   t_ring = ptr;
   t_ring_epoch = epoch_;
   return ptr;
-}
-
-void TelemetrySession::record_log(int level, const std::string& component,
-                                  const std::string& msg) {
-  LogRecord rec;
-  rec.ts_ns = static_cast<std::uint64_t>(std::max<std::int64_t>(
-      detail::now_ns(), 0));
-  rec.level = level;
-  rec.component = component;
-  rec.message = msg;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (logs_.size() >= cfg_.max_log_records) {
-    ++logs_dropped_;
-    return;
-  }
-  logs_.push_back(std::move(rec));
-}
-
-std::vector<LogRecord> TelemetrySession::log_records() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return logs_;
 }
 
 std::vector<ThreadSnapshot> TelemetrySession::snapshot() const {
@@ -220,22 +188,10 @@ struct Sep {
   }
 };
 
-const char* log_level_label(int level) {
-  switch (level) {
-    case 0: return "trace";
-    case 1: return "debug";
-    case 2: return "info";
-    case 3: return "warn";
-    case 4: return "error";
-  }
-  return "?";
-}
-
 }  // namespace
 
 void TelemetrySession::write_chrome_trace(std::ostream& os) const {
   const std::vector<ThreadSnapshot> snaps = snapshot();
-  const std::vector<LogRecord> logs = log_records();
 
   os << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
   Sep sep;
@@ -305,17 +261,6 @@ void TelemetrySession::write_chrome_trace(std::ostream& os) const {
           break;
       }
     }
-  }
-
-  for (const LogRecord& log : logs) {
-    os << sep.next() << "{\"ph\": \"i\", \"pid\": " << kWallPid
-       << ", \"tid\": 0, \"ts\": " << static_cast<double>(log.ts_ns) * 1e-3
-       << ", \"s\": \"g\", \"cat\": \"log\", \"name\": ";
-    detail::write_json_string(os, log.component);
-    os << ", \"args\": {\"level\": \"" << log_level_label(log.level)
-       << "\", \"message\": ";
-    detail::write_json_string(os, log.message);
-    os << "}}";
   }
 
   os << "\n]}\n";

@@ -141,15 +141,6 @@ struct ThreadSnapshot {
   std::vector<TraceEvent> events;
 };
 
-/// One log line routed into the telemetry stream (see common/logging:
-/// lines at Warn and above are forwarded while a session is active).
-struct LogRecord {
-  std::uint64_t ts_ns = 0;
-  int level = 0;  ///< hbosim::LogLevel as int (header avoids the include).
-  std::string component;
-  std::string message;
-};
-
 // Forward declaration; full definition in report.hpp.
 struct ProfileReport;
 
@@ -157,10 +148,6 @@ struct TelemetryConfig {
   /// Ring capacity per thread, rounded up to a power of two. At 64 bytes
   /// per event the default retains ~4 MiB (65536 events) per thread.
   std::size_t events_per_thread = 1 << 16;
-  /// Cap on log lines captured from the logging bridge.
-  static constexpr std::size_t max_log_records = 4096;
-  /// Minimum logging level forwarded into the event stream.
-  static constexpr int log_route_level = 3;  ///< LogLevel::Warn.
 };
 
 /// Enables tracing and metrics for its lifetime. At most one session may
@@ -185,19 +172,14 @@ class TelemetrySession {
   /// Registers the calling thread, creating its ring on first use.
   ThreadRing* ring_for_this_thread();
 
-  /// Capture a log line (called by the logging bridge; thread-safe).
-  void record_log(int level, const std::string& component,
-                  const std::string& msg);
-  std::vector<LogRecord> log_records() const;
-
   // --- export (writers must be quiescent) --------------------------------
   std::vector<ThreadSnapshot> snapshot() const;
   std::uint64_t events_recorded() const;
   std::uint64_t events_dropped() const;
 
   /// Chrome trace-event JSON: thread tracks for wall-time scopes and
-  /// counters, async sim-time tracks, thread/process metadata, and routed
-  /// log lines as instant events. Loads in Perfetto / chrome://tracing.
+  /// counters, async sim-time tracks, and thread/process metadata. Loads
+  /// in Perfetto / chrome://tracing.
   void write_chrome_trace(std::ostream& os) const;
 
   /// Roll the recorded scopes up into an inclusive/exclusive wall-time
@@ -213,8 +195,6 @@ class TelemetrySession {
   /// Non-owning: rings live in a process-lifetime pool (telemetry.cpp) so
   /// late writers never touch freed memory after the session is gone.
   std::vector<ThreadRing*> rings_;
-  std::vector<LogRecord> logs_;
-  std::uint64_t logs_dropped_ = 0;
 };
 
 /// Intern a dynamic name into process-lifetime storage so it can be used

@@ -183,8 +183,8 @@ inline std::vector<double> suggest(const SimplexBoxSpace& space,
   auto consider = [&](std::vector<double> z) {
     const GaussianProcess::Prediction p = gp->predict(z);
     const double mu = p.mean + (cfg.prior ? cfg.prior->mean(z) / scale : 0.0);
-    const double score = acquisition_score(
-        cfg.acquisition, mu, std::sqrt(p.variance), best_y, kAcquisitionParams);
+    const double score =
+        acquisition_score(cfg.acquisition, mu, std::sqrt(p.variance), best_y);
     if (score > best_score) {
       best_score = score;
       best_z = std::move(z);

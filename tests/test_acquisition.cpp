@@ -84,18 +84,15 @@ TEST(LowerConfidenceBound, KappaTradesExplorationForExploitation) {
 }
 
 TEST(Acquisition, DispatchMatchesDirectCalls) {
-  AcquisitionParams p;
-  p.xi = 0.02;
-  p.kappa = 1.5;
   EXPECT_DOUBLE_EQ(
-      acquisition_score(AcquisitionKind::ExpectedImprovement, 0.1, 0.4, 0.5, p),
-      expected_improvement(0.1, 0.4, 0.5, 0.02));
+      acquisition_score(AcquisitionKind::ExpectedImprovement, 0.1, 0.4, 0.5),
+      expected_improvement(0.1, 0.4, 0.5, 0.01));
   EXPECT_DOUBLE_EQ(acquisition_score(AcquisitionKind::ProbabilityOfImprovement,
-                                     0.1, 0.4, 0.5, p),
-                   probability_of_improvement(0.1, 0.4, 0.5, 0.02));
+                                     0.1, 0.4, 0.5),
+                   probability_of_improvement(0.1, 0.4, 0.5, 0.01));
   EXPECT_DOUBLE_EQ(
-      acquisition_score(AcquisitionKind::LowerConfidenceBound, 0.1, 0.4, 0.5, p),
-      lower_confidence_bound_score(0.1, 0.4, 1.5));
+      acquisition_score(AcquisitionKind::LowerConfidenceBound, 0.1, 0.4, 0.5),
+      lower_confidence_bound_score(0.1, 0.4, 2.0));
 }
 
 TEST(Acquisition, NamesAreStable) {

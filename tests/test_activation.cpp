@@ -19,62 +19,64 @@ TEST(EventPolicy, FirstCallAlwaysActivates) {
   EXPECT_THROW(policy.reference(), hbosim::Error);
 }
 
+// References above the 2.0 floor scale the thresholds with the
+// reference itself: at 10.0 they sit at +0.5 and -1.0.
 TEST(EventPolicy, StableRewardDoesNotActivate) {
-  EventActivationPolicy policy(0.05, 0.10, 0.5);
-  policy.set_reference(1.0);
-  EXPECT_FALSE(policy.should_activate(1.0));
-  EXPECT_FALSE(policy.should_activate(1.03));
-  EXPECT_FALSE(policy.should_activate(0.95));
+  EventActivationPolicy policy;
+  policy.set_reference(10.0);
+  EXPECT_FALSE(policy.should_activate(10.0));
+  EXPECT_FALSE(policy.should_activate(10.3));
+  EXPECT_FALSE(policy.should_activate(9.5));
 }
 
 TEST(EventPolicy, UpwardThresholdIsFivePercent) {
-  EventActivationPolicy policy(0.05, 0.10, 0.5);
-  policy.set_reference(1.0);
-  EXPECT_FALSE(policy.should_activate(1.049));
-  EXPECT_TRUE(policy.should_activate(1.051));
+  EventActivationPolicy policy;
+  policy.set_reference(10.0);
+  EXPECT_FALSE(policy.should_activate(10.49));
+  EXPECT_TRUE(policy.should_activate(10.51));
 }
 
 TEST(EventPolicy, DownwardThresholdIsTenPercent) {
-  EventActivationPolicy policy(0.05, 0.10, 0.5);
-  policy.set_reference(1.0);
-  EXPECT_FALSE(policy.should_activate(0.901));
-  EXPECT_TRUE(policy.should_activate(0.899));
+  EventActivationPolicy policy;
+  policy.set_reference(10.0);
+  EXPECT_FALSE(policy.should_activate(9.01));
+  EXPECT_TRUE(policy.should_activate(8.99));
 }
 
 TEST(EventPolicy, AsymmetryMatchesThePaper) {
   // A reward *increase* triggers sooner than a decrease (5% vs 10%):
   // quality headroom is cheap to exploit, re-exploration is costly.
-  EventActivationPolicy policy(0.05, 0.10, 0.5);
-  policy.set_reference(1.0);
-  EXPECT_TRUE(policy.should_activate(1.06));
-  EXPECT_FALSE(policy.should_activate(0.94));
+  EventActivationPolicy policy;
+  policy.set_reference(10.0);
+  EXPECT_TRUE(policy.should_activate(10.6));
+  EXPECT_FALSE(policy.should_activate(9.4));
 }
 
 TEST(EventPolicy, FloorProtectsNearZeroReferences) {
-  EventActivationPolicy policy(0.05, 0.10, 0.5);
+  EventActivationPolicy policy;
   policy.set_reference(0.01);
-  // Thresholds are relative to max(|ref|, 0.5) = 0.5: +-0.025/-0.05.
-  EXPECT_FALSE(policy.should_activate(0.03));
-  EXPECT_TRUE(policy.should_activate(0.04));
-  EXPECT_FALSE(policy.should_activate(-0.03));
-  EXPECT_TRUE(policy.should_activate(-0.05));
+  // Thresholds are relative to max(|ref|, 2.0) = 2.0: +0.1 / -0.2.
+  EXPECT_FALSE(policy.should_activate(0.10));
+  EXPECT_TRUE(policy.should_activate(0.12));
+  EXPECT_FALSE(policy.should_activate(-0.18));
+  EXPECT_TRUE(policy.should_activate(-0.2));
 }
 
 TEST(EventPolicy, NegativeReferencesWork) {
-  EventActivationPolicy policy(0.05, 0.10, 0.5);
-  policy.set_reference(-1.0);
-  EXPECT_FALSE(policy.should_activate(-1.05));
-  EXPECT_TRUE(policy.should_activate(-1.2));  // 20% worse
-  EXPECT_TRUE(policy.should_activate(-0.9));  // 10% better > 5% threshold
+  EventActivationPolicy policy;
+  policy.set_reference(-10.0);
+  EXPECT_FALSE(policy.should_activate(-10.5));
+  EXPECT_TRUE(policy.should_activate(-12.0));  // 20% worse
+  EXPECT_TRUE(policy.should_activate(-9.0));   // 10% better > 5% threshold
 }
 
 TEST(EventPolicy, ReferenceUpdateRebasesThresholds) {
-  EventActivationPolicy policy(0.05, 0.10, 0.5);
-  policy.set_reference(1.0);
-  EXPECT_TRUE(policy.should_activate(2.0));
-  policy.set_reference(2.0);
-  EXPECT_FALSE(policy.should_activate(2.0));
-  EXPECT_DOUBLE_EQ(policy.reference(), 2.0);
+  EventActivationPolicy policy;
+  policy.set_reference(10.0);
+  EXPECT_TRUE(policy.should_activate(20.0));
+  policy.set_reference(20.0);
+  EXPECT_FALSE(policy.should_activate(20.0));
+  EXPECT_DOUBLE_EQ(policy.reference(), 20.0);
 }
 
 TEST(EventPolicy, CountsEvaluations) {
@@ -82,11 +84,6 @@ TEST(EventPolicy, CountsEvaluations) {
   policy.set_reference(1.0);
   for (int i = 0; i < 5; ++i) policy.should_activate(1.0);
   EXPECT_EQ(policy.evaluations(), 5u);
-}
-
-TEST(EventPolicy, InvalidConfigThrows) {
-  EXPECT_THROW(EventActivationPolicy(-0.1, 0.1), hbosim::Error);
-  EXPECT_THROW(EventActivationPolicy(0.1, 0.1, 0.0), hbosim::Error);
 }
 
 TEST(PeriodicPolicy, FiresEveryNthTick) {

@@ -32,7 +32,7 @@ TEST(Smq, ReusesHbosTriangleDistributionWithStaticAllocation) {
   auto app = cf1_app();
   const std::size_t n = app->scene().object_count();
   const std::vector<double> hbo_ratios(n, 0.7);
-  const BaselineOutcome out = run_smq(*app, hbo_ratios, 0.7, /*settle_s=*/2.0);
+  const BaselineOutcome out = run_smq(*app, hbo_ratios, 0.7);
   EXPECT_EQ(out.name, "SMQ");
   EXPECT_EQ(out.object_ratios, hbo_ratios);
   EXPECT_DOUBLE_EQ(out.triangle_ratio, 0.7);
@@ -50,10 +50,8 @@ TEST(Sml, UnreachableTargetStopsAtTheFloor) {
                                 scenario::TaskSet::CF1);
   SmlConfig cfg;
   cfg.target_latency_ratio = -1.0;  // impossible: eps >= ~0 always
-  cfg.probe_s = 1.0;
-  cfg.settle_s = 1.0;
   const BaselineOutcome out = run_sml(*app, cfg);
-  EXPECT_NEAR(out.triangle_ratio, cfg.floor, 1e-9);
+  EXPECT_NEAR(out.triangle_ratio, core::HboConfig::r_min, 1e-9);
   EXPECT_LT(out.metrics.average_quality, 1.0);
 }
 
@@ -61,8 +59,6 @@ TEST(Sml, GenerousTargetKeepsFullQuality) {
   auto app = cf1_app();  // SC2: almost no render load
   SmlConfig cfg;
   cfg.target_latency_ratio = 1e9;
-  cfg.probe_s = 1.0;
-  cfg.settle_s = 1.0;
   const BaselineOutcome out = run_sml(*app, cfg);
   EXPECT_DOUBLE_EQ(out.triangle_ratio, 1.0);
 }
@@ -72,27 +68,15 @@ TEST(Sml, ReducesQualityMonotonicallyTowardTheTarget) {
                                 scenario::TaskSet::CF1);
   SmlConfig cfg;
   cfg.target_latency_ratio = 0.9;  // reachable mid-scan on SC1
-  cfg.probe_s = 1.0;
-  cfg.settle_s = 1.0;
   const BaselineOutcome out = run_sml(*app, cfg);
   EXPECT_LT(out.triangle_ratio, 1.0);
-  EXPECT_GE(out.triangle_ratio, cfg.floor - 1e-9);
+  EXPECT_GE(out.triangle_ratio, core::HboConfig::r_min - 1e-9);
   EXPECT_EQ(out.allocation, static_best_allocation(*app));
-}
-
-TEST(Sml, InvalidConfigThrows) {
-  auto app = cf1_app();
-  SmlConfig cfg;
-  cfg.step = 0.0;
-  EXPECT_THROW(run_sml(*app, cfg), hbosim::Error);
-  cfg = SmlConfig{};
-  cfg.floor = 0.0;
-  EXPECT_THROW(run_sml(*app, cfg), hbosim::Error);
 }
 
 TEST(AllN, EveryCompatibleTaskGoesToNnapi) {
   auto app = cf1_app();
-  const BaselineOutcome out = run_alln(*app, /*settle_s=*/2.0);
+  const BaselineOutcome out = run_alln(*app);
   EXPECT_EQ(out.name, "AllN");
   EXPECT_DOUBLE_EQ(out.triangle_ratio, 1.0);
   const auto models = app->task_models();
@@ -107,7 +91,7 @@ TEST(AllN, NaModelsFallBackToTheirBestDelegate) {
   auto app = std::make_unique<app::MarApp>(soc::pixel7());
   app->add_task("deeplabv3", "is");  // no NNAPI path on Pixel 7
   app->add_object(scenario::mesh_asset("cabin"), 1.5);
-  const BaselineOutcome out = run_alln(*app, 1.0);
+  const BaselineOutcome out = run_alln(*app);
   EXPECT_EQ(out.allocation[0], soc::Delegate::Cpu);  // 110.1 < 136.6
 }
 
@@ -117,7 +101,7 @@ TEST(Bnt, KeepsFullQualityAndSearchesAllocationsOnly) {
   cfg.n_initial = 3;
   cfg.n_iterations = 3;
   cfg.control_period_s = 1.0;
-  const BaselineOutcome out = run_bnt(*app, cfg, /*settle_s=*/1.0);
+  const BaselineOutcome out = run_bnt(*app, cfg);
   EXPECT_EQ(out.name, "BNT");
   EXPECT_DOUBLE_EQ(out.triangle_ratio, 1.0);
   for (double r : out.object_ratios) EXPECT_DOUBLE_EQ(r, 1.0);
@@ -134,7 +118,7 @@ TEST(Bnt, SceneStaysAtMaxTriangles) {
   cfg.n_initial = 2;
   cfg.n_iterations = 2;
   cfg.control_period_s = 0.5;
-  run_bnt(*app, cfg, 0.5);
+  run_bnt(*app, cfg);
   EXPECT_DOUBLE_EQ(app->scene().current_ratio(), 1.0);
 }
 

@@ -27,12 +27,6 @@ TEST(Cost, EquationsThreeAndFive) {
 TEST(HboConfig, ValidateCatchesNonsense) {
   HboConfig cfg;
   EXPECT_NO_THROW(cfg.validate());
-  cfg.w = -1.0;
-  EXPECT_THROW(cfg.validate(), hbosim::Error);
-  cfg = HboConfig{};
-  cfg.r_min = 0.0;
-  EXPECT_THROW(cfg.validate(), hbosim::Error);
-  cfg = HboConfig{};
   cfg.n_initial = 0;
   EXPECT_THROW(cfg.validate(), hbosim::Error);
   cfg = HboConfig{};
@@ -45,7 +39,7 @@ TEST(HboConfig, ValidateRejectsNonFiniteWeightsAndPeriods) {
   // the optimizer rejects mid-run; an infinite period never ends a loop.
   const double inf = std::numeric_limits<double>::infinity();
   for (double HboConfig::*knob :
-       {&HboConfig::w, &HboConfig::w_energy, &HboConfig::market_price,
+       {&HboConfig::w_energy, &HboConfig::market_price,
         &HboConfig::control_period_s, &HboConfig::monitor_period_s}) {
     HboConfig cfg;
     cfg.*knob = inf;

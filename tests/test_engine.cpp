@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "hbosim/ai/engine.hpp"
 #include "hbosim/common/error.hpp"
 #include "hbosim/common/types.hpp"
@@ -126,6 +130,34 @@ TEST(Engine, ObserverSeesEveryCompletion) {
   f.sim.run_until(1.0);
   EXPECT_EQ(observed, f.engine.window_count(id));
   EXPECT_GT(observed, 0u);
+}
+
+TEST(Engine, InferenceGapsStayWithinTheJitterBand) {
+  // Alone on its delegate, each inference starts one jittered frame gap
+  // (inference_gap_s x [1 - gap_jitter, 1 + gap_jitter]) after the
+  // previous one completed.
+  Fixture f;
+  f.engine.add_task("mnist", "d", soc::Delegate::Gpu);
+  std::vector<std::pair<SimTime, double>> done;  // (completion, latency)
+  f.engine.set_observer([&](const AiTask&, double latency) {
+    done.emplace_back(f.sim.now(), latency);
+  });
+  f.engine.start();
+  f.sim.run_until(2.0);
+  ASSERT_GT(done.size(), 20u);
+  const double gap = EngineConfig{}.inference_gap_s;
+  double lo = gap;
+  double hi = gap;
+  for (std::size_t i = 1; i < done.size(); ++i) {
+    const double g = (done[i].first - done[i].second) - done[i - 1].first;
+    EXPECT_GE(g, gap * 0.75 - 1e-12) << "gap " << i;
+    EXPECT_LE(g, gap * 1.25 + 1e-12) << "gap " << i;
+    lo = std::min(lo, g);
+    hi = std::max(hi, g);
+  }
+  // The jitter is on: the gaps spread across the band.
+  EXPECT_LT(lo, gap * 0.9);
+  EXPECT_GT(hi, gap * 1.1);
 }
 
 TEST(Engine, ObserverMayRemoveTheTask) {

@@ -79,8 +79,7 @@ TEST(FleetSpec, ValidateRejectsNonsense) {
   // mid-fleet.
   for (double core::HboConfig::*knob :
        {&core::HboConfig::control_period_s, &core::HboConfig::monitor_period_s,
-        &core::HboConfig::w, &core::HboConfig::w_energy,
-        &core::HboConfig::market_price}) {
+        &core::HboConfig::w_energy, &core::HboConfig::market_price}) {
     spec = fleet::FleetSpec{};
     spec.session.hbo.*knob = inf;
     EXPECT_THROW(fleet::FleetSimulator{spec}, Error);

@@ -77,12 +77,13 @@ TEST(Integration, HboBeatsSmqOnLatencyAtMatchedQuality) {
                                     scenario::TaskSet::CF1);
   core::HboController hbo(*hbo_app, fast_config());
   const core::IterationRecord best = hbo.run_activation().best();
-  const app::PeriodMetrics hbo_metrics = hbo_app->run_period(3.0);
+  const app::PeriodMetrics hbo_metrics =
+      hbo_app->run_period(baselines::kSettleS);
 
   auto smq_app = scenario::make_app(soc::pixel7(), scenario::ObjectSet::SC1,
                                     scenario::TaskSet::CF1);
   const auto smq = baselines::run_smq(*smq_app, best.object_ratios,
-                                      best.triangle_ratio, 3.0);
+                                      best.triangle_ratio);
 
   EXPECT_NEAR(smq.metrics.average_quality, hbo_metrics.average_quality, 0.02);
   EXPECT_GT(smq.metrics.latency_ratio, hbo_metrics.latency_ratio * 1.3);
@@ -93,11 +94,12 @@ TEST(Integration, HboBeatsAllNOnLatencyByALargeFactor) {
                                     scenario::TaskSet::CF1);
   core::HboController hbo(*hbo_app, fast_config());
   hbo.run_activation();
-  const app::PeriodMetrics hbo_metrics = hbo_app->run_period(3.0);
+  const app::PeriodMetrics hbo_metrics =
+      hbo_app->run_period(baselines::kSettleS);
 
   auto alln_app = scenario::make_app(soc::pixel7(), scenario::ObjectSet::SC1,
                                      scenario::TaskSet::CF1);
-  const auto alln = baselines::run_alln(*alln_app, 3.0);
+  const auto alln = baselines::run_alln(*alln_app);
 
   EXPECT_GT(alln.metrics.mean_task_latency_ms(),
             2.0 * hbo_metrics.mean_task_latency_ms());

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "hbosim/app/mar_app.hpp"
 #include "hbosim/common/error.hpp"
 #include "hbosim/scenario/scenarios.hpp"
@@ -48,6 +50,15 @@ TEST(MarApp, RunPeriodRequiresStart) {
   EXPECT_THROW(app.run_period(1.0), hbosim::Error);
   app.start();
   EXPECT_NO_THROW(app.run_period(1.0));
+}
+
+TEST(MarApp, RunPeriodRejectsANonPositiveSpan) {
+  MarApp app(soc::pixel7());
+  app.add_task("mnist", "t");
+  app.start();
+  for (double span : {-1.0, 0.0, std::numeric_limits<double>::quiet_NaN()})
+    EXPECT_THROW(app.run_period(span), hbosim::Error) << span;
+  EXPECT_DOUBLE_EQ(app.sim().now(), 0.0);  // no period ran
 }
 
 TEST(MarApp, PeriodMetricsArePopulated) {

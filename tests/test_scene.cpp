@@ -75,10 +75,9 @@ TEST(Scene, DistanceScaleImprovesQualityAndCutsCulledLoad) {
 }
 
 TEST(Scene, CulledTrianglesRespectVisibleFraction) {
-  CullingModel culling;
-  Scene scene(culling);
+  Scene scene;
   scene.add_object(make_asset("a", 100000), 2.0);
-  const double expected = 100000.0 * culling.visible_fraction(2.0);
+  const double expected = 100000.0 * CullingModel::visible_fraction(2.0);
   EXPECT_NEAR(scene.culled_triangles(), expected, 1e-9);
 }
 

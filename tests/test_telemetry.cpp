@@ -1,6 +1,6 @@
 // Tests for hbosim::telemetry: ring wraparound, histogram bucket edges,
 // export well-formedness, cross-thread shard aggregation, the profile
-// tree, log routing, and call-site handle re-resolution across sessions.
+// tree, and call-site handle re-resolution across sessions.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "hbosim/common/error.hpp"
-#include "hbosim/common/logging.hpp"
 #include "hbosim/common/thread_pool.hpp"
 #include "hbosim/des/ps_resource.hpp"
 #include "hbosim/des/sched_analyzer.hpp"
@@ -324,7 +323,6 @@ TEST(Telemetry, ChromeTraceIsWellFormedJson) {
   }
   telemetry::set_current_track(7);
   telemetry::sim_span("test", "simwork", 1.25, 2.5);
-  HB_LOG_WARN("telemetry-test") << "routed line";
 
   std::ostringstream os;
   session.write_chrome_trace(os);
@@ -334,7 +332,6 @@ TEST(Telemetry, ChromeTraceIsWellFormedJson) {
   EXPECT_NE(text.find("\"simwork\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\": \"b\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\": \"e\""), std::string::npos);
-  EXPECT_NE(text.find("routed line"), std::string::npos);
   telemetry::set_current_track(0);
 }
 
@@ -382,40 +379,6 @@ TEST(Telemetry, ProfileReportNestsScopes) {
   report.print(os);
   EXPECT_NE(os.str().find("parent"), std::string::npos);
   EXPECT_NE(os.str().find("child"), std::string::npos);
-}
-
-TEST(Telemetry, LogRoutingHonoursLevel) {
-  TelemetrySession session;
-  HB_LOG_ERROR("routing") << "bad thing " << 42;
-  HB_LOG_TRACE("routing") << "too quiet";  // below Warn: not routed
-  const std::vector<LogRecord> logs = session.log_records();
-  ASSERT_EQ(logs.size(), 1u);
-  EXPECT_EQ(logs[0].component, "routing");
-  EXPECT_EQ(logs[0].message, "bad thing 42");
-  EXPECT_EQ(logs[0].level, static_cast<int>(LogLevel::Error));
-}
-
-TEST(Telemetry, LogCaptureStopsAtMaxLogRecords) {
-  TelemetrySession session;
-  const std::size_t cap = TelemetryConfig::max_log_records;
-  for (std::size_t i = 0; i < cap + 100; ++i)
-    session.record_log(static_cast<int>(LogLevel::Warn), "flood",
-                       std::to_string(i));
-  const std::vector<LogRecord> logs = session.log_records();
-  ASSERT_EQ(logs.size(), cap);
-  EXPECT_EQ(logs.front().message, "0");  // the first lines are kept
-  EXPECT_EQ(logs.back().message, std::to_string(cap - 1));
-}
-
-TEST(Logging, ComponentLevelOverrides) {
-  set_component_level("chatty", LogLevel::Trace);
-  EXPECT_TRUE(log_enabled(LogLevel::Trace, "chatty"));
-  EXPECT_FALSE(log_enabled(LogLevel::Trace, "other"));
-  set_component_level("muted", LogLevel::Off);
-  EXPECT_FALSE(log_enabled(LogLevel::Error, "muted"));
-  clear_component_levels();
-  EXPECT_FALSE(log_enabled(LogLevel::Trace, "chatty"));
-  EXPECT_TRUE(log_enabled(LogLevel::Error, "muted"));
 }
 
 void bump_shared_counter() { HB_TELEM_COUNT("handle.epoch", 1.0); }

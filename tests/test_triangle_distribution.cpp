@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "hbosim/common/error.hpp"
 #include "hbosim/common/rng.hpp"
 #include "hbosim/core/triangle_distribution.hpp"
@@ -146,6 +150,102 @@ TEST(Distribution, InvalidInputsThrow) {
   EXPECT_THROW(distribute_waterfill(objects, 0.5), hbosim::Error);
   EXPECT_THROW(assignment_quality(demo_objects(), {0.5}), hbosim::Error);
 }
+
+/// A small random scene for the brute-force oracle: 1-4 objects at 0.5-6 m
+/// (every other instance puts its first object inside 1 m, where Eq. 1's
+/// distance clamp applies) and a budget x in (kObjectRatioFloor, 0.95].
+struct OracleInstance {
+  std::vector<ObjectState> objects;
+  double x = 0.5;
+};
+
+OracleInstance oracle_instance(int index) {
+  Rng rng(0x0AC1Eu + static_cast<std::uint64_t>(index));
+  const char* names[] = {"apricot", "bike",  "plane", "Cocacola",
+                         "hammer",  "cabin", "andy",  "statue"};
+  OracleInstance inst;
+  const int count = 1 + index % 4;
+  for (int j = 0; j < count; ++j) {
+    const std::uint64_t tris = 5000 + rng.uniform_index(195001);
+    const double dist = j == 0 && index % 2 == 0 ? rng.uniform(0.5, 1.0)
+                                                 : rng.uniform(0.5, 6.0);
+    inst.objects.push_back(ObjectState{
+        render::synthesize_degradation_params(names[(index + j) % 8], tris),
+        dist, tris});
+  }
+  inst.x = rng.uniform(0.06, 0.95);
+  return inst;
+}
+
+/// Best average quality over a grid that spends exactly `budget`
+/// triangles: the smaller objects take ratios on `steps` even steps of
+/// [kObjectRatioFloor, 1], and the largest takes whatever remains when
+/// that lies in [kObjectRatioFloor, 1]. -inf when no grid point fits.
+double grid_best_quality(const std::vector<ObjectState>& objects,
+                         double budget, int steps) {
+  std::size_t largest = 0;
+  for (std::size_t i = 1; i < objects.size(); ++i)
+    if (objects[i].max_triangles > objects[largest].max_triangles) largest = i;
+  const ObjectState& big = objects[largest];
+
+  std::vector<double> grid(static_cast<std::size_t>(steps) + 1);
+  for (std::size_t k = 0; k < grid.size(); ++k)
+    grid[k] = std::min(1.0, kObjectRatioFloor + (1.0 - kObjectRatioFloor) *
+                                                    static_cast<double>(k) /
+                                                    steps);
+  // quality[j][k]: smaller object j at grid ratio k.
+  std::vector<const ObjectState*> small;
+  std::vector<std::vector<double>> quality;
+  for (std::size_t i = 0; i < objects.size(); ++i) {
+    if (i == largest) continue;
+    small.push_back(&objects[i]);
+    quality.emplace_back();
+    for (double r : grid)
+      quality.back().push_back(
+          render::object_quality(objects[i].params, r, objects[i].distance));
+  }
+
+  double best = -std::numeric_limits<double>::infinity();
+  std::vector<std::size_t> k(small.size(), 0);
+  for (;;) {
+    double tris = 0.0;
+    double q = 0.0;
+    for (std::size_t j = 0; j < small.size(); ++j) {
+      tris += grid[k[j]] * static_cast<double>(small[j]->max_triangles);
+      q += quality[j][k[j]];
+    }
+    const double r = (budget - tris) / static_cast<double>(big.max_triangles);
+    if (r >= kObjectRatioFloor && r <= 1.0) {
+      q += render::object_quality(big.params, r, big.distance);
+      best = std::max(best, q / static_cast<double>(objects.size()));
+    }
+    std::size_t j = 0;
+    while (j < k.size() && ++k[j] == grid.size()) k[j++] = 0;
+    if (j == k.size()) break;
+  }
+  return best;
+}
+
+class WaterFillOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(WaterFillOracle, MatchesBruteForceOptimum) {
+  const OracleInstance inst = oracle_instance(GetParam());
+  double total_max = 0.0;
+  for (const ObjectState& o : inst.objects)
+    total_max += static_cast<double>(o.max_triangles);
+  const double q_water = assignment_quality(
+      inst.objects, distribute_waterfill(inst.objects, inst.x));
+  const int steps = inst.objects.size() <= 3 ? 400 : 60;
+  const double q_grid =
+      grid_best_quality(inst.objects, inst.x * total_max, steps);
+  ASSERT_TRUE(std::isfinite(q_grid));
+  // No feasible split beats the water-fill...
+  EXPECT_LE(q_grid, q_water + 1e-12);
+  // ...and the grid is fine enough to have found a near-equal one.
+  EXPECT_GE(q_grid, q_water - 1e-3);
+}
+
+INSTANTIATE_TEST_SUITE_P(SmallScenes, WaterFillOracle, ::testing::Range(0, 20));
 
 TEST(Distribution, BudgetBelowFloorClampsToFloor) {
   const auto objects = demo_objects();
