@@ -149,7 +149,9 @@ int main(int argc, char** argv) {
   std::ofstream json(json_path);
   json << std::setprecision(6) << std::fixed;
   json << "{\n  \"bench\": \"bench_edgesvc\",\n  \"smoke\": "
-       << (smoke ? "true" : "false") << ",\n  \"requests_per_cell\": "
+       << (smoke ? "true" : "false")
+       << ",\n  \"host\": " << benchutil::host_json()
+       << ",\n  \"requests_per_cell\": "
        << requests << ",\n  \"wall_s\": " << wall_s << ",\n  \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const CellResult& c = cells[i];

@@ -17,6 +17,9 @@
 //
 // Usage: bench_fleet [--smoke] [--json <path>] [--gate <committed.json>]
 //                    [sessions] [duration_s]
+//   sessions, duration_s  a positive integer and a positive finite number;
+//             anything else, an unknown option included, exits 2 with
+//             "bench_fleet: <message>"
 //   --smoke   smaller fleet (CI); defaults otherwise: 256 sessions, 20 s
 //   --json    write a machine-readable summary (default: BENCH_fleet.json)
 //   --gate    in --smoke mode, enforce the smoke_gate block of a committed
@@ -24,14 +27,15 @@
 //             exceeding any bound fails the bench — the CI regression gate
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
+#include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -75,6 +79,15 @@ struct MegaPoint {
 
 double mb(std::size_t bytes) { return static_cast<double>(bytes) / (1 << 20); }
 
+/// Parse all of `text` into `out` with std::from_chars; false when the
+/// text is no number of type T or has anything left over ("5x").
+template <typename T>
+bool parse_whole(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
 // The committed smoke-mode regression bounds, echoed into every JSON this
 // bench writes and enforced by --gate. Each sits about 3x from the smoke
 // runs measured when they were set (4-core host, Release): 3.5-3.9 s
@@ -88,25 +101,42 @@ constexpr double kGateMinMegaSessionsPerSec = 300.0;
 int main(int argc, char** argv) {
   using namespace hbosim;
 
+  auto usage_error = [](const std::string& message) {
+    std::cerr << "bench_fleet: " << message << "\n";
+    return 2;
+  };
   bool smoke = false;
   std::string json_path = "BENCH_fleet.json";
   std::string gate_path;
-  std::vector<const char*> positional;
+  std::vector<std::string_view> positional;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-      json_path = argv[++i];
-    else if (std::strcmp(argv[i], "--gate") == 0 && i + 1 < argc)
-      gate_path = argv[++i];
-    else
-      positional.push_back(argv[i]);
+    const std::string_view arg = argv[i];
+    if (arg == "--smoke") {
+      smoke = true;
+    } else if (arg == "--json" || arg == "--gate") {
+      if (i + 1 == argc) return usage_error(std::string(arg) + " needs a path");
+      (arg == "--json" ? json_path : gate_path) = argv[++i];
+    } else if (arg.starts_with("--")) {
+      return usage_error("unknown option " + std::string(arg));
+    } else {
+      positional.push_back(arg);
+    }
   }
-  const std::size_t sessions =
-      positional.size() > 0
-          ? static_cast<std::size_t>(std::atoll(positional[0]))
-          : (smoke ? 64 : 256);
-  const double duration_s =
-      positional.size() > 1 ? std::atof(positional[1]) : (smoke ? 15.0 : 20.0);
+  if (positional.size() > 2)
+    return usage_error("expected at most [sessions] [duration_s]");
+  std::size_t sessions = smoke ? 64 : 256;
+  double duration_s = smoke ? 15.0 : 20.0;
+  if (!positional.empty() &&
+      (!parse_whole(positional[0], sessions) || sessions == 0)) {
+    return usage_error("session count must be a positive integer, got '" +
+                       std::string(positional[0]) + "'");
+  }
+  if (positional.size() > 1 &&
+      (!parse_whole(positional[1], duration_s) ||
+       !std::isfinite(duration_s) || duration_s <= 0.0)) {
+    return usage_error("duration_s must be a positive finite number, got '" +
+                       std::string(positional[1]) + "'");
+  }
 
   benchutil::banner("bench_fleet",
                     "fleet engine scaling, shared-pool warm starts, and the "
@@ -174,7 +204,7 @@ int main(int argc, char** argv) {
                 << m.pool.stores << " evictions=" << m.pool.evictions
                 << "\n";
       benchutil::section("fleet-wide per-session aggregates (pool ON)");
-      auto row = [](const char* name, const fleet::MetricSummary& s) {
+      auto row = [](const char* name, const Summary& s) {
         std::cout << "  " << std::left << std::setw(14) << name << std::right
                   << std::setprecision(3) << " mean=" << s.mean
                   << " p50=" << s.p50 << " p90=" << s.p90 << " p99=" << s.p99
@@ -258,7 +288,9 @@ int main(int argc, char** argv) {
   std::ofstream json(json_path);
   json << std::setprecision(6) << std::fixed;
   json << "{\n  \"bench\": \"bench_fleet\",\n  \"smoke\": "
-       << (smoke ? "true" : "false") << ",\n  \"sessions\": " << sessions
+       << (smoke ? "true" : "false")
+       << ",\n  \"host\": " << benchutil::host_json()
+       << ",\n  \"sessions\": " << sessions
        << ",\n  \"duration_s\": " << duration_s
        << ",\n  \"hardware_threads\": " << ThreadPool::hardware_threads()
        << ",\n  \"wall_s\": " << wall_s << ",\n  \"scaling\": [\n";

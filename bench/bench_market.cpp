@@ -284,6 +284,7 @@ int main(int argc, char** argv) {
   json << std::setprecision(6) << std::fixed;
   json << "{\n  \"bench\": \"bench_market\",\n  \"smoke\": "
        << (smoke ? "true" : "false")
+       << ",\n  \"host\": " << benchutil::host_json()
        << ",\n  \"gates\": {\n    \"allocator_off_parity\": "
        << (off_parity ? "true" : "false")
        << ",\n    \"pf_closed_form\": " << (pf_closed_form ? "true" : "false")

@@ -254,7 +254,9 @@ int main(int argc, char** argv) {
   std::ofstream json(json_path);
   json << std::setprecision(6) << std::fixed;
   json << "{\n  \"bench\": \"bench_offload\",\n  \"smoke\": "
-       << (smoke ? "true" : "false") << ",\n  \"sessions_per_point\": "
+       << (smoke ? "true" : "false")
+       << ",\n  \"host\": " << benchutil::host_json()
+       << ",\n  \"sessions_per_point\": "
        << bc.sessions << ",\n  \"duration_s\": " << bc.duration_s
        << ",\n  \"wall_s\": " << wall_s << ",\n  \"gates\": {\n"
        << "    \"parity_disabled_bitwise\": "

@@ -241,7 +241,7 @@ AdaptResult run_hbo_arm(std::uint64_t seed) {
   cfg.reference_periods = 2;
   core::MonitoredSession session(*app, cfg);
   session.run_until(kEnd);
-  return summarize_trace("HBO", session.reward_trace(),
+  return summarize_trace("HBO", session.stats().reward_trace,
                          session.activations().size());
 }
 
@@ -256,7 +256,7 @@ AdaptResult run_bandit_arm(std::uint64_t seed) {
   bandit.alpha = 0.4;  // Commit faster: 28 arms, short deviation windows.
   policy::BanditSession session(*app, cfg, bandit);
   session.run_until(kEnd);
-  return summarize_trace("LinUCB", session.reward_trace(),
+  return summarize_trace("LinUCB", session.stats().reward_trace,
                          session.experiences().size());
 }
 
@@ -333,7 +333,9 @@ int main(int argc, char** argv) {
   std::ofstream json(json_path);
   json << std::setprecision(6) << std::fixed;
   json << "{\n  \"bench\": \"bench_policy\",\n  \"smoke\": "
-       << (smoke ? "true" : "false") << ",\n  \"wall_s\": " << wall_s
+       << (smoke ? "true" : "false")
+       << ",\n  \"host\": " << benchutil::host_json()
+       << ",\n  \"wall_s\": " << wall_s
        << ",\n  \"warm_start_priors\": {\n    \"train_sessions\": "
        << train_sessions << ",\n    \"store_keys\": " << p1.store.keys
        << ",\n    \"store_observations\": " << p1.store.observations

@@ -177,7 +177,9 @@ int main(int argc, char** argv) {
   std::ofstream json(json_path);
   json << std::setprecision(6) << std::fixed;
   json << "{\n  \"bench\": \"bench_power\",\n  \"smoke\": "
-       << (smoke ? "true" : "false") << ",\n  \"periods_per_cell\": "
+       << (smoke ? "true" : "false")
+       << ",\n  \"host\": " << benchutil::host_json()
+       << ",\n  \"periods_per_cell\": "
        << periods << ",\n  \"wall_s\": " << wall_s << ",\n  \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const CellResult& c = cells[i];

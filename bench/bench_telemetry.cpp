@@ -167,7 +167,9 @@ int main(int argc, char** argv) {
   std::ofstream json(json_path);
   json << std::setprecision(4) << std::fixed;
   json << "{\n  \"bench\": \"bench_telemetry\",\n  \"smoke\": "
-       << (smoke ? "true" : "false") << ",\n  \"disabled_ns\": {"
+       << (smoke ? "true" : "false")
+       << ",\n  \"host\": " << benchutil::host_json()
+       << ",\n  \"disabled_ns\": {"
        << "\"scope\": " << off_scope_ns
        << ", \"counter\": " << off_counter_ns
        << ", \"metric\": " << off_metric_ns << "},\n  \"enabled_ns\": {"

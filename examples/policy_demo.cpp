@@ -103,7 +103,7 @@ int main() {
   auto window = [&](double lo, double hi) {
     double acc = 0.0;
     int n = 0;
-    for (const auto& [t, r] : agent.reward_trace())
+    for (const auto& [t, r] : agent.stats().reward_trace)
       if (t > lo && t <= hi) {
         acc += r;
         ++n;

@@ -14,11 +14,4 @@ double average_latency_ratio(const std::vector<LatencySample>& samples) {
   return acc / static_cast<double>(samples.size());
 }
 
-double mean_measured_ms(const std::vector<LatencySample>& samples) {
-  if (samples.empty()) return 0.0;
-  double acc = 0.0;
-  for (const LatencySample& s : samples) acc += s.measured_ms;
-  return acc / static_cast<double>(samples.size());
-}
-
 }  // namespace hbosim::ai

@@ -19,7 +19,4 @@ struct LatencySample {
 /// Eq. 4. Requires a non-empty sample set and positive expectations.
 double average_latency_ratio(const std::vector<LatencySample>& samples);
 
-/// Plain mean of measured latencies in ms (used in figure dumps).
-double mean_measured_ms(const std::vector<LatencySample>& samples);
-
 }  // namespace hbosim::ai

@@ -9,4 +9,12 @@ double PeriodMetrics::mean_task_latency_ms() const {
   return acc / static_cast<double>(task_latency_ms.size());
 }
 
+void SessionStats::add(const PeriodMetrics& m, double w, SimTime now) {
+  const double b = m.reward(w);
+  reward_trace.emplace_back(now, b);
+  quality.add(m.average_quality);
+  latency_ratio.add(m.latency_ratio);
+  reward.add(b);
+}
+
 }  // namespace hbosim::app

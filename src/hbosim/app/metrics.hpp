@@ -2,13 +2,16 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "hbosim/common/stats.hpp"
 #include "hbosim/common/types.hpp"
 
 /// \file metrics.hpp
 /// Per-control-period measurements the evaluation components consume
-/// (Fig. 3's "AI Latency Monitor" + "Quality Estimator" outputs).
+/// (Fig. 3's "AI Latency Monitor" + "Quality Estimator" outputs), and the
+/// fold of a session's periods that both session loops share.
 
 namespace hbosim::app {
 
@@ -52,6 +55,21 @@ struct PeriodMetrics {
 
   /// Mean measured latency across tasks (ms), for figure dumps.
   double mean_task_latency_ms() const;
+};
+
+/// Every period a session observed, folded as it is measured: streaming
+/// statistics of Q_t, epsilon_t and B_t = Q_t - w*epsilon_t (the
+/// per-session aggregates fleets roll up without retaining traces) and
+/// the (t, B_t) trace. core::MonitoredSession and policy::BanditSession
+/// each hold one.
+struct SessionStats {
+  RunningStat quality;
+  RunningStat latency_ratio;
+  RunningStat reward;
+  std::vector<std::pair<SimTime, double>> reward_trace;
+
+  /// Fold period `m`, which ended at `now`, with latency weight `w`.
+  void add(const PeriodMetrics& m, double w, SimTime now);
 };
 
 }  // namespace hbosim::app

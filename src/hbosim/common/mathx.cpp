@@ -28,19 +28,6 @@ double stdev(std::span<const double> xs) {
   return std::sqrt(acc / static_cast<double>(xs.size() - 1));
 }
 
-double percentile(std::span<const double> xs, double p) {
-  HB_REQUIRE(!xs.empty(), "percentile of empty span");
-  HB_REQUIRE(p >= 0.0 && p <= 100.0, "percentile p must be in [0,100]");
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted.front();
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
 std::vector<double> linspace(double lo, double hi, std::size_t n) {
   HB_REQUIRE(n >= 1, "linspace requires n >= 1");
   if (n == 1) return {lo};

@@ -18,9 +18,6 @@ double mean(std::span<const double> xs);
 /// Sample standard deviation (n-1 denominator); 0 for n < 2.
 double stdev(std::span<const double> xs);
 
-/// Linearly interpolated percentile, p in [0, 100]. Sorts a copy.
-double percentile(std::span<const double> xs, double p);
-
 /// n evenly spaced values from lo to hi inclusive (n >= 2), or {lo} if n==1.
 std::vector<double> linspace(double lo, double hi, std::size_t n);
 

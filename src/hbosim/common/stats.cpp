@@ -145,23 +145,44 @@ double P2Quantile::value() const {
   return q_[2];
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {
-  HB_REQUIRE(bins > 0, "Histogram requires at least one bin");
-  HB_REQUIRE(hi > lo, "Histogram requires hi > lo");
+Summary summarize(std::vector<double> values) {
+  Summary out;
+  out.count = values.size();
+  if (values.empty()) return out;
+  // The mean in the caller's order, before selection reorders the sample.
+  double acc = 0.0;
+  for (double v : values) acc += v;
+  out.mean = acc / static_cast<double>(values.size());
+  const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+  out.min = *lo;
+  out.max = *hi;
+  out.p50 = percentile_select(values, 50.0);
+  out.p90 = percentile_select(values, 90.0);
+  out.p95 = percentile_select(values, 95.0);
+  out.p99 = percentile_select(values, 99.0);
+  return out;
 }
 
-void Histogram::add(double x) {
-  const auto raw = static_cast<long>(std::floor((x - lo_) / width_));
-  const long clamped =
-      std::clamp(raw, 0L, static_cast<long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(clamped)];
-  ++total_;
+void StreamingSummary::add(double x) {
+  stat_.add(x);
+  p50_.add(x);
+  p90_.add(x);
+  p95_.add(x);
+  p99_.add(x);
 }
 
-double Histogram::bin_lower(std::size_t i) const {
-  HB_REQUIRE(i < counts_.size(), "Histogram bin index out of range");
-  return lo_ + width_ * static_cast<double>(i);
+Summary StreamingSummary::summary() const {
+  Summary out;
+  out.count = stat_.count();
+  if (stat_.empty()) return out;
+  out.min = stat_.min();
+  out.mean = stat_.mean();
+  out.p50 = p50_.value();
+  out.p90 = p90_.value();
+  out.p95 = p95_.value();
+  out.p99 = p99_.value();
+  out.max = stat_.max();
+  return out;
 }
 
 }  // namespace hbosim

@@ -5,7 +5,8 @@
 #include <vector>
 
 /// \file stats.hpp
-/// Streaming statistics used by the metrics pipeline.
+/// Sample statistics used by the metrics pipeline: running moments,
+/// percentiles, P² sketches, and the one sample summary.
 
 namespace hbosim {
 
@@ -95,23 +96,41 @@ class P2Quantile {
   double dn_[5] = {};  ///< Desired-position increments per sample.
 };
 
-/// Fixed-bin histogram over [lo, hi); out-of-range samples clamp to the
-/// edge bins so nothing is silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
+/// Min/mean/percentile summary of one sample — the one summary every
+/// layer reports (fleet metrics, scheduler wait and slowdown). An empty
+/// sample summarizes to all zeros with count 0.
+struct Summary {
+  std::size_t count = 0;
+  double min = 0.0;
+  double mean = 0.0;
+  double p50 = 0.0;
+  double p90 = 0.0;
+  double p95 = 0.0;
+  double p99 = 0.0;
+  double max = 0.0;
+};
 
+/// Summarize `values`: the mean summed in the caller's order, the
+/// percentiles by percentile_select (bitwise percentile_sorted's). Takes
+/// the sample by value: selection reorders it.
+Summary summarize(std::vector<double> values);
+
+/// Streaming counterpart of summarize(): exact count/min/mean/max via a
+/// RunningStat, sketched p50/p90/p95/p99 via one P² estimator each. O(1)
+/// memory regardless of sample count; estimates are feed-order sensitive.
+class StreamingSummary {
+ public:
   void add(double x);
-  std::size_t total() const { return total_; }
-  const std::vector<std::size_t>& counts() const { return counts_; }
-  double bin_lower(std::size_t i) const;
-  double bin_width() const { return width_; }
+  std::size_t count() const { return stat_.count(); }
+  /// Zero summary when empty, like summarize().
+  Summary summary() const;
 
  private:
-  double lo_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
+  RunningStat stat_;
+  P2Quantile p50_{0.50};
+  P2Quantile p90_{0.90};
+  P2Quantile p95_{0.95};
+  P2Quantile p99_{0.99};
 };
 
 }  // namespace hbosim

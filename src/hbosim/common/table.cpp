@@ -48,12 +48,25 @@ void TextTable::print(std::ostream& os) const {
   for (const auto& row : rows_) emit(row);
 }
 
+void write_csv_field(std::ostream& os, std::string_view field) {
+  if (field.find_first_of(",\"\r\n") == std::string_view::npos) {
+    os << field;
+    return;
+  }
+  os << '"';
+  for (char c : field) {
+    if (c == '"') os << '"';
+    os << c;
+  }
+  os << '"';
+}
+
 CsvWriter::CsvWriter(std::ostream& os, std::vector<std::string> header)
     : os_(os), columns_(header.size()) {
   HB_REQUIRE(columns_ > 0, "CsvWriter requires a non-empty header");
   for (std::size_t i = 0; i < header.size(); ++i) {
     if (i) os_ << ',';
-    os_ << header[i];
+    write_csv_field(os_, header[i]);
   }
   os_ << '\n';
 }
@@ -71,7 +84,7 @@ void CsvWriter::row(const std::vector<std::string>& values) {
   HB_REQUIRE(values.size() == columns_, "CsvWriter row width mismatch");
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (i) os_ << ',';
-    os_ << values[i];
+    write_csv_field(os_, values[i]);
   }
   os_ << '\n';
 }

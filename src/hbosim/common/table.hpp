@@ -2,6 +2,7 @@
 
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 /// \file table.hpp
@@ -27,8 +28,14 @@ class TextTable {
   std::vector<std::vector<std::string>> rows_;
 };
 
+/// Write one CSV field per RFC 4180: a field holding a comma, a quote, CR
+/// or LF is quoted, with inner quotes doubled; any other field is written
+/// as it is.
+void write_csv_field(std::ostream& os, std::string_view field);
+
 /// Streams rows of comma-separated values with a header; used to emit
-/// figure series (x, series1, series2, ...) that plot directly.
+/// figure series (x, series1, series2, ...) that plot directly. Header
+/// names and string fields are quoted by write_csv_field().
 class CsvWriter {
  public:
   CsvWriter(std::ostream& os, std::vector<std::string> header);

@@ -21,14 +21,6 @@ MonitoredSession::MonitoredSession(app::MarApp& app,
   app_.start();
 }
 
-void MonitoredSession::observe(const app::PeriodMetrics& m) {
-  const double reward = m.reward(cfg_.hbo.w);
-  rewards_.emplace_back(app_.sim().now(), reward);
-  quality_stat_.add(m.average_quality);
-  latency_stat_.add(m.latency_ratio);
-  reward_stat_.add(reward);
-}
-
 double MonitoredSession::settle_and_reference() {
   // One settle period flushes the last exploration config / redraw, then
   // the reference is a multi-period average (see Section IV-E: "the new
@@ -39,7 +31,7 @@ double MonitoredSession::settle_and_reference() {
     const app::PeriodMetrics m = app_.run_period(cfg_.hbo.monitor_period_s);
     reference += m.reward(cfg_.hbo.w) /
                  static_cast<double>(cfg_.reference_periods);
-    observe(m);
+    stats_.add(m, cfg_.hbo.w, app_.sim().now());
   }
   policy_.set_reference(reference);
   smoothed_ = Ewma(MonitoredSessionConfig::smoothing_alpha);
@@ -158,9 +150,8 @@ void MonitoredSession::activate() {
 bool MonitoredSession::tick() {
   const SimTime period_start = app_.sim().now();
   const app::PeriodMetrics m = app_.run_period(cfg_.hbo.monitor_period_s);
-  const double reward = m.reward(cfg_.hbo.w);
-  observe(m);
-  smoothed_.add(reward);
+  stats_.add(m, cfg_.hbo.w, app_.sim().now());
+  smoothed_.add(m.reward(cfg_.hbo.w));
   if (telemetry::enabled()) {
     // Control-period boundary on the session's sim-time track; the span
     // covers exactly one monitor period.

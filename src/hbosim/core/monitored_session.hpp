@@ -99,10 +99,6 @@ class MonitoredSession {
   const std::vector<SessionActivation>& activations() const {
     return activations_;
   }
-  /// (time, reward) samples observed by the monitor.
-  const std::vector<std::pair<SimTime, double>>& reward_trace() const {
-    return rewards_;
-  }
   const EventActivationPolicy& policy() const { return policy_; }
   const SolutionLookupTable& lookup_table() const { return lookup_; }
   /// Mutable access, for injecting remembered solutions from outside (the
@@ -135,17 +131,15 @@ class MonitoredSession {
   /// forced a full local activation instead of a possible warm start).
   std::uint64_t edge_bo_fallbacks() const { return edge_bo_fallbacks_; }
 
-  /// Streaming statistics over every monitored period observed so far
-  /// (quality Q_t, latency ratio epsilon_t, reward B_t) — the per-session
-  /// aggregates fleet runs roll up without retaining full traces.
-  const RunningStat& quality_stat() const { return quality_stat_; }
-  const RunningStat& latency_ratio_stat() const { return latency_stat_; }
-  const RunningStat& reward_stat() const { return reward_stat_; }
+  /// Every monitored period observed so far (Q_t, epsilon_t, B_t and the
+  /// (t, B_t) trace).
+  const app::SessionStats& stats() const { return stats_; }
+  /// Shorthand for stats().reward.
+  const RunningStat& reward_stat() const { return stats_.reward; }
 
  private:
   void activate();
   double settle_and_reference();
-  void observe(const app::PeriodMetrics& m);
 
   app::MarApp& app_;
   MonitoredSessionConfig cfg_;
@@ -157,11 +151,8 @@ class MonitoredSession {
   edgesvc::EdgeClient* edge_ = nullptr;
   std::uint64_t edge_bo_fallbacks_ = 0;
   Ewma smoothed_;
-  RunningStat quality_stat_;
-  RunningStat latency_stat_;
-  RunningStat reward_stat_;
+  app::SessionStats stats_;
   std::vector<SessionActivation> activations_;
-  std::vector<std::pair<SimTime, double>> rewards_;
 };
 
 }  // namespace hbosim::core

@@ -38,20 +38,6 @@ auto by_class_name(const std::vector<const char*>& names) {
   };
 }
 
-LatencyDist summarize_dist(std::vector<double> values) {
-  LatencyDist out;
-  out.count = values.size();
-  if (values.empty()) return out;
-  double acc = 0.0;
-  for (double v : values) acc += v;
-  out.mean = acc / static_cast<double>(values.size());
-  out.max = *std::max_element(values.begin(), values.end());
-  out.p50 = percentile_select(values, 50.0);
-  out.p95 = percentile_select(values, 95.0);
-  out.p99 = percentile_select(values, 99.0);
-  return out;
-}
-
 /// The starvation rule, for the analyzer and the meter alike: a completed
 /// job starves when its wait exceeds k x max(class median wait, floor).
 double starvation_limit(const SchedAnalyzerConfig& cfg, double median_s) {
@@ -269,10 +255,10 @@ SchedAnalyzer::SchedAnalyzer(const SchedTrace& trace, SchedAnalyzerConfig cfg)
   replay(trace);
   summarize();
   health_.jobs = 0;
-  for (const SchedResourceStats& r : resources_) health_.jobs += r.jobs;
+  for (const SchedResourceStats& r : resources_) health_.jobs += r.wait.count;
   health_.worst_p99_slowdown = 0.0;
   for (const SchedResourceStats& r : resources_) {
-    if (r.jobs > 0)
+    if (r.wait.count > 0)
       health_.worst_p99_slowdown =
           std::max(health_.worst_p99_slowdown, r.slowdown.p99);
   }
@@ -346,20 +332,17 @@ void SchedAnalyzer::summarize() {
       class_slowdowns[c].push_back(job.slowdown);
       attained[c] += job.demand;
     }
-    rs.jobs = waits.size();
-    rs.wait = summarize_dist(std::move(waits));
-    rs.slowdown = summarize_dist(std::move(slowdowns));
+    rs.wait = hbosim::summarize(std::move(waits));
+    rs.slowdown = hbosim::summarize(std::move(slowdowns));
     for (const std::uint32_t c : by_name) {
       threshold[c] = std::numeric_limits<double>::infinity();
       if (class_waits[c].empty()) continue;
       SchedClassStats cs;
       cs.cls = class_names_[c];
-      cs.jobs = class_waits[c].size();
       cs.attained_service_s = attained[c];
-      cs.wait = summarize_dist(std::move(class_waits[c]));
-      cs.slowdown = summarize_dist(std::move(class_slowdowns[c]));
-      cs.median_wait_s = cs.wait.p50;
-      threshold[c] = starvation_limit(cfg_, cs.median_wait_s);
+      cs.wait = hbosim::summarize(std::move(class_waits[c]));
+      cs.slowdown = hbosim::summarize(std::move(class_slowdowns[c]));
+      threshold[c] = starvation_limit(cfg_, cs.wait.p50);
       rs.classes.push_back(std::move(cs));
     }
     detect_starvation(r, threshold);
@@ -452,15 +435,15 @@ void SchedAnalyzer::print_report(std::ostream& os) const {
 
   TextTable table({"resource", "jobs", "wait p50/p95/p99 (ms)",
                    "slowdown p50/p95/p99"});
-  auto dist3 = [](const LatencyDist& d, double scale, int prec) {
+  auto dist3 = [](const Summary& d, double scale, int prec) {
     std::ostringstream s;
     s << std::fixed << std::setprecision(prec) << d.p50 * scale << " / "
       << d.p95 * scale << " / " << d.p99 * scale;
     return s.str();
   };
   for (const SchedResourceStats& rs : resources_) {
-    if (rs.jobs == 0) continue;
-    table.add_row({rs.resource, std::to_string(rs.jobs),
+    if (rs.wait.count == 0) continue;
+    table.add_row({rs.resource, std::to_string(rs.wait.count),
                    dist3(rs.wait, 1e3, 2), dist3(rs.slowdown, 1.0, 2)});
   }
   table.print(os);
@@ -474,7 +457,7 @@ void SchedAnalyzer::print_report(std::ostream& os) const {
             << " / " << cs.wait.p99 * 1e3;
       sl << std::fixed << std::setprecision(2) << cs.slowdown.p99;
       svc << std::fixed << std::setprecision(3) << cs.attained_service_s;
-      classes.add_row({rs.resource, cs.cls, std::to_string(cs.jobs),
+      classes.add_row({rs.resource, cs.cls, std::to_string(cs.wait.count),
                        svc.str(), wait2.str(), sl.str()});
     }
   }

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "hbosim/common/stats.hpp"
 #include "hbosim/des/sched_trace.hpp"
 
 /// \file sched_analyzer.hpp
@@ -38,16 +39,6 @@
 
 namespace hbosim::des {
 
-/// Five-number summary of one latency-like sample (seconds or ratios).
-struct LatencyDist {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-  double max = 0.0;
-};
-
 /// One job's reconstructed lifecycle. Jobs whose Submit record fell off a
 /// wrapped ring are not reconstructable and are excluded (counted in
 /// SchedHealth::dropped_events via the trace's drop counters).
@@ -66,22 +57,21 @@ struct SchedJobRecord {
   bool completed = false;   ///< False: cancelled or still in flight.
 };
 
-/// Wait/slowdown roll-up for one job class on one resource.
+/// Wait/slowdown roll-up for one job class on one resource, over its
+/// completed jobs (wait.count of them).
 struct SchedClassStats {
   std::string cls;
-  std::size_t jobs = 0;  ///< Completed jobs.
   double attained_service_s = 0.0;
-  double median_wait_s = 0.0;
-  LatencyDist wait;
-  LatencyDist slowdown;
+  Summary wait;  ///< Seconds; wait.p50 is the starvation rule's median.
+  Summary slowdown;
 };
 
+/// The same roll-up over every completed job on one resource.
 struct SchedResourceStats {
   std::string resource;
-  std::size_t jobs = 0;  ///< Completed jobs analyzed.
   double service_s = 0.0;  ///< Total rate-1 service delivered.
-  LatencyDist wait;
-  LatencyDist slowdown;
+  Summary wait;
+  Summary slowdown;
   std::vector<SchedClassStats> classes;  ///< Sorted by class name.
 };
 

@@ -3,26 +3,9 @@
 #include <algorithm>
 
 #include "hbosim/common/error.hpp"
+#include "hbosim/common/table.hpp"
 
 namespace hbosim::des {
-
-namespace {
-/// RFC-4180-style quoting: series names and marker labels are free-form,
-/// so any field containing a comma, quote, or newline is emitted quoted
-/// with inner quotes doubled.
-void write_csv_field(std::ostream& os, const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) {
-    os << s;
-    return;
-  }
-  os << '"';
-  for (char c : s) {
-    if (c == '"') os << '"';
-    os << c;
-  }
-  os << '"';
-}
-}  // namespace
 
 SeriesId TraceRecorder::series_id(const std::string& series) {
   auto it = index_.find(series);

@@ -13,10 +13,11 @@
 /// out per-session EdgeClients — each a deterministic mirror of the
 /// shared server whose background load scales with the tenant count, so
 /// what a session experiences depends only on (spec, tenant count,
-/// session seed), never on thread scheduling. The fleet folds every
-/// client's statistics into an EdgeFleetStats on its main thread, in
-/// session-id order (rejection rate, fallback rate, queue depth p95),
-/// which fleet::FleetMetrics reports next to ε/Q/B.
+/// session seed), never on thread scheduling. The fleet rolls every
+/// session's client counters up from its SessionResult and merges the
+/// mirrors' EdgeServerStats on its main thread, in session-id order
+/// (fallback rate, rejection rate, queue depth p95), which
+/// fleet::FleetMetrics reports next to ε/Q/B.
 
 namespace hbosim::edgesvc {
 
@@ -44,14 +45,6 @@ struct EdgeServiceSpec {
 /// jitter), "congested" (few cores, shallow queue, bursty lossy cell
 /// link — the overload regime).
 EdgeServiceSpec edge_service_preset(std::string_view name);
-
-/// Fleet-wide aggregate of every session's client mirror. Server
-/// counters are summed across mirrors, so rates are per-mirror averages
-/// weighted by arrivals (each mirror simulates its own view of the box).
-struct EdgeFleetStats {
-  EdgeClientStats client;
-  EdgeServerStats server;
-};
 
 class EdgeBroker {
  public:

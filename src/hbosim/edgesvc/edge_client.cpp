@@ -13,20 +13,6 @@ void EdgeClientConfig::validate() const {
              "edge client timeout_s must be positive");
 }
 
-void EdgeClientStats::merge(const EdgeClientStats& other) {
-  requests += other.requests;
-  successes += other.successes;
-  fallbacks += other.fallbacks;
-  retries += other.retries;
-  rejected_attempts += other.rejected_attempts;
-  timeout_attempts += other.timeout_attempts;
-  lost_attempts += other.lost_attempts;
-  total_elapsed_s += other.total_elapsed_s;
-  payload_bytes += other.payload_bytes;
-  units += other.units;
-  own_service_s += other.own_service_s;
-}
-
 void EdgeClient::set_resolution(double r) {
   HB_REQUIRE(std::isfinite(r) && r > 0.0 && r <= 1.0,
              "edge client resolution must be in (0, 1]");

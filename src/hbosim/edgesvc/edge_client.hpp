@@ -92,11 +92,6 @@ struct EdgeClientStats {
                           static_cast<double>(requests)
                     : 0.0;
   }
-  /// total_elapsed_s / requests.
-  double mean_elapsed_s() const {
-    return requests ? total_elapsed_s / static_cast<double>(requests) : 0.0;
-  }
-  void merge(const EdgeClientStats& other);
 };
 
 class EdgeClient {

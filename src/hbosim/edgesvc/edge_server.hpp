@@ -22,8 +22,8 @@
 /// background arrival process standing in for the other N-1 tenants.
 /// Contention is therefore statistical (load grows with the configured
 /// tenant count), not causal across sessions — the price of exact replay.
-/// The fleet folds every mirror's statistics into the fleet-wide view
-/// (edgesvc::EdgeFleetStats, see broker.hpp).
+/// The fleet merges every mirror's statistics into the fleet-wide view
+/// (EdgeServerStats::merge, in session-id order; see broker.hpp).
 ///
 /// A session request is resolved synchronously at submit(): the mirror
 /// catches its virtual clock up to the arrival time (admitting background

@@ -2,49 +2,7 @@
 
 #include <algorithm>
 
-#include "hbosim/common/error.hpp"
-
 namespace hbosim::fleet {
-
-MetricSummary summarize_metric(std::vector<double> values) {
-  // Guard before touching the buffer: summarizing an empty sample is the
-  // documented throw, not UB. percentile_sorted() would also reject it,
-  // but only after the damage.
-  HB_REQUIRE(!values.empty(), "cannot summarize an empty metric sample");
-  MetricSummary out;
-  // Mean over the caller's order (before sorting) so the exact path stays
-  // bitwise identical to the historical per-session accumulation order.
-  double acc = 0.0;
-  for (double v : values) acc += v;
-  out.mean = acc / static_cast<double>(values.size());
-  // One sort serves min, max, and all three percentile reads.
-  std::sort(values.begin(), values.end());
-  out.min = values.front();
-  out.max = values.back();
-  out.p50 = percentile_sorted(values, 50.0);
-  out.p90 = percentile_sorted(values, 90.0);
-  out.p99 = percentile_sorted(values, 99.0);
-  return out;
-}
-
-void StreamingSummary::add(double x) {
-  stat_.add(x);
-  p50_.add(x);
-  p90_.add(x);
-  p99_.add(x);
-}
-
-MetricSummary StreamingSummary::summary() const {
-  MetricSummary out;
-  if (stat_.empty()) return out;
-  out.min = stat_.min();
-  out.max = stat_.max();
-  out.mean = stat_.mean();
-  out.p50 = p50_.value();
-  out.p90 = p90_.value();
-  out.p99 = p99_.value();
-  return out;
-}
 
 void FleetAccumulator::push(Sample& sample, double x) {
   if (mode_ == Mode::Exact) {
@@ -54,8 +12,8 @@ void FleetAccumulator::push(Sample& sample, double x) {
   }
 }
 
-MetricSummary FleetAccumulator::summary(const Sample& sample) const {
-  return mode_ == Mode::Exact ? summarize_metric(sample.values)
+Summary FleetAccumulator::summary(const Sample& sample) const {
+  return mode_ == Mode::Exact ? summarize(sample.values)
                               : sample.sketch.summary();
 }
 
@@ -80,6 +38,9 @@ void FleetAccumulator::add(const SessionResult& s) {
   totals_.edge.fallbacks += s.edge_fallbacks;
   totals_.edge.decim_fallbacks += s.edge_decim_fallbacks;
   totals_.edge.bo_fallbacks += s.edge_bo_fallbacks;
+  totals_.edge.units += s.edge_units;
+  totals_.edge.own_service_s += s.edge_service_s;
+  edge_elapsed_s_ += s.edge_elapsed_s;
   // Market roll-up: sums and id-order-fed summaries only, so the result
   // is identical on 1 and N fleet threads (like the sched roll-up).
   if (s.market_session) {
@@ -130,32 +91,23 @@ void FleetAccumulator::add(const SessionResult& s) {
 
 FleetMetrics FleetAccumulator::finalize(
     double wall_seconds, const SharedSolutionPoolStats& pool,
-    const edgesvc::EdgeFleetStats* edge) const {
+    const edgesvc::EdgeServerStats* edge_server) const {
   FleetMetrics out = totals_;
   out.sessions = count_;
   out.streamed = mode_ == Mode::Streaming;
   out.wall_seconds = wall_seconds;
   out.pool = pool;
-  if (edge != nullptr) {
-    out.edge.enabled = true;
-    out.edge.rejection_rate = edge->server.rejection_rate();
-    out.edge.fallback_rate = edge->client.fallback_rate();
-    out.edge.queue_depth_p95 = edge->server.queue_depth_p95();
-    out.edge.mean_wait_ms = edge->server.mean_wait_s() * 1e3;
-    out.edge.mean_exchange_ms = edge->client.mean_elapsed_s() * 1e3;
-    out.edge.units = edge->client.units;
-    out.edge.own_service_s = edge->client.own_service_s;
-    out.edge.mean_service_ms = edge->server.mean_service_s() * 1e3;
+  if (out.edge.requests > 0) {
+    const auto requests = static_cast<double>(out.edge.requests);
+    out.edge.fallback_rate = static_cast<double>(out.edge.fallbacks) / requests;
+    out.edge.mean_exchange_ms = edge_elapsed_s_ / requests * 1e3;
   }
-  if (count_ == 0) {
-    // No sessions: zero roll-up (pool/edge context above still applies),
-    // matching the historical aggregate_fleet early return.
-    out.total_sim_seconds = 0.0;
-    out.power = FleetMetrics::PowerHealth{};
-    out.sched = FleetMetrics::SchedHealth{};
-    out.market = FleetMetrics::MarketHealth{};
-    out.offload = FleetMetrics::OffloadHealth{};
-    return out;
+  if (edge_server != nullptr) {
+    out.edge.enabled = true;
+    out.edge.rejection_rate = edge_server->rejection_rate();
+    out.edge.queue_depth_p95 = edge_server->queue_depth_p95();
+    out.edge.mean_wait_ms = edge_server->mean_wait_s() * 1e3;
+    out.edge.mean_service_ms = edge_server->mean_service_s() * 1e3;
   }
 
   out.quality = summary(quality_);
@@ -221,15 +173,6 @@ FleetMetrics FleetAccumulator::finalize(
     out.sessions_per_sec = static_cast<double>(count_) / wall_seconds;
   }
   return out;
-}
-
-FleetMetrics aggregate_fleet(const std::vector<SessionResult>& sessions,
-                             double wall_seconds,
-                             const SharedSolutionPoolStats& pool,
-                             const edgesvc::EdgeFleetStats* edge) {
-  FleetAccumulator acc(FleetAccumulator::Mode::Exact);
-  for (const SessionResult& s : sessions) acc.add(s);
-  return acc.finalize(wall_seconds, pool, edge);
 }
 
 }  // namespace hbosim::fleet

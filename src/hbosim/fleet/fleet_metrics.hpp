@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "hbosim/common/stats.hpp"
-#include "hbosim/edgesvc/broker.hpp"
+#include "hbosim/edgesvc/edge_server.hpp"
 #include "hbosim/fleet/shared_pool.hpp"
 
 /// \file fleet_metrics.hpp
@@ -15,9 +15,9 @@
 /// wall-clock throughput the scaling bench reports.
 ///
 /// Two aggregation paths share one accumulator (`FleetAccumulator`):
-/// *exact* retains the per-session metric samples and reads percentiles
-/// from one sorted buffer per metric (the pre-streaming behaviour, bit
-/// for bit), while *streaming* feeds P² sketches so a 10^5–10^6-session
+/// *exact* retains the per-session metric samples and summarizes each
+/// with hbosim::summarize(), while *streaming* feeds one
+/// hbosim::StreamingSummary per metric so a 10^5–10^6-session
 /// fleet rolls up in O(1) memory per metric. Counters are exact in both.
 /// Streaming estimates are order-sensitive; the fleet feeds sessions in
 /// session-id order, which makes them thread-count invariant too.
@@ -108,16 +108,6 @@ struct SessionResult {
   double wall_seconds = 0.0;  ///< Host time spent simulating this session.
 };
 
-/// Min/mean/percentile summary of one per-session metric.
-struct MetricSummary {
-  double min = 0.0;
-  double mean = 0.0;
-  double p50 = 0.0;
-  double p90 = 0.0;
-  double p99 = 0.0;
-  double max = 0.0;
-};
-
 struct FleetMetrics {
   std::size_t sessions = 0;
   /// True when the percentile summaries came from the streaming (P²)
@@ -129,9 +119,9 @@ struct FleetMetrics {
   /// merit for bench_fleet).
   double sessions_per_sec = 0.0;
 
-  MetricSummary quality;        ///< Over per-session mean Q.
-  MetricSummary latency_ratio;  ///< Over per-session mean epsilon.
-  MetricSummary reward;         ///< Over per-session mean B.
+  Summary quality;        ///< Over per-session mean Q.
+  Summary latency_ratio;  ///< Over per-session mean epsilon.
+  Summary reward;         ///< Over per-session mean B.
 
   std::size_t total_activations = 0;
   std::size_t total_warm_starts = 0;
@@ -141,8 +131,9 @@ struct FleetMetrics {
 
   SharedSolutionPoolStats pool;  ///< Zeroed when no pool was attached.
 
-  /// Health of the shared edge service, rolled up from every session's
-  /// mirror in session-id order (see edgesvc::EdgeFleetStats). All-zero
+  /// Health of the shared edge service. The client side sums each
+  /// session's SessionResult edge fields; the server side comes from the
+  /// sessions' mirror statistics merged in session-id order. All-zero
   /// when the fleet ran without an edge service.
   struct EdgeHealth {
     bool enabled = false;
@@ -160,7 +151,7 @@ struct FleetMetrics {
     /// Client-side: mean perform() elapsed time per request, retries and
     /// backoff included.
     double mean_exchange_ms = 0.0;
-    /// Client-side: EdgeClientStats::units summed over the sessions, a
+    /// Client-side: SessionResult::edge_units summed over the sessions, a
     /// mix of unlike units when the fleet issues several request classes.
     double units = 0.0;
     double own_service_s = 0.0;  ///< Core-seconds the sessions' requests used.
@@ -181,7 +172,7 @@ struct FleetMetrics {
     /// remote_inferences / completed_inferences across the fleet.
     double offload_rate = 0.0;
     /// Distribution of per-session mean applied edge shares.
-    MetricSummary edge_share;
+    Summary edge_share;
     double radio_energy_j = 0.0;  ///< Radio energy charged, summed.
   };
   OffloadHealth offload;
@@ -191,9 +182,9 @@ struct FleetMetrics {
   struct PowerHealth {
     bool enabled = false;
     double total_energy_j = 0.0;
-    MetricSummary mean_power_w;        ///< Over per-session mean watts.
-    MetricSummary max_die_temp_c;      ///< Over per-session peak temps.
-    MetricSummary drain_pct_per_hour;  ///< Over projected drain rates.
+    Summary mean_power_w;        ///< Over per-session mean watts.
+    Summary max_die_temp_c;      ///< Over per-session peak temps.
+    Summary drain_pct_per_hour;  ///< Over projected drain rates.
     std::uint64_t throttle_events = 0; ///< Governor down-steps, summed.
     double min_freq_scale = 1.0;       ///< Deepest OPP any session hit.
     /// Fraction of sessions that throttled at least once.
@@ -229,7 +220,7 @@ struct FleetMetrics {
     /// Admitted tenants as a fraction of market sessions, in [0, 1].
     double admission_rate = 1.0;
     /// Distribution of the per-session resolution knob.
-    MetricSummary resolution;
+    Summary resolution;
     double link_activity = 0.0;        ///< Decided, last tick.
     double compute_utilization = 0.0;  ///< Decided, last tick.
     double final_price = 0.0;          ///< Posted price after last tick.
@@ -249,39 +240,16 @@ struct FleetMetrics {
     std::uint64_t events = 0;           ///< Lifecycle records, summed.
     std::uint64_t dropped_events = 0;   ///< Ring-wrap losses, summed.
     /// Distribution of per-session worst p99 slowdowns.
-    MetricSummary p99_slowdown;
+    Summary p99_slowdown;
     /// Fraction of traced sessions that flagged at least one starved job.
     double starved_session_fraction = 0.0;
   };
   SchedHealth sched;
 };
 
-/// Summarize one metric sample (throws on empty input, like percentile()).
-/// Takes the sample by value: it is sorted once and p50/p90/p99 are read
-/// from the same sorted buffer.
-MetricSummary summarize_metric(std::vector<double> values);
-
-/// Streaming counterpart of summarize_metric: exact min/mean/max via a
-/// RunningStat, sketched p50/p90/p99 via one P² estimator each. O(1)
-/// memory regardless of sample count; estimates are feed-order sensitive.
-class StreamingSummary {
- public:
-  void add(double x);
-  std::size_t count() const { return stat_.count(); }
-  /// Zero summary when empty (streaming fleets never throw on a metric
-  /// nothing fed — matches aggregate_fleet's empty-fleet behaviour).
-  MetricSummary summary() const;
-
- private:
-  RunningStat stat_;
-  P2Quantile p50_{0.50};
-  P2Quantile p90_{0.90};
-  P2Quantile p99_{0.99};
-};
-
 /// One-pass fleet roll-up fed a SessionResult at a time, in session-id
 /// order. Mode Exact retains every per-session metric sample and
-/// summarizes it with summarize_metric(); mode Streaming holds only
+/// summarizes it with summarize(); mode Streaming holds only
 /// sketches, so memory is independent of fleet size (the 10^5+-session
 /// path). Counters sum identically in both modes.
 class FleetAccumulator {
@@ -297,11 +265,13 @@ class FleetAccumulator {
   std::size_t sessions() const { return count_; }
 
   /// Produce the fleet-wide metrics. `wall_seconds` is the end-to-end
-  /// fleet run time; pass the sessions' merged edge stats as `edge` when
-  /// the fleet shared an edge service (null → edge health left zeroed).
-  FleetMetrics finalize(double wall_seconds,
-                        const SharedSolutionPoolStats& pool = {},
-                        const edgesvc::EdgeFleetStats* edge = nullptr) const;
+  /// fleet run time (not the sum of per-session times, which overlap
+  /// under multi-threading); pass the sessions' merged mirror statistics
+  /// as `edge_server` when the fleet shared an edge service (null → edge
+  /// health disabled).
+  FleetMetrics finalize(
+      double wall_seconds, const SharedSolutionPoolStats& pool = {},
+      const edgesvc::EdgeServerStats* edge_server = nullptr) const;
 
  private:
   Mode mode_;
@@ -313,15 +283,16 @@ class FleetAccumulator {
   std::size_t starved_sessions_ = 0;  ///< Traced sessions with starvation.
   std::size_t market_sessions_ = 0;   ///< Sessions run under the allocator.
   std::size_t offload_sessions_ = 0;  ///< Sessions in the 4-target space.
+  double edge_elapsed_s_ = 0.0;       ///< Summed SessionResult::edge_elapsed_s.
 
   /// One per-session metric: the retained values (mode Exact, summarized
-  /// sort-once at finalize) or an O(1) sketch (mode Streaming).
+  /// at finalize) or an O(1) sketch (mode Streaming).
   struct Sample {
     std::vector<double> values;
     StreamingSummary sketch;
   };
   void push(Sample& sample, double x);
-  MetricSummary summary(const Sample& sample) const;
+  Summary summary(const Sample& sample) const;
 
   Sample quality_, eps_, reward_;
   Sample watts_, temps_, drains_;
@@ -329,16 +300,5 @@ class FleetAccumulator {
   Sample market_res_;
   Sample edge_shares_;
 };
-
-/// Roll per-session results up into fleet-wide metrics — the exact path,
-/// implemented as a FleetAccumulator(Exact) pass over `sessions`.
-/// `wall_seconds` is the end-to-end fleet run time (not the sum of
-/// per-session times, which overlap under multi-threading). Pass the
-/// sessions' merged edge stats as `edge` when the fleet shared an edge
-/// service (null → edge health left zeroed).
-FleetMetrics aggregate_fleet(const std::vector<SessionResult>& sessions,
-                             double wall_seconds,
-                             const SharedSolutionPoolStats& pool = {},
-                             const edgesvc::EdgeFleetStats* edge = nullptr);
 
 }  // namespace hbosim::fleet

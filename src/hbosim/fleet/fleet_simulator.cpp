@@ -301,6 +301,7 @@ PolicySessionOutput FleetSimulator::run_policy_session_impl(
         std::pow(r, marketsvc::MarketConfig::resolution_gamma));
   }
 
+  app::SessionStats stats;
   if (bandit) {
     // Agent mode: the LinUCB loop replaces HBO entirely. Selection runs
     // against the frozen epoch model; the pulls travel back as Experience
@@ -310,11 +311,7 @@ PolicySessionOutput FleetSimulator::run_policy_session_impl(
     bcfg.hbo.seed = spec.seed;
     policy::BanditSession session(*app, bandit, bcfg);
     session.run_until(spec_.duration_s);
-    out.sim_seconds = app->sim().now();
-    out.periods = session.reward_stat().count();
-    out.mean_quality = session.quality_stat().mean();
-    out.mean_latency_ratio = session.latency_ratio_stat().mean();
-    out.mean_reward = session.reward_stat().mean();
+    stats = session.stats();
     output.experiences = session.drain_experiences();
     out.bandit_pulls = output.experiences.size();
     out.activations = out.bandit_pulls;
@@ -372,12 +369,7 @@ PolicySessionOutput FleetSimulator::run_policy_session_impl(
     }
 
     session.run_until(spec_.duration_s);
-
-    out.sim_seconds = app->sim().now();
-    out.periods = session.reward_stat().count();
-    out.mean_quality = session.quality_stat().mean();
-    out.mean_latency_ratio = session.latency_ratio_stat().mean();
-    out.mean_reward = session.reward_stat().mean();
+    stats = session.stats();
     out.activations = session.activations().size();
     for (const core::SessionActivation& a : session.activations()) {
       if (a.warm_start) ++out.warm_starts;
@@ -392,6 +384,11 @@ PolicySessionOutput FleetSimulator::run_policy_session_impl(
     }
     out.edge_bo_fallbacks = session.edge_bo_fallbacks();
   }
+  out.sim_seconds = app->sim().now();
+  out.periods = stats.reward.count();
+  out.mean_quality = stats.quality.mean();
+  out.mean_latency_ratio = stats.latency_ratio.mean();
+  out.mean_reward = stats.reward.mean();
 
   if (edge_client) {
     const edgesvc::EdgeClientStats& es = edge_client->stats();
@@ -405,7 +402,6 @@ PolicySessionOutput FleetSimulator::run_policy_session_impl(
     out.edge_units = es.units;
     out.edge_service_s = es.own_service_s;
     out.edge_elapsed_s = es.total_elapsed_s;
-    output.edge_client = es;
     output.edge_server = edge_client->server().stats();
   }
   if (offloader) {
@@ -525,11 +521,11 @@ FleetResult FleetSimulator::run() {
   std::shared_ptr<const PoolSnapshot> pool_snapshot;
   std::uint64_t pool_hits = 0;
   std::uint64_t pool_misses = 0;
-  edgesvc::EdgeFleetStats edge_stats;
+  edgesvc::EdgeServerStats edge_server;
 
   // Every completed session flows through here on the main thread, in
   // session-id order: it feeds the allocator, the learners and the edge
-  // roll-up, then the metrics roll-up, which keeps the streaming
+  // server roll-up, then the metrics roll-up, which keeps the streaming
   // percentiles, the edge sums (and any on_progress heartbeat)
   // deterministic regardless of worker scheduling. get() rethrows any
   // session failure to the caller.
@@ -537,10 +533,7 @@ FleetResult FleetSimulator::run() {
     PolicySessionOutput o = inflight.front().get();
     inflight.pop_front();
     SessionResult& r = o.result;
-    if (broker_) {
-      edge_stats.client.merge(o.edge_client);
-      edge_stats.server.merge(o.edge_server);
-    }
+    if (broker_) edge_server.merge(o.edge_server);
     if (allocator != nullptr) {
       marketsvc::MeasuredUsage usage;
       usage.payload_bytes = r.edge_payload_bytes;
@@ -621,7 +614,7 @@ FleetResult FleetSimulator::run() {
     pool_stats.misses = pool_misses;
   }
   out.metrics = acc.finalize(seconds_since(t0), pool_stats,
-                             broker_ ? &edge_stats : nullptr);
+                             broker_ ? &edge_server : nullptr);
   if (spec_.market.enabled) {
     FleetMetrics::MarketHealth& mh = out.metrics.market;
     mh.enabled = true;

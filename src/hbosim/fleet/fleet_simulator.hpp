@@ -9,6 +9,7 @@
 #include "hbosim/core/monitored_session.hpp"
 #include "hbosim/des/sched_analyzer.hpp"
 #include "hbosim/des/sched_trace.hpp"
+#include "hbosim/edgesvc/broker.hpp"
 #include "hbosim/fleet/fleet_metrics.hpp"
 #include "hbosim/fleet/shared_pool.hpp"
 #include "hbosim/policy/bandit.hpp"
@@ -258,9 +259,9 @@ struct PolicySessionOutput {
   std::vector<PooledSolution> published;
   std::uint64_t pool_hits = 0;
   std::uint64_t pool_misses = 0;
-  /// Edge fleets: the session's client and server-mirror statistics,
-  /// which the main thread folds into the fleet's EdgeFleetStats.
-  edgesvc::EdgeClientStats edge_client;
+  /// Edge fleets: the session's server-mirror statistics, which the main
+  /// thread merges for the fleet's edge health. (The client counters
+  /// travel in `result`.)
   edgesvc::EdgeServerStats edge_server;
 };
 

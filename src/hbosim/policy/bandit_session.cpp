@@ -27,14 +27,6 @@ BanditSession::BanditSession(app::MarApp& app, BanditSessionConfig cfg,
   app_.start();
 }
 
-void BanditSession::observe(const app::PeriodMetrics& m) {
-  const double reward = m.reward(cfg_.hbo.w);
-  rewards_.emplace_back(app_.sim().now(), reward);
-  quality_stat_.add(m.average_quality);
-  latency_stat_.add(m.latency_ratio);
-  reward_stat_.add(reward);
-}
-
 void BanditSession::pull() {
   HB_TRACE_SCOPE("policy", "policy.bandit_pull");
   HB_TELEM_COUNT("policy.bandit_pulls", 1.0);
@@ -50,7 +42,7 @@ void BanditSession::pull() {
   exp.cost =
       core::cost_of(m, core::CostTerms{cfg_.hbo.w, cfg_.hbo.w_energy});
   exp.reward = -exp.cost;
-  observe(m);
+  stats_.add(m, cfg_.hbo.w, app_.sim().now());
 
   if (owned_ != nullptr) owned_->update(exp.arm, exp.context, exp.reward);
   experiences_.push_back(std::move(exp));
@@ -60,7 +52,8 @@ bool BanditSession::tick() {
   const SimTime period_start = app_.sim().now();
   if (app_.scene().empty()) {
     // Nothing to decide over yet: idle until the first object placement.
-    observe(app_.run_period(cfg_.hbo.monitor_period_s));
+    const app::PeriodMetrics m = app_.run_period(cfg_.hbo.monitor_period_s);
+    stats_.add(m, cfg_.hbo.w, app_.sim().now());
     return false;
   }
   pull();

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "hbosim/app/mar_app.hpp"
-#include "hbosim/common/stats.hpp"
 #include "hbosim/core/controller.hpp"
 #include "hbosim/policy/bandit.hpp"
 
@@ -75,28 +74,19 @@ class BanditSession {
   }
   const BanditSessionConfig& config() const { return cfg_; }
 
-  /// Streaming per-period aggregates, mirroring MonitoredSession's.
-  const RunningStat& quality_stat() const { return quality_stat_; }
-  const RunningStat& latency_ratio_stat() const { return latency_stat_; }
-  const RunningStat& reward_stat() const { return reward_stat_; }
-  const std::vector<std::pair<SimTime, double>>& reward_trace() const {
-    return rewards_;
-  }
+  /// Every period observed so far, folded like MonitoredSession's.
+  const app::SessionStats& stats() const { return stats_; }
 
  private:
   void pull();
-  void observe(const app::PeriodMetrics& m);
 
   app::MarApp& app_;
   BanditSessionConfig cfg_;
   core::HboController controller_;  ///< Only for apply_configuration.
   std::shared_ptr<const LinUcbBandit> model_;  ///< Frozen selection model.
   std::unique_ptr<LinUcbBandit> owned_;        ///< Online-mode learner.
-  RunningStat quality_stat_;
-  RunningStat latency_stat_;
-  RunningStat reward_stat_;
+  app::SessionStats stats_;
   std::vector<Experience> experiences_;
-  std::vector<std::pair<SimTime, double>> rewards_;
 };
 
 }  // namespace hbosim::policy

@@ -71,15 +71,6 @@ namespace {
 using detail::write_json_string;
 }  // namespace
 
-const char* metric_kind_name(MetricKind k) {
-  switch (k) {
-    case MetricKind::Counter: return "counter";
-    case MetricKind::Gauge: return "gauge";
-    case MetricKind::Histogram: return "histogram";
-  }
-  return "?";
-}
-
 const MetricValue* MetricsSnapshot::find(std::string_view name) const {
   for (const MetricValue& m : metrics)
     if (m.name == name) return &m;
@@ -111,38 +102,8 @@ void MetricsSnapshot::write_json(std::ostream& os) const {
   };
   os << "{\n";
   emit_group(MetricKind::Counter, "counters", true);
-  emit_group(MetricKind::Gauge, "gauges", false);
   emit_group(MetricKind::Histogram, "histograms", false);
   os << "\n}\n";
-}
-
-void MetricsSnapshot::write_csv(std::ostream& os) const {
-  // Metric names are free-form; quote any field that would break the row.
-  auto field = [&os](const std::string& s) {
-    if (s.find_first_of(",\"\n") == std::string::npos) {
-      os << s;
-      return;
-    }
-    os << '"';
-    for (char c : s) {
-      if (c == '"') os << '"';
-      os << c;
-    }
-    os << '"';
-  };
-  os << "name,kind,count,value,min,max,p50,p95,p99\n";
-  for (const MetricValue& m : metrics) {
-    field(m.name);
-    os << ',' << metric_kind_name(m.kind) << ',';
-    if (m.kind == MetricKind::Histogram) {
-      const HistogramSummary& h = m.hist;
-      os << h.count << ',' << h.sum << ',' << h.min << ',' << h.max << ','
-         << h.p50 << ',' << h.p95 << ',' << h.p99;
-    } else {
-      os << m.count << ',' << m.value << ",,,,,";
-    }
-    os << '\n';
-  }
 }
 
 MetricsRegistry::MetricsRegistry()
@@ -172,17 +133,13 @@ MetricId MetricsRegistry::register_metric(std::string_view name,
   }
   const MetricId id = static_cast<MetricId>(descriptors_.size());
   descriptors_.push_back(Descriptor{std::string(name), kind,
-                                    std::move(bounds), 0.0, 0});
+                                    std::move(bounds)});
   by_name_.emplace(std::string(name), id);
   return id;
 }
 
 MetricId MetricsRegistry::counter(std::string_view name) {
   return register_metric(name, MetricKind::Counter, {});
-}
-
-MetricId MetricsRegistry::gauge(std::string_view name) {
-  return register_metric(name, MetricKind::Gauge, {});
 }
 
 MetricId MetricsRegistry::histogram(std::string_view name,
@@ -215,15 +172,6 @@ void MetricsRegistry::add(MetricId id, double delta) {
   Cell& c = cell(shard, id);
   c.sum += delta;
   ++c.count;
-}
-
-void MetricsRegistry::set(MetricId id, double value) {
-  std::lock_guard<std::mutex> lock(mu_);
-  HB_REQUIRE(id < descriptors_.size(), "unknown metric id");
-  Descriptor& d = descriptors_[id];
-  HB_REQUIRE(d.kind == MetricKind::Gauge, "set() requires a gauge");
-  d.gauge_value = value;
-  ++d.gauge_writes;
 }
 
 void MetricsRegistry::observe(MetricId id, double value) {
@@ -265,10 +213,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     MetricValue m;
     m.name = d.name;
     m.kind = d.kind;
-    if (d.kind == MetricKind::Gauge) {
-      m.value = d.gauge_value;
-      m.count = d.gauge_writes;
-    } else if (d.kind == MetricKind::Counter) {
+    if (d.kind == MetricKind::Counter) {
       for (const auto& shard : shards_) {
         std::lock_guard<std::mutex> slock(shard->mu);
         if (id < shard->cells.size()) {

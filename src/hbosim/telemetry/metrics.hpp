@@ -11,16 +11,14 @@
 #include <vector>
 
 /// \file metrics.hpp
-/// The telemetry metrics registry: monotonic counters, gauges, and
-/// fixed-bucket histograms with percentile summaries.
+/// The telemetry metrics registry: monotonic counters and fixed-bucket
+/// histograms with percentile summaries.
 ///
 /// Write-path design: every writing thread owns a private *shard* (a
 /// vector of plain cells guarded by a per-shard mutex that only that
 /// thread and the occasional snapshot ever take, so the lock is
 /// uncontended and stays on the futex fast path). snapshot() aggregates
-/// all shards under the registry lock. Gauges are last-write-wins and
-/// kept centrally — they are set rarely and have no meaningful per-thread
-/// aggregation.
+/// all shards under the registry lock.
 
 namespace hbosim::telemetry {
 
@@ -32,9 +30,7 @@ void write_json_string(std::ostream& os, std::string_view s);
 
 using MetricId = std::uint32_t;
 
-enum class MetricKind : std::uint8_t { Counter, Gauge, Histogram };
-
-const char* metric_kind_name(MetricKind k);
+enum class MetricKind : std::uint8_t { Counter, Histogram };
 
 /// Aggregated view of one histogram. Percentiles are linearly
 /// interpolated within the owning bucket and clamped to the observed
@@ -60,18 +56,16 @@ struct HistogramSummary {
 struct MetricValue {
   std::string name;
   MetricKind kind = MetricKind::Counter;
-  double value = 0.0;        ///< Counter total or gauge value.
-  std::uint64_t count = 0;   ///< add() calls (counter) / set() calls (gauge).
+  double value = 0.0;        ///< Counter total.
+  std::uint64_t count = 0;   ///< Counter add() calls.
   HistogramSummary hist;     ///< Populated for histograms.
 };
 
 struct MetricsSnapshot {
   std::vector<MetricValue> metrics;  ///< Sorted by name.
 
-  /// `{"counters": {...}, "gauges": {...}, "histograms": {...}}`.
+  /// `{"counters": {...}, "histograms": {...}}`.
   void write_json(std::ostream& os) const;
-  /// One row per metric: name,kind,count,value,min,max,p50,p95,p99.
-  void write_csv(std::ostream& os) const;
 
   /// Convenience lookup; nullptr if absent.
   const MetricValue* find(std::string_view name) const;
@@ -88,7 +82,6 @@ class MetricsRegistry {
   /// Register (or look up) a metric by name. Re-registering the same name
   /// with the same kind returns the existing id; a kind mismatch throws.
   MetricId counter(std::string_view name);
-  MetricId gauge(std::string_view name);
   MetricId histogram(std::string_view name, std::vector<double> bounds);
 
   /// Log-spaced microsecond buckets, 1 us .. 10 s (for latency histograms).
@@ -96,8 +89,6 @@ class MetricsRegistry {
 
   /// Monotonic add to a counter (delta must be >= 0).
   void add(MetricId id, double delta = 1.0);
-  /// Last-write-wins gauge set.
-  void set(MetricId id, double value);
   /// Record one observation into a histogram.
   void observe(MetricId id, double value);
 
@@ -121,8 +112,6 @@ class MetricsRegistry {
     std::string name;
     MetricKind kind;
     std::vector<double> bounds;  ///< Histograms only.
-    double gauge_value = 0.0;
-    std::uint64_t gauge_writes = 0;
   };
 
   MetricId register_metric(std::string_view name, MetricKind kind,

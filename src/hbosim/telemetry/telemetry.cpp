@@ -329,7 +329,6 @@ void sim_span(const char* cat, const char* name, SimTime begin_s,
 }
 
 void set_current_track(std::uint64_t track) { t_track = track; }
-std::uint64_t current_track() { return t_track; }
 
 void set_thread_name(const std::string& name, bool append_index) {
   TelemetrySession* s = TelemetrySession::active();

@@ -211,14 +211,13 @@ void set_thread_name(const std::string& name, bool append_index = false);
 /// Async-track id used by sim_span() emitters that have no explicit track
 /// (thread-local; fleet workers set it to the running session's id).
 void set_current_track(std::uint64_t track);
-std::uint64_t current_track();
 
 // --- record primitives (no-ops without an active session) ----------------
 void counter(const char* cat, const char* name, double value);
 void instant(const char* cat, const char* name);
 void sim_span(const char* cat, const char* name, std::uint64_t track,
               SimTime begin_s, SimTime end_s);
-/// sim_span on the thread's current_track().
+/// sim_span on the thread's current track (see set_current_track).
 void sim_span(const char* cat, const char* name, SimTime begin_s,
               SimTime end_s);
 
@@ -331,20 +330,6 @@ class HistogramHandle {
   do {                                                            \
     if (::hbosim::telemetry::enabled())                           \
       ::hbosim::telemetry::counter((cat), (name), (value));       \
-  } while (0)
-
-/// Point event on the calling thread's track.
-#define HB_TRACE_INSTANT(cat, name)                        \
-  do {                                                     \
-    if (::hbosim::telemetry::enabled())                    \
-      ::hbosim::telemetry::instant((cat), (name));         \
-  } while (0)
-
-/// Simulated-time span on the thread's current async track.
-#define HB_TRACE_SIM_SPAN(cat, name, begin_s, end_s)                  \
-  do {                                                                \
-    if (::hbosim::telemetry::enabled())                               \
-      ::hbosim::telemetry::sim_span((cat), (name), (begin_s), (end_s)); \
   } while (0)
 
 /// Bump a registry counter through a call-site-cached handle.

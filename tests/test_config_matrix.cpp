@@ -73,8 +73,9 @@ fleet::FleetSpec matrix_spec(fleet::PolicyMode mode, unsigned blocks) {
   return spec;
 }
 
-void push(std::vector<double>& out, const fleet::MetricSummary& m) {
-  out.insert(out.end(), {m.min, m.mean, m.p50, m.p90, m.p99, m.max});
+void push(std::vector<double>& out, const Summary& m) {
+  out.insert(out.end(), {static_cast<double>(m.count), m.min, m.mean, m.p50,
+                         m.p90, m.p95, m.p99, m.max});
 }
 
 /// Every SessionResult field except the host-time `wall_seconds`.

@@ -734,10 +734,10 @@ TEST(FleetEdge, PerSessionResultsAreThreadCountInvariantWithEdge) {
   EXPECT_EQ(serial.metrics.edge.requests, threaded.metrics.edge.requests);
 }
 
-// The fleet folds every session's client and mirror statistics into its
-// edge health on the main thread, in session-id order: the health is the
-// id-order merge of what each session reports, bitwise, on any thread
-// count.
+// The fleet rolls its edge health up on the main thread, in session-id
+// order: the client side sums what each session's SessionResult reports,
+// and the server side is the id-order merge of the sessions' mirror
+// statistics — bitwise, on any thread count.
 TEST(FleetEdge, HealthIsTheSessionIdOrderMergeOnAnyThreadCount) {
   fleet::FleetSpec spec = edge_fleet(9, 1);
   spec.edge = edge_service_preset("congested");
@@ -747,37 +747,40 @@ TEST(FleetEdge, HealthIsTheSessionIdOrderMergeOnAnyThreadCount) {
   const fleet::FleetResult threaded = fleet::FleetSimulator(spec).run();
 
   // Without pool, policy or market a session re-run reproduces the fleet's.
-  EdgeFleetStats merged;
+  EdgeServerStats merged;
   for (std::size_t id = 0; id < spec.sessions; ++id) {
     const fleet::PolicySessionOutput o = serial_sim.run_policy_session(
         serial_sim.session_spec(id), nullptr, nullptr);
-    EXPECT_EQ(o.edge_client.requests, serial.sessions[id].edge_requests);
-    merged.client.merge(o.edge_client);
-    merged.server.merge(o.edge_server);
+    EXPECT_EQ(o.result.edge_requests, serial.sessions[id].edge_requests);
+    merged.merge(o.edge_server);
   }
-  EXPECT_GT(merged.server.total_wait_s, 0.0);  // congested: real sums
-  EXPECT_GT(merged.server.total_service_s, 0.0);
+  EXPECT_GT(merged.total_wait_s, 0.0);  // congested: real sums
+  EXPECT_GT(merged.total_service_s, 0.0);
   for (const fleet::FleetResult* r : {&serial, &threaded}) {
     const fleet::FleetMetrics::EdgeHealth& e = r->metrics.edge;
     EXPECT_TRUE(e.enabled);
-    EXPECT_EQ(e.requests, merged.client.requests);
-    EXPECT_EQ(e.rejection_rate, merged.server.rejection_rate());
-    EXPECT_EQ(e.fallback_rate, merged.client.fallback_rate());
-    EXPECT_EQ(e.queue_depth_p95, merged.server.queue_depth_p95());
-    EXPECT_EQ(e.mean_wait_ms, merged.server.mean_wait_s() * 1e3);
-    EXPECT_EQ(e.mean_service_ms, merged.server.mean_service_s() * 1e3);
+    EXPECT_EQ(e.rejection_rate, merged.rejection_rate());
+    EXPECT_EQ(e.queue_depth_p95, merged.queue_depth_p95());
+    EXPECT_EQ(e.mean_wait_ms, merged.mean_wait_s() * 1e3);
+    EXPECT_EQ(e.mean_service_ms, merged.mean_service_s() * 1e3);
 
-    // The client doubles are the session-id-order sums of what each
-    // session reports.
+    // The client side is the session-id-order sums of what each session
+    // reports.
+    std::uint64_t requests = 0, fallbacks = 0;
     double elapsed_s = 0.0, units = 0.0, service_s = 0.0;
     for (const fleet::SessionResult& s : r->sessions) {
+      requests += s.edge_requests;
+      fallbacks += s.edge_fallbacks;
       elapsed_s += s.edge_elapsed_s;
       units += s.edge_units;
       service_s += s.edge_service_s;
     }
     EXPECT_GT(units, 0.0);
+    EXPECT_EQ(e.requests, requests);
+    EXPECT_EQ(e.fallback_rate, static_cast<double>(fallbacks) /
+                                   static_cast<double>(requests));
     EXPECT_EQ(e.mean_exchange_ms,
-              elapsed_s / static_cast<double>(e.requests) * 1e3);
+              elapsed_s / static_cast<double>(requests) * 1e3);
     EXPECT_EQ(e.units, units);
     EXPECT_EQ(e.own_service_s, service_s);
   }

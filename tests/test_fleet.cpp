@@ -242,14 +242,6 @@ TEST(SolutionLookupTable, ReplaceOverridesLowerCostWinsMidSequence) {
   EXPECT_EQ(table.size(), 2u);
 }
 
-TEST(FleetMetrics, SummarizeMetricThrowsOnEmptyInput) {
-  EXPECT_THROW(fleet::summarize_metric({}), Error);
-  const fleet::MetricSummary one = fleet::summarize_metric({2.5});
-  EXPECT_DOUBLE_EQ(one.min, 2.5);
-  EXPECT_DOUBLE_EQ(one.p99, 2.5);
-  EXPECT_DOUBLE_EQ(one.max, 2.5);
-}
-
 // The acceptance-criteria test: a pool-disabled fleet produces identical
 // per-session aggregates on 1 thread and on several threads.
 TEST(FleetSimulator, PerSessionResultsAreThreadCountInvariant) {
@@ -453,7 +445,9 @@ TEST(FleetMetrics, AggregateComputesPercentilesAndThroughput) {
     sessions[i].activations = 2;
     sessions[i].warm_starts = 1;
   }
-  const fleet::FleetMetrics m = fleet::aggregate_fleet(sessions, 2.0);
+  fleet::FleetAccumulator acc(fleet::FleetAccumulator::Mode::Exact);
+  for (const fleet::SessionResult& s : sessions) acc.add(s);
+  const fleet::FleetMetrics m = acc.finalize(2.0);
   EXPECT_EQ(m.sessions, 5u);
   EXPECT_DOUBLE_EQ(m.total_sim_seconds, 50.0);
   EXPECT_DOUBLE_EQ(m.sessions_per_sec, 2.5);
@@ -534,17 +528,19 @@ MixedSamples samples_of(const std::vector<fleet::SessionResult>& sessions) {
   return out;
 }
 
-void expect_same_summary(const fleet::MetricSummary& a,
-                         const fleet::MetricSummary& b, const char* what) {
+void expect_same_summary(const Summary& a, const Summary& b,
+                         const char* what) {
+  EXPECT_EQ(a.count, b.count) << what;
   EXPECT_EQ(a.min, b.min) << what;
   EXPECT_EQ(a.mean, b.mean) << what;
   EXPECT_EQ(a.p50, b.p50) << what;
   EXPECT_EQ(a.p90, b.p90) << what;
+  EXPECT_EQ(a.p95, b.p95) << what;
   EXPECT_EQ(a.p99, b.p99) << what;
   EXPECT_EQ(a.max, b.max) << what;
 }
 
-// Exact mode summarizes each metric with summarize_metric over exactly the
+// Exact mode summarizes each metric with summarize() over exactly the
 // sessions that metric is gated on, in feed order — bit for bit.
 TEST(FleetAccumulator, ExactModeSummarizesEachGatedMetricInFeedOrder) {
   const std::vector<fleet::SessionResult> sessions = mixed_sessions(40);
@@ -555,25 +551,22 @@ TEST(FleetAccumulator, ExactModeSummarizesEachGatedMetricInFeedOrder) {
 
   EXPECT_FALSE(m.streamed);
   EXPECT_EQ(m.sessions, 40u);
-  expect_same_summary(m.quality, fleet::summarize_metric(x.quality), "quality");
-  expect_same_summary(m.latency_ratio, fleet::summarize_metric(x.eps), "eps");
-  expect_same_summary(m.reward, fleet::summarize_metric(x.reward), "reward");
+  expect_same_summary(m.quality, summarize(x.quality), "quality");
+  expect_same_summary(m.latency_ratio, summarize(x.eps), "eps");
+  expect_same_summary(m.reward, summarize(x.reward), "reward");
   ASSERT_TRUE(m.power.enabled);
-  expect_same_summary(m.power.mean_power_w, fleet::summarize_metric(x.watts),
-                      "watts");
-  expect_same_summary(m.power.max_die_temp_c,
-                      fleet::summarize_metric(x.temps), "temps");
-  expect_same_summary(m.power.drain_pct_per_hour,
-                      fleet::summarize_metric(x.drains), "drains");
+  expect_same_summary(m.power.mean_power_w, summarize(x.watts), "watts");
+  expect_same_summary(m.power.max_die_temp_c, summarize(x.temps), "temps");
+  expect_same_summary(m.power.drain_pct_per_hour, summarize(x.drains),
+                      "drains");
   ASSERT_TRUE(m.market.enabled);
-  expect_same_summary(m.market.resolution,
-                      fleet::summarize_metric(x.resolution), "resolution");
+  expect_same_summary(m.market.resolution, summarize(x.resolution),
+                      "resolution");
   ASSERT_TRUE(m.offload.enabled);
-  expect_same_summary(m.offload.edge_share,
-                      fleet::summarize_metric(x.edge_share), "edge share");
+  expect_same_summary(m.offload.edge_share, summarize(x.edge_share),
+                      "edge share");
   ASSERT_TRUE(m.sched.enabled);
-  expect_same_summary(m.sched.p99_slowdown,
-                      fleet::summarize_metric(x.p99_slowdown), "p99");
+  expect_same_summary(m.sched.p99_slowdown, summarize(x.p99_slowdown), "p99");
 
   // Rates divide by the gated population, not the fleet size.
   EXPECT_EQ(m.market.denied_sessions, 7u);  // ids 0, 6, ..., 36
@@ -598,7 +591,7 @@ TEST(FleetAccumulator, StreamingModeSketchesTheSameGatedSamples) {
   const fleet::FleetMetrics m = stream_acc.finalize(4.0);
   const MixedSamples x = samples_of(sessions);
   auto sketch = [](const std::vector<double>& values) {
-    fleet::StreamingSummary s;
+    StreamingSummary s;
     for (double v : values) s.add(v);
     return s.summary();
   };
@@ -642,6 +635,61 @@ TEST(FleetAccumulator, StreamingModeSketchesTheSameGatedSamples) {
             e.sched.starved_session_fraction);
 }
 
+// The client side of the edge health is the accumulator's own id-order
+// sums of each SessionResult's edge fields; the server side comes from the
+// merged mirror statistics, and without them the health stays disabled.
+TEST(FleetAccumulator, EdgeHealthSumsTheSessionsClientFields) {
+  std::vector<fleet::SessionResult> sessions(5);
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    const double x = static_cast<double>(i);
+    fleet::SessionResult& s = sessions[i];
+    s.edge_requests = 4 + i;
+    s.edge_fallbacks = i % 3;
+    s.edge_elapsed_s = 0.1 * (x + 1.0);
+    s.edge_units = 1.5 + 0.3 * x;
+    s.edge_service_s = 0.07 * (x + 2.0);
+  }
+  std::uint64_t requests = 0, fallbacks = 0;
+  double elapsed_s = 0.0, units = 0.0, service_s = 0.0;
+  fleet::FleetAccumulator acc(fleet::FleetAccumulator::Mode::Streaming);
+  for (const fleet::SessionResult& s : sessions) {
+    acc.add(s);
+    requests += s.edge_requests;
+    fallbacks += s.edge_fallbacks;
+    elapsed_s += s.edge_elapsed_s;
+    units += s.edge_units;
+    service_s += s.edge_service_s;
+  }
+  edgesvc::EdgeServerStats server;
+  server.arrivals = 40;
+  server.rejected = 4;
+  server.served = 30;
+  server.total_wait_s = 0.6;
+  server.total_service_s = 2.4;
+  server.depth_hist = {20, 15, 5};
+
+  const fleet::FleetMetrics m = acc.finalize(1.0, {}, &server);
+  EXPECT_TRUE(m.edge.enabled);
+  EXPECT_EQ(m.edge.requests, requests);
+  EXPECT_EQ(m.edge.fallbacks, fallbacks);
+  EXPECT_EQ(m.edge.fallback_rate, static_cast<double>(fallbacks) /
+                                      static_cast<double>(requests));
+  EXPECT_EQ(m.edge.mean_exchange_ms,
+            elapsed_s / static_cast<double>(requests) * 1e3);
+  EXPECT_EQ(m.edge.units, units);
+  EXPECT_EQ(m.edge.own_service_s, service_s);
+  EXPECT_EQ(m.edge.rejection_rate, server.rejection_rate());
+  EXPECT_EQ(m.edge.queue_depth_p95, server.queue_depth_p95());
+  EXPECT_EQ(m.edge.mean_wait_ms, server.mean_wait_s() * 1e3);
+  EXPECT_EQ(m.edge.mean_service_ms, server.mean_service_s() * 1e3);
+  EXPECT_GT(m.edge.rejection_rate, 0.0);
+
+  const fleet::FleetMetrics off = acc.finalize(1.0);
+  EXPECT_FALSE(off.edge.enabled);
+  EXPECT_EQ(off.edge.rejection_rate, 0.0);
+  EXPECT_EQ(off.edge.mean_wait_ms, 0.0);
+}
+
 // An accumulator that saw no session finalizes to a zero roll-up in both
 // modes (no empty-sample throw), keeping the pool context it was given.
 TEST(FleetAccumulator, EmptyFleetFinalizesToAZeroRollup) {
@@ -654,7 +702,7 @@ TEST(FleetAccumulator, EmptyFleetFinalizesToAZeroRollup) {
     const fleet::FleetMetrics m = acc.finalize(1.0, pool);
     EXPECT_EQ(m.sessions, 0u);
     EXPECT_EQ(m.streamed, mode == fleet::FleetAccumulator::Mode::Streaming);
-    expect_same_summary(m.reward, fleet::MetricSummary{}, "reward");
+    expect_same_summary(m.reward, Summary{}, "reward");
     EXPECT_EQ(m.total_sim_seconds, 0.0);
     EXPECT_EQ(m.sessions_per_sec, 0.0);
     EXPECT_FALSE(m.power.enabled);
@@ -692,8 +740,8 @@ TEST(FleetSimulator, StreamingAgreesWithExactAggregation) {
   for (auto field : {&fleet::FleetMetrics::quality,
                      &fleet::FleetMetrics::latency_ratio,
                      &fleet::FleetMetrics::reward}) {
-    const fleet::MetricSummary& ea = a.*field;
-    const fleet::MetricSummary& eb = b.*field;
+    const Summary& ea = a.*field;
+    const Summary& eb = b.*field;
     EXPECT_EQ(ea.min, eb.min);
     // Exact path sums naively, streaming uses Welford: same order, same
     // value up to rounding.

@@ -525,7 +525,9 @@ TEST(FleetMarket, PricingOverloadDeniesIntoBestEffort) {
     results.push_back(
         fleet.run_market_session(fleet.session_spec(i), denied[i]));
   }
-  const fleet::FleetMetrics m = fleet::aggregate_fleet(results, 0.0);
+  fleet::FleetAccumulator acc(fleet::FleetAccumulator::Mode::Exact);
+  for (const fleet::SessionResult& s : results) acc.add(s);
+  const fleet::FleetMetrics m = acc.finalize(0.0);
   EXPECT_EQ(m.market.denied_sessions, 6u);
   EXPECT_DOUBLE_EQ(m.market.admission_rate, 0.0);
   for (const fleet::SessionResult& s : results) {

@@ -30,15 +30,6 @@ TEST(Stdev, KnownValue) {
   EXPECT_EQ(stdev(std::vector<double>{1.0}), 0.0);
 }
 
-TEST(Percentile, InterpolatesLinearly) {
-  const std::vector<double> xs = {4.0, 1.0, 3.0, 2.0};  // sorted: 1 2 3 4
-  EXPECT_DOUBLE_EQ(percentile(xs, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 100.0), 4.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 50.0), 2.5);
-  EXPECT_THROW(percentile({}, 50.0), Error);
-  EXPECT_THROW(percentile(xs, 101.0), Error);
-}
-
 TEST(Linspace, EndpointsAndSpacing) {
   const auto v = linspace(0.0, 1.0, 5);
   ASSERT_EQ(v.size(), 5u);

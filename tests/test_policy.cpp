@@ -515,7 +515,7 @@ TEST(BanditSession, OnlineModePullsArmsAndRecordsExperience) {
   EXPECT_LT(e.arm, session.model()->arms().size());
   EXPECT_EQ(e.reward, -e.cost);
   EXPECT_EQ(session.model()->updates(), session.experiences().size());
-  EXPECT_GT(session.reward_stat().count(), 0u);
+  EXPECT_GT(session.stats().reward.count(), 0u);
 
   auto drained = session.drain_experiences();
   EXPECT_FALSE(drained.empty());

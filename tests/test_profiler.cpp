@@ -91,7 +91,6 @@ TEST(LatencyStats, EquationFourKnownValues) {
   // Two tasks: one at expectation (ratio 0), one 3x slower (ratio 2).
   const std::vector<LatencySample> samples = {{10.0, 10.0}, {30.0, 10.0}};
   EXPECT_DOUBLE_EQ(average_latency_ratio(samples), 1.0);
-  EXPECT_DOUBLE_EQ(mean_measured_ms(samples), 20.0);
 }
 
 TEST(LatencyStats, FasterThanExpectedGoesNegative) {
@@ -102,7 +101,6 @@ TEST(LatencyStats, FasterThanExpectedGoesNegative) {
 TEST(LatencyStats, InvalidInputsThrow) {
   EXPECT_THROW(average_latency_ratio({}), hbosim::Error);
   EXPECT_THROW(average_latency_ratio({{10.0, 0.0}}), hbosim::Error);
-  EXPECT_EQ(mean_measured_ms({}), 0.0);
 }
 
 }  // namespace

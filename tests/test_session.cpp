@@ -22,13 +22,37 @@ core::MonitoredSessionConfig fast_session() {
   return cfg;
 }
 
+// Both session loops fold each period through app::SessionStats: Q_t,
+// epsilon_t and B_t = Q_t - w*epsilon_t as running statistics, and
+// (t, B_t) into the trace.
+TEST(SessionStats, FoldsEachPeriodIntoStatsAndTrace) {
+  app::PeriodMetrics a;
+  a.average_quality = 0.9;
+  a.latency_ratio = 0.2;
+  app::PeriodMetrics b;
+  b.average_quality = 0.7;
+  b.latency_ratio = 0.6;
+  app::SessionStats stats;
+  stats.add(a, 0.5, 1.0);
+  stats.add(b, 0.5, 2.0);
+  EXPECT_EQ(stats.quality.count(), 2u);
+  EXPECT_EQ(stats.latency_ratio.count(), 2u);
+  EXPECT_EQ(stats.reward.count(), 2u);
+  EXPECT_DOUBLE_EQ(stats.quality.mean(), 0.8);
+  EXPECT_DOUBLE_EQ(stats.latency_ratio.mean(), 0.4);
+  EXPECT_DOUBLE_EQ(stats.reward.mean(), 0.6);
+  ASSERT_EQ(stats.reward_trace.size(), 2u);
+  EXPECT_EQ(stats.reward_trace[0], std::make_pair(1.0, a.reward(0.5)));
+  EXPECT_EQ(stats.reward_trace[1], std::make_pair(2.0, b.reward(0.5)));
+}
+
 TEST(MonitoredSession, EmptySceneNeverActivates) {
   app::MarApp app(soc::pixel7());
   app.add_task("mnist", "d");
   core::MonitoredSession session(app, fast_session());
   session.run_until(20.0);
   EXPECT_TRUE(session.activations().empty());
-  EXPECT_FALSE(session.reward_trace().empty());
+  EXPECT_FALSE(session.stats().reward_trace.empty());
 }
 
 TEST(MonitoredSession, FirstPlacementTriggersTheInitialActivation) {

@@ -1,10 +1,13 @@
-// Unit tests for streaming statistics and the table/CSV emitters.
+// Unit tests for streaming statistics, the sample summary and the
+// table/CSV emitters.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "hbosim/common/error.hpp"
+#include "hbosim/common/rng.hpp"
 #include "hbosim/common/stats.hpp"
 #include "hbosim/common/table.hpp"
 
@@ -90,24 +93,63 @@ TEST(Ewma, ValueOnEmptyThrows) {
   EXPECT_THROW(e.value(), Error);
 }
 
-TEST(Histogram, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bin 0
-  h.add(9.99);  // bin 4
-  h.add(-5.0);  // clamps to bin 0
-  h.add(50.0);  // clamps to bin 4
-  h.add(5.0);   // bin 2
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.counts()[0], 2u);
-  EXPECT_EQ(h.counts()[2], 1u);
-  EXPECT_EQ(h.counts()[4], 2u);
-  EXPECT_DOUBLE_EQ(h.bin_lower(2), 4.0);
-  EXPECT_DOUBLE_EQ(h.bin_width(), 2.0);
+/// summarize()'s reference: the caller-order mean and percentile_sorted
+/// over one full sort.
+Summary reference_summary(const std::vector<double>& values) {
+  Summary out;
+  out.count = values.size();
+  double acc = 0.0;
+  for (double v : values) acc += v;
+  out.mean = acc / static_cast<double>(values.size());
+  std::vector<double> sorted = values;
+  std::sort(sorted.begin(), sorted.end());
+  out.min = sorted.front();
+  out.max = sorted.back();
+  out.p50 = percentile_sorted(sorted, 50.0);
+  out.p90 = percentile_sorted(sorted, 90.0);
+  out.p95 = percentile_sorted(sorted, 95.0);
+  out.p99 = percentile_sorted(sorted, 99.0);
+  return out;
 }
 
-TEST(Histogram, InvalidConfigThrows) {
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), Error);
-  EXPECT_THROW(Histogram(1.0, 0.0, 4), Error);
+// Selection reads the same order statistics as the sort, and the mean is
+// summed in the caller's order before selection reorders the sample: the
+// summary is the sorted reference's bit for bit, ties included.
+TEST(Summary, MatchesASortedReference) {
+  Rng rng(0x5EEDu);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 1 + rng.uniform_index(2000);
+    std::vector<double> values(n);
+    for (double& v : values) {
+      // About one draw in three comes from a 16-point grid: ties.
+      v = rng.uniform_index(3) == 0
+              ? 0.25 * static_cast<double>(rng.uniform_index(16))
+              : rng.uniform(-3.0, 7.0);
+    }
+    const Summary ref = reference_summary(values);
+    const Summary got = summarize(values);
+    EXPECT_EQ(got.count, ref.count) << "n = " << n;
+    EXPECT_EQ(got.min, ref.min) << "n = " << n;
+    EXPECT_EQ(got.mean, ref.mean) << "n = " << n;
+    EXPECT_EQ(got.p50, ref.p50) << "n = " << n;
+    EXPECT_EQ(got.p90, ref.p90) << "n = " << n;
+    EXPECT_EQ(got.p95, ref.p95) << "n = " << n;
+    EXPECT_EQ(got.p99, ref.p99) << "n = " << n;
+    EXPECT_EQ(got.max, ref.max) << "n = " << n;
+  }
+}
+
+TEST(Summary, EmptySampleIsZero) {
+  const Summary empty = summarize({});
+  EXPECT_EQ(empty.count, 0u);
+  for (double v : {empty.min, empty.mean, empty.p50, empty.p90, empty.p95,
+                   empty.p99, empty.max})
+    EXPECT_EQ(v, 0.0);
+  const Summary one = summarize({2.5});
+  EXPECT_EQ(one.count, 1u);
+  for (double v : {one.min, one.mean, one.p50, one.p90, one.p95, one.p99,
+                   one.max})
+    EXPECT_EQ(v, 2.5);
 }
 
 TEST(TextTable, AlignsAndPrints) {
@@ -137,6 +179,22 @@ TEST(CsvWriter, HeaderAndRows) {
   csv.row(std::vector<double>{1.0, 2.5});
   csv.row(std::vector<std::string>{"x", "y"});
   EXPECT_EQ(os.str(), "t,v\n1,2.5\nx,y\n");
+}
+
+// A field holding a comma, a quote, CR or LF is quoted with inner quotes
+// doubled, in the header and in string rows; other fields stay bare.
+TEST(CsvWriter, QuotesFieldsPerRfc4180) {
+  std::ostringstream os;
+  CsvWriter csv(os, {"t", "a,b"});
+  csv.row(std::vector<std::string>{"plain", "say \"hi\""});
+  csv.row(std::vector<std::string>{"line\nbreak", "cr\r"});
+  EXPECT_EQ(os.str(),
+            "t,\"a,b\"\n"
+            "plain,\"say \"\"hi\"\"\"\n"
+            "\"line\nbreak\",\"cr\r\"\n");
+  std::ostringstream field;
+  write_csv_field(field, "det,\"v2\"@GPU");
+  EXPECT_EQ(field.str(), "\"det,\"\"v2\"\"@GPU\"");
 }
 
 TEST(CsvWriter, WidthMismatchThrows) {

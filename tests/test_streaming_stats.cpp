@@ -2,7 +2,7 @@
 // retain_results=false path: percentile_sorted and percentile_select
 // agreement with percentile(), P² exactness below five samples, the
 // documented P² rank error bound on adversarial inputs, and
-// StreamingSummary agreement with the exact summarize_metric().
+// StreamingSummary agreement with the exact summarize().
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include "hbosim/common/error.hpp"
 #include "hbosim/common/rng.hpp"
 #include "hbosim/common/stats.hpp"
-#include "hbosim/fleet/fleet_metrics.hpp"
 
 namespace hbosim {
 namespace {
@@ -147,19 +146,20 @@ TEST(P2Quantile, TracksUniformQuantileClosely) {
   EXPECT_NEAR(q90.value(), 0.9, 0.03);
 }
 
-TEST(StreamingSummary, AgreesWithExactSummarizeMetric) {
+TEST(StreamingSummary, AgreesWithExactSummarize) {
   Rng rng(0xABCDEFu);
   std::vector<double> values;
-  fleet::StreamingSummary stream;
+  StreamingSummary stream;
   for (int i = 0; i < 3000; ++i) {
     const double x = rng.uniform(-2.0, 3.0);
     values.push_back(x);
     stream.add(x);
   }
   EXPECT_EQ(stream.count(), values.size());
-  const fleet::MetricSummary exact = fleet::summarize_metric(values);
-  const fleet::MetricSummary sketched = stream.summary();
-  // min/mean/max are exact in both paths.
+  const Summary exact = summarize(values);
+  const Summary sketched = stream.summary();
+  // count/min/mean/max are exact in both paths.
+  EXPECT_EQ(sketched.count, exact.count);
   EXPECT_DOUBLE_EQ(sketched.min, exact.min);
   EXPECT_DOUBLE_EQ(sketched.max, exact.max);
   EXPECT_NEAR(sketched.mean, exact.mean, 1e-9);  // Welford vs naive sum
@@ -167,13 +167,16 @@ TEST(StreamingSummary, AgreesWithExactSummarizeMetric) {
   const double span = exact.max - exact.min;
   EXPECT_NEAR(sketched.p50, exact.p50, 0.05 * span);
   EXPECT_NEAR(sketched.p90, exact.p90, 0.05 * span);
+  EXPECT_NEAR(sketched.p95, exact.p95, 0.05 * span);
   EXPECT_NEAR(sketched.p99, exact.p99, 0.05 * span);
 }
 
 TEST(StreamingSummary, EmptySummaryIsZeroed) {
-  const fleet::MetricSummary s = fleet::StreamingSummary{}.summary();
+  const Summary s = StreamingSummary{}.summary();
+  EXPECT_EQ(s.count, 0u);
   EXPECT_EQ(s.min, 0.0);
   EXPECT_EQ(s.mean, 0.0);
+  EXPECT_EQ(s.p95, 0.0);
   EXPECT_EQ(s.p99, 0.0);
   EXPECT_EQ(s.max, 0.0);
 }
