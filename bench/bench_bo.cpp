@@ -10,13 +10,13 @@
 // Usage: bench_bo [--smoke] [--json <path>] [--gate <committed.json>]
 //   --smoke   smaller sizes and shorter repetitions (CI)
 //   --json    write a machine-readable summary (default: BENCH_bo.json)
-//   --gate    in --smoke mode, enforce the smoke_gate block of a committed
-//             JSON (max suggest us at n = 8 and n = 64, max suggest us with
-//             a 96-point prior, max tell us); exceeding any bound fails the
-//             bench — the CI regression gate
+//   --gate    with --smoke only, enforce the smoke_gate block of a
+//             committed JSON (max suggest us at n = 8 and n = 64, max
+//             suggest us with a 96-point prior, max tell us); exceeding any
+//             bound fails the bench — the CI regression gate
+// Any other argument exits 2 with "bench_bo: <message>".
 
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -138,16 +138,12 @@ constexpr double kGateMaxTellUs = 70.0;
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_bo.json";
-  std::string gate_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-      json_path = argv[++i];
-    else if (std::strcmp(argv[i], "--gate") == 0 && i + 1 < argc)
-      gate_path = argv[++i];
-  }
+  const auto args = benchutil::parse_args(argc, argv, "bench_bo",
+                                          "BENCH_bo.json", /*gate=*/true);
+  if (!args) return 2;
+  const bool smoke = args->smoke;
+  const std::string& json_path = args->json_path;
+  const std::string& gate_path = args->gate_path;
 
   benchutil::banner("bench_bo", "Bayesian optimizer suggest/tell latency");
   const std::vector<std::size_t> sizes =
@@ -253,10 +249,9 @@ int main(int argc, char** argv) {
   std::cout << "\nJSON summary written to " << json_path << "\n";
 
   // --- CI regression gate --------------------------------------------------
-  // Enforced only in smoke mode (full runs regenerate the committed JSON;
-  // gating them against themselves would be circular).
+  // --gate comes with --smoke only (benchutil::parse_args).
   bool gate_ok = true;
-  if (!gate_path.empty() && smoke) {
+  if (!gate_path.empty()) {
     std::ifstream gate_file(gate_path);
     const std::string gate_text((std::istreambuf_iterator<char>(gate_file)),
                                 std::istreambuf_iterator<char>());

@@ -21,9 +21,9 @@
 // Usage: bench_des [--smoke] [--json <path>]
 //   --smoke   smaller job counts (CI)
 //   --json    write a machine-readable summary (default: BENCH_des.json)
+// Any other argument exits 2 with "bench_des: <message>".
 
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -240,13 +240,11 @@ bool closed_form_gates(std::string& detail) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_des.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-      json_path = argv[++i];
-  }
+  const auto args =
+      benchutil::parse_args(argc, argv, "bench_des", "BENCH_des.json");
+  if (!args) return 2;
+  const bool smoke = args->smoke;
+  const std::string& json_path = args->json_path;
 
   benchutil::banner("bench_des",
                     "DES event throughput + scheduler-forensics overhead");

@@ -11,10 +11,10 @@
 // Usage: bench_edgesvc [--smoke] [--json <path>]
 //   --smoke   fewer tenants and requests (CI)
 //   --json    write a machine-readable summary (default: BENCH_edgesvc.json)
+// Any other argument exits 2 with "bench_edgesvc: <message>".
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -93,13 +93,11 @@ CellResult run_cell(std::size_t tenants, QueuePolicy policy,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_edgesvc.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-      json_path = argv[++i];
-  }
+  const auto args =
+      benchutil::parse_args(argc, argv, "bench_edgesvc", "BENCH_edgesvc.json");
+  if (!args) return 2;
+  const bool smoke = args->smoke;
+  const std::string& json_path = args->json_path;
 
   benchutil::banner("bench_edgesvc",
                     "multi-tenant edge-server saturation sweep");

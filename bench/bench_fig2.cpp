@@ -33,9 +33,12 @@ void print_segments(const des::TraceRecorder& trace,
   for (const auto& l : labels) header.push_back(l + " (ms)");
   TextTable table(header);
   for (std::size_t i = 0; i + 1 < edges.size(); ++i) {
-    std::vector<std::string> row = {
-        "[" + TextTable::num(edges[i], 0) + "," +
-        TextTable::num(edges[i + 1], 0) + ")s"};
+    std::string segment = "[";
+    segment += TextTable::num(edges[i], 0);
+    segment += ',';
+    segment += TextTable::num(edges[i + 1], 0);
+    segment += ")s";
+    std::vector<std::string> row = {segment};
     for (const auto& l : labels) {
       const double v = trace.has_series(l)
                            ? trace.window_mean(l, edges[i], edges[i + 1])
@@ -72,7 +75,9 @@ void fig2b(const soc::DeviceProfile& device) {
   // t=40..95: progressively crowd the NNAPI delegate with new instances.
   const double joins[] = {40, 55, 75, 95};
   for (int i = 2; i <= 5; ++i) {
-    script.at(joins[i - 2], "N" + std::to_string(i),
+    std::string label = "N";
+    label += std::to_string(i);
+    script.at(joins[i - 2], label,
               [&ids, i](app::MarApp& a) {
                 ids[i - 1] = a.add_task(
                     "deeplabv3", "deeplabv3_" + std::to_string(i),

@@ -118,11 +118,12 @@ int main() {
   benchutil::recap_line(
       "SMQ latency vs HBO (same quality)", "~1.5x",
       TextTable::num(smq_row.mean_ms / hbo_row.mean_ms, 2) + "x");
-  benchutil::recap_line(
-      "HBO quality vs SML (same latency)", "+14.5%",
-      "+" + TextTable::num(
-                100.0 * (hbo_row.quality - sml_row.quality) / sml_row.quality,
-                1) + "%");
+  std::string quality_gain = "+";
+  quality_gain += TextTable::num(
+      100.0 * (hbo_row.quality - sml_row.quality) / sml_row.quality, 1);
+  quality_gain += '%';
+  benchutil::recap_line("HBO quality vs SML (same latency)", "+14.5%",
+                        quality_gain);
   benchutil::recap_line(
       "BNT latency vs HBO", "~2.2x",
       TextTable::num(bnt_row.mean_ms / hbo_row.mean_ms, 2) + "x");

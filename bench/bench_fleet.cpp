@@ -22,9 +22,10 @@
 //             "bench_fleet: <message>"
 //   --smoke   smaller fleet (CI); defaults otherwise: 256 sessions, 20 s
 //   --json    write a machine-readable summary (default: BENCH_fleet.json)
-//   --gate    in --smoke mode, enforce the smoke_gate block of a committed
-//             JSON (max wall clock, max peak RSS, min mega throughput);
-//             exceeding any bound fails the bench — the CI regression gate
+//   --gate    with --smoke only, enforce the smoke_gate block of a
+//             committed JSON (max wall clock, max peak RSS, min mega
+//             throughput); exceeding any bound fails the bench — the CI
+//             regression gate
 
 #include <algorithm>
 #include <charconv>
@@ -101,41 +102,28 @@ constexpr double kGateMinMegaSessionsPerSec = 300.0;
 int main(int argc, char** argv) {
   using namespace hbosim;
 
-  auto usage_error = [](const std::string& message) {
-    std::cerr << "bench_fleet: " << message << "\n";
-    return 2;
-  };
-  bool smoke = false;
-  std::string json_path = "BENCH_fleet.json";
-  std::string gate_path;
-  std::vector<std::string_view> positional;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--json" || arg == "--gate") {
-      if (i + 1 == argc) return usage_error(std::string(arg) + " needs a path");
-      (arg == "--json" ? json_path : gate_path) = argv[++i];
-    } else if (arg.starts_with("--")) {
-      return usage_error("unknown option " + std::string(arg));
-    } else {
-      positional.push_back(arg);
-    }
-  }
-  if (positional.size() > 2)
-    return usage_error("expected at most [sessions] [duration_s]");
+  const auto args =
+      benchutil::parse_args(argc, argv, "bench_fleet", "BENCH_fleet.json",
+                            /*gate=*/true, /*max_positional=*/2);
+  if (!args) return 2;
+  const bool smoke = args->smoke;
+  const std::string& json_path = args->json_path;
+  const std::string& gate_path = args->gate_path;
+  const std::vector<std::string_view>& positional = args->positional;
   std::size_t sessions = smoke ? 64 : 256;
   double duration_s = smoke ? 15.0 : 20.0;
   if (!positional.empty() &&
       (!parse_whole(positional[0], sessions) || sessions == 0)) {
-    return usage_error("session count must be a positive integer, got '" +
-                       std::string(positional[0]) + "'");
+    return benchutil::usage_error(
+        "bench_fleet", "session count must be a positive integer, got '" +
+                           std::string(positional[0]) + "'");
   }
   if (positional.size() > 1 &&
       (!parse_whole(positional[1], duration_s) ||
        !std::isfinite(duration_s) || duration_s <= 0.0)) {
-    return usage_error("duration_s must be a positive finite number, got '" +
-                       std::string(positional[1]) + "'");
+    return benchutil::usage_error(
+        "bench_fleet", "duration_s must be a positive finite number, got '" +
+                           std::string(positional[1]) + "'");
   }
 
   benchutil::banner("bench_fleet",
@@ -326,10 +314,9 @@ int main(int argc, char** argv) {
   std::cout << "JSON summary written to " << json_path << "\n";
 
   // --- CI regression gate --------------------------------------------------
-  // Enforced only in smoke mode (full runs regenerate the committed JSON;
-  // gating them against themselves would be circular).
+  // --gate comes with --smoke only (benchutil::parse_args).
   bool gate_ok = true;
-  if (!gate_path.empty() && smoke) {
+  if (!gate_path.empty()) {
     std::ifstream gate_file(gate_path);
     std::string gate_text((std::istreambuf_iterator<char>(gate_file)),
                           std::istreambuf_iterator<char>());

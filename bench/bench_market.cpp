@@ -30,11 +30,11 @@
 // Usage: bench_market [--smoke] [--json <path>]
 //   --smoke   10^3-tenant sweep only (CI); full mode adds 10^4
 //   --json    write a machine-readable summary (default: BENCH_market.json)
+// Any other argument exits 2 with "bench_market: <message>".
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -161,13 +161,11 @@ bool sessions_bitwise_equal(const fleet::FleetResult& a,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_market.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-      json_path = argv[++i];
-  }
+  const auto args =
+      benchutil::parse_args(argc, argv, "bench_market", "BENCH_market.json");
+  if (!args) return 2;
+  const bool smoke = args->smoke;
+  const std::string& json_path = args->json_path;
 
   benchutil::banner("bench_market",
                     "joint allocator vs static mirror at saturation");

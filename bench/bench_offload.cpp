@@ -24,9 +24,9 @@
 // Usage: bench_offload [--smoke] [--json <path>]
 //   --smoke   fewer sessions / shorter horizon / single w_energy (CI)
 //   --json    machine-readable summary (default: BENCH_offload.json)
+// Any other argument exits 2 with "bench_offload: <message>".
 
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -135,13 +135,11 @@ bool sessions_identical(const fleet::FleetResult& a,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_offload.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-      json_path = argv[++i];
-  }
+  const auto args =
+      benchutil::parse_args(argc, argv, "bench_offload", "BENCH_offload.json");
+  if (!args) return 2;
+  const bool smoke = args->smoke;
+  const std::string& json_path = args->json_path;
 
   benchutil::banner("bench_offload",
                     "hours-of-AR-per-charge vs QoE, 3- vs 4-target simplex");

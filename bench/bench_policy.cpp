@@ -21,10 +21,10 @@
 // Usage: bench_policy [--smoke] [--json <path>]
 //   --smoke   fewer train/eval seeds (CI)
 //   --json    write a machine-readable summary (default: BENCH_policy.json)
+// Any other argument exits 2 with "bench_policy: <message>".
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -263,13 +263,11 @@ AdaptResult run_bandit_arm(std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_policy.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-      json_path = argv[++i];
-  }
+  const auto args =
+      benchutil::parse_args(argc, argv, "bench_policy", "BENCH_policy.json");
+  if (!args) return 2;
+  const bool smoke = args->smoke;
+  const std::string& json_path = args->json_path;
 
   benchutil::banner("bench_policy",
                     "learned warm-start priors and the LinUCB agent vs HBO");

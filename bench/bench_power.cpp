@@ -13,9 +13,9 @@
 // Usage: bench_power [--smoke] [--json <path>]
 //   --smoke   shorter soak horizon (CI)
 //   --json    write a machine-readable summary (default: BENCH_power.json)
+// Any other argument exits 2 with "bench_power: <message>".
 
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -108,13 +108,11 @@ CellResult run_cell(const std::string& device_name, const LoadPoint& load,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_power.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-      json_path = argv[++i];
-  }
+  const auto args =
+      benchutil::parse_args(argc, argv, "bench_power", "BENCH_power.json");
+  if (!args) return 2;
+  const bool smoke = args->smoke;
+  const std::string& json_path = args->json_path;
 
   benchutil::banner("bench_power",
                     "sustained load x device thermal-throttling sweep");

@@ -12,9 +12,9 @@
 // Usage: bench_telemetry [--smoke] [--json <path>]
 //   --smoke   shorter repetitions (CI)
 //   --json    write a machine-readable summary (default: BENCH_telemetry.json)
+// Any other argument exits 2 with "bench_telemetry: <message>".
 
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -74,13 +74,11 @@ double fleet_wall_seconds(std::size_t sessions) {
 int main(int argc, char** argv) {
   using namespace hbosim;
 
-  bool smoke = false;
-  std::string json_path = "BENCH_telemetry.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-      json_path = argv[++i];
-  }
+  const auto args =
+      benchutil::parse_args(argc, argv, "bench_telemetry", "BENCH_telemetry.json");
+  if (!args) return 2;
+  const bool smoke = args->smoke;
+  const std::string& json_path = args->json_path;
 
   benchutil::banner("bench_telemetry",
                     "instrumentation cost, tracing off and on");

@@ -29,7 +29,9 @@ int main() {
   script.reallocate_at(25, ids[0], soc::Delegate::Nnapi, 1);
   const double joins[] = {40, 55, 75, 95};
   for (int i = 2; i <= 5; ++i) {
-    script.at(joins[i - 2], "N" + std::to_string(i),
+    std::string label = "N";
+    label += std::to_string(i);
+    script.at(joins[i - 2], label,
               [&ids, i](app::MarApp& a) {
                 ids[i - 1] = a.add_task("deeplabv3",
                                         "deeplabv3_" + std::to_string(i),

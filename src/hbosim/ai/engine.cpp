@@ -34,26 +34,16 @@ TaskId InferenceEngine::add_task(const std::string& model,
   HB_REQUIRE(soc_.profile().supports(model, delegate),
              model + " cannot run on " + soc::delegate_name(delegate) +
                  " on " + soc_.profile().name());
-  const TaskId id = next_task_id_++;
+  const auto id = static_cast<TaskId>(tasks_.size() + 1);
   TaskState st;
   st.task = AiTask{id, model, label, delegate};
   st.span_name = inference_span_name(st.task);
-  tasks_.emplace(id, std::move(st));
+  tasks_.push_back(std::move(st));
   if (started_) {
     // Join the running system after one gap, as a freshly loaded model.
-    TaskState& s = state(id);
-    s.pending_event =
-        sim_.schedule_after(next_gap(), [this, id] { begin_inference(id); });
+    sim_.schedule_after(next_gap(), [this, id] { begin_inference(id); });
   }
   return id;
-}
-
-void InferenceEngine::remove_task(TaskId id) {
-  TaskState& st = state(id);
-  if (st.active_job != 0) soc_.unit(st.active_unit).cancel(st.active_job);
-  if (st.pending_event != 0) sim_.cancel(st.pending_event);
-  ++st.epoch;  // invalidate any callback already dispatched
-  tasks_.erase(id);
 }
 
 void InferenceEngine::set_delegate(TaskId id, soc::Delegate delegate) {
@@ -70,34 +60,31 @@ const AiTask& InferenceEngine::task(TaskId id) const { return state(id).task; }
 std::vector<TaskId> InferenceEngine::task_ids() const {
   std::vector<TaskId> out;
   out.reserve(tasks_.size());
-  for (const auto& [id, st] : tasks_) out.push_back(id);
+  for (const TaskState& st : tasks_) out.push_back(st.task.id);
   return out;
 }
 
 void InferenceEngine::start() {
   if (started_) return;
   started_ = true;
-  for (auto& [id, st] : tasks_) {
-    const TaskId task_id = id;
+  for (const TaskState& st : tasks_) {
+    const TaskId id = st.task.id;
     // Random initial phase: real tasks do not begin on the same camera
     // frame, and a synchronized start would take tens of simulated
     // seconds to decay into the steady-state interleaving.
     const double offset = cfg_.inference_gap_s * rng_.uniform();
-    st.pending_event = sim_.schedule_after(
-        offset, [this, task_id] { begin_inference(task_id); });
+    sim_.schedule_after(offset, [this, id] { begin_inference(id); });
   }
 }
 
 void InferenceEngine::begin_inference(TaskId id) {
   TaskState& st = state(id);
-  st.pending_event = 0;
   if (st.plan_stale) {
     st.plan = build_exec_plan(soc_.profile(), st.task.model, st.task.delegate);
     st.plan_stale = false;
   }
   st.phase_index = 0;
   st.inference_start = sim_.now();
-  st.in_flight = true;
   st.remote = false;
   // The demand noise draw happens before remote/local routing so the
   // engine's RNG stream is identical whichever path each inference takes
@@ -115,16 +102,9 @@ void InferenceEngine::begin_inference(TaskId id) {
       const double demand = plan_isolation_seconds(st.plan) * st.noise_factor;
       ++remote_attempts_;
       const RemoteResult res = remote_(st.task, demand);
-      const std::uint32_t epoch = st.epoch;
       if (res.ok) {
         st.remote = true;
-        st.pending_event =
-            sim_.schedule_after(res.elapsed_s, [this, id, epoch] {
-              auto it = tasks_.find(id);
-              if (it == tasks_.end() || it->second.epoch != epoch) return;
-              it->second.pending_event = 0;
-              finish_inference(id);
-            });
+        sim_.schedule_after(res.elapsed_s, [this, id] { finish_inference(id); });
         return;
       }
       // Exhausted the edge attempt budget: the timeouts and NACK
@@ -132,13 +112,7 @@ void InferenceEngine::begin_inference(TaskId id) {
       // falling back to the untouched local plan.
       ++remote_fallbacks_;
       if (res.elapsed_s > 0.0) {
-        st.pending_event =
-            sim_.schedule_after(res.elapsed_s, [this, id, epoch] {
-              auto it = tasks_.find(id);
-              if (it == tasks_.end() || it->second.epoch != epoch) return;
-              it->second.pending_event = 0;
-              run_next_phase(id);
-            });
+        sim_.schedule_after(res.elapsed_s, [this, id] { run_next_phase(id); });
         return;
       }
     }
@@ -153,33 +127,24 @@ void InferenceEngine::run_next_phase(TaskId id) {
     return;
   }
   const Phase& phase = st.plan[st.phase_index];
-  const std::uint32_t epoch = st.epoch;
   if (phase.kind == Phase::Kind::Delay) {
     // Dispatch/communication: a fixed wall delay, not contended.
-    st.pending_event = sim_.schedule_after(
-        phase.seconds, [this, id, epoch] { on_phase_done(id, epoch); });
+    sim_.schedule_after(phase.seconds, [this, id] { on_phase_done(id); });
   } else {
-    const double demand = phase.seconds * st.noise_factor;
-    st.active_unit = phase.unit;
-    st.active_job = soc_.unit(phase.unit).submit(
-        demand, phase.cores, [this, id, epoch] { on_phase_done(id, epoch); },
+    soc_.unit(phase.unit).submit(
+        phase.seconds * st.noise_factor, phase.cores,
+        [this, id] { on_phase_done(id); },
         st.span_name);  // job class for sched forensics: "model@delegate"
   }
 }
 
-void InferenceEngine::on_phase_done(TaskId id, std::uint32_t epoch) {
-  auto it = tasks_.find(id);
-  if (it == tasks_.end() || it->second.epoch != epoch) return;  // stale
-  TaskState& st = it->second;
-  st.active_job = 0;
-  st.pending_event = 0;
-  ++st.phase_index;
+void InferenceEngine::on_phase_done(TaskId id) {
+  ++state(id).phase_index;
   run_next_phase(id);
 }
 
 void InferenceEngine::finish_inference(TaskId id) {
   TaskState& st = state(id);
-  st.in_flight = false;
   const double latency = sim_.now() - st.inference_start;
   st.last_latency = latency;
   st.window.add(latency);
@@ -193,11 +158,7 @@ void InferenceEngine::finish_inference(TaskId id) {
     HB_TELEM_COUNT("ai.inferences", 1.0);
   }
   if (observer_) observer_(st.task, latency);
-  // `st` may have been invalidated if the observer removed the task.
-  auto it = tasks_.find(id);
-  if (it == tasks_.end()) return;
-  it->second.pending_event =
-      sim_.schedule_after(next_gap(), [this, id] { begin_inference(id); });
+  sim_.schedule_after(next_gap(), [this, id] { begin_inference(id); });
 }
 
 void InferenceEngine::set_edge_share(TaskId id, double share) {
@@ -210,7 +171,7 @@ void InferenceEngine::set_edge_share(TaskId id, double share) {
 }
 
 void InferenceEngine::reset_window() {
-  for (auto& [id, st] : tasks_) st.window.reset();
+  for (TaskState& st : tasks_) st.window.reset();
 }
 
 double InferenceEngine::window_mean_latency_s(TaskId id) const {
@@ -226,15 +187,13 @@ double InferenceEngine::last_latency_s(TaskId id) const {
 }
 
 InferenceEngine::TaskState& InferenceEngine::state(TaskId id) {
-  auto it = tasks_.find(id);
-  HB_REQUIRE(it != tasks_.end(), "unknown task id");
-  return it->second;
+  HB_REQUIRE(id >= 1 && id <= tasks_.size(), "unknown task id");
+  return tasks_[id - 1];
 }
 
 const InferenceEngine::TaskState& InferenceEngine::state(TaskId id) const {
-  auto it = tasks_.find(id);
-  HB_REQUIRE(it != tasks_.end(), "unknown task id");
-  return it->second;
+  HB_REQUIRE(id >= 1 && id <= tasks_.size(), "unknown task id");
+  return tasks_[id - 1];
 }
 
 }  // namespace hbosim::ai

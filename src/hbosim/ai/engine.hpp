@@ -1,7 +1,7 @@
 #pragma once
 
+#include <deque>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "hbosim/ai/exec_plan.hpp"
@@ -20,7 +20,9 @@
 /// moment — exactly the phenomenon the paper's Section III-B measures.
 ///
 /// Delegate changes take effect at the next inference (a real TFLite
-/// interpreter is rebuilt between inferences, not mid-run).
+/// interpreter is rebuilt between inferences, not mid-run). Tasks are
+/// never removed, so every scheduled phase or exchange callback finds its
+/// task alive and carries no stale-callback guard.
 
 namespace hbosim::ai {
 
@@ -72,9 +74,6 @@ class InferenceEngine {
   /// (plus one gap) if the engine is running, or at start() otherwise.
   TaskId add_task(const std::string& model, const std::string& label,
                   soc::Delegate delegate);
-
-  /// Remove a task, cancelling any in-flight inference.
-  void remove_task(TaskId id);
 
   /// Change a task's delegate; applies from its next inference. Throws if
   /// the device does not support the (model, delegate) pair.
@@ -132,13 +131,6 @@ class InferenceEngine {
     std::size_t phase_index = 0;
     SimTime inference_start = 0.0;
     double noise_factor = 1.0;
-    bool in_flight = false;
-    JobId active_job = 0;      // compute phase in flight (0 = none)
-    soc::Unit active_unit = soc::Unit::Cpu;
-    des::EventId pending_event = 0;  // delay/gap event in flight (0 = none)
-    /// Invalidates stale callbacks. 32 bits keep a `[this, id, epoch]`
-    /// capture within std::function's inline buffer (no heap per phase).
-    std::uint32_t epoch = 0;
     RunningStat window;
     double last_latency = 0.0;
     double edge_share = 0.0;   // fraction of inferences sent remote
@@ -149,7 +141,7 @@ class InferenceEngine {
   double next_gap();
   void begin_inference(TaskId id);
   void run_next_phase(TaskId id);
-  void on_phase_done(TaskId id, std::uint32_t epoch);
+  void on_phase_done(TaskId id);
   void finish_inference(TaskId id);
   TaskState& state(TaskId id);
   const TaskState& state(TaskId id) const;
@@ -160,8 +152,10 @@ class InferenceEngine {
   Rng rng_;
   LatencyObserver observer_;
   RemoteExecutor remote_;
-  std::map<TaskId, TaskState> tasks_;
-  TaskId next_task_id_ = 1;
+  /// Task `id` lives at `tasks_[id - 1]`: ids are dense from 1 and never
+  /// retired. push_back keeps references to existing tasks valid, so an
+  /// observer or remote executor may add a task while one is in hand.
+  std::deque<TaskState> tasks_;
   bool started_ = false;
   std::uint64_t completed_inferences_ = 0;
   std::uint64_t remote_inferences_ = 0;

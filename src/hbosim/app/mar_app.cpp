@@ -124,11 +124,6 @@ void MarApp::apply_object_ratios(const std::vector<double>& ratios) {
   });
 }
 
-void MarApp::apply_uniform_ratio(double ratio) {
-  apply_object_ratios(
-      std::vector<double>(scene_.object_count(), ratio));
-}
-
 void MarApp::ensure_profiles() {
   if (profiles_) return;
   profiles_ = std::make_unique<ai::ProfileTable>(

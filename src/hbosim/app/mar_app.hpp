@@ -113,9 +113,6 @@ class MarApp {
   /// charge their download delay before the redraw takes effect.
   void apply_object_ratios(const std::vector<double>& ratios);
 
-  /// Convenience: one ratio for every object.
-  void apply_uniform_ratio(double ratio);
-
   /// Advance the simulation by `seconds` (> 0) while measuring, and
   /// return the period's metrics.
   PeriodMetrics run_period(double seconds);

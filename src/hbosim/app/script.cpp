@@ -27,8 +27,8 @@ void ScriptRunner::at(SimTime when, const std::string& annotation,
 
 void ScriptRunner::reallocate_at(SimTime when, TaskId task, soc::Delegate d,
                                  int instance_number) {
-  const std::string annotation =
-      std::string(1, soc::delegate_code(d)) + std::to_string(instance_number);
+  std::string annotation(1, soc::delegate_code(d));
+  annotation += std::to_string(instance_number);
   at(when, annotation,
      [task, d](MarApp& app) { app.engine().set_delegate(task, d); });
 }

@@ -28,16 +28,6 @@ double stdev(std::span<const double> xs) {
   return std::sqrt(acc / static_cast<double>(xs.size() - 1));
 }
 
-std::vector<double> linspace(double lo, double hi, std::size_t n) {
-  HB_REQUIRE(n >= 1, "linspace requires n >= 1");
-  if (n == 1) return {lo};
-  std::vector<double> out(n);
-  const double step = (hi - lo) / static_cast<double>(n - 1);
-  for (std::size_t i = 0; i < n; ++i) out[i] = lo + step * static_cast<double>(i);
-  out.back() = hi;
-  return out;
-}
-
 double norm_pdf(double z) {
   static const double inv_sqrt_2pi = 1.0 / std::sqrt(2.0 * std::numbers::pi);
   return inv_sqrt_2pi * std::exp(-0.5 * z * z);
@@ -56,16 +46,6 @@ double euclidean_distance(std::span<const double> a,
     acc += d * d;
   }
   return std::sqrt(acc);
-}
-
-double sum(std::span<const double> xs) {
-  double s = 0.0;
-  for (double x : xs) s += x;
-  return s;
-}
-
-bool approx_equal(double a, double b, double rtol, double atol) {
-  return std::abs(a - b) <= atol + rtol * std::max(std::abs(a), std::abs(b));
 }
 
 std::vector<double> project_to_simplex(std::span<const double> v) {

@@ -18,9 +18,6 @@ double mean(std::span<const double> xs);
 /// Sample standard deviation (n-1 denominator); 0 for n < 2.
 double stdev(std::span<const double> xs);
 
-/// n evenly spaced values from lo to hi inclusive (n >= 2), or {lo} if n==1.
-std::vector<double> linspace(double lo, double hi, std::size_t n);
-
 /// Standard normal probability density.
 double norm_pdf(double z);
 
@@ -29,12 +26,6 @@ double norm_cdf(double z);
 
 /// Euclidean distance between two equal-length vectors.
 double euclidean_distance(std::span<const double> a, std::span<const double> b);
-
-/// Sum of a span.
-double sum(std::span<const double> xs);
-
-/// True if |a-b| <= atol + rtol*max(|a|,|b|).
-bool approx_equal(double a, double b, double rtol = 1e-9, double atol = 1e-12);
 
 /// Project v onto the probability simplex {p : p_i >= 0, sum p_i = 1}
 /// (Euclidean projection, algorithm of Wang & Carreira-Perpinan).

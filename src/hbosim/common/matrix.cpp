@@ -73,40 +73,6 @@ std::span<double> Matrix::row(std::size_t r) {
   return {data_.data() + r * stride_, cols_};
 }
 
-std::vector<double> Matrix::matvec(std::span<const double> v) const {
-  std::vector<double> out(rows_, 0.0);
-  matvec(v, out);
-  return out;
-}
-
-void Matrix::matvec(std::span<const double> v, std::span<double> out) const {
-  HB_REQUIRE(v.size() == cols_, "matvec: dimension mismatch");
-  HB_REQUIRE(out.size() == rows_, "matvec: output dimension mismatch");
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double* rp = data_.data() + r * stride_;
-    double acc = 0.0;
-    for (std::size_t c = 0; c < cols_; ++c) acc += rp[c] * v[c];
-    out[r] = acc;
-  }
-}
-
-std::vector<double> Matrix::matvec_transposed(std::span<const double> v) const {
-  std::vector<double> out(cols_, 0.0);
-  matvec_transposed(v, out);
-  return out;
-}
-
-void Matrix::matvec_transposed(std::span<const double> v,
-                               std::span<double> out) const {
-  HB_REQUIRE(v.size() == rows_, "matvec_transposed: dimension mismatch");
-  HB_REQUIRE(out.size() == cols_, "matvec_transposed: output dimension mismatch");
-  std::fill(out.begin(), out.end(), 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double* rp = data_.data() + r * stride_;
-    for (std::size_t c = 0; c < cols_; ++c) out[c] += rp[c] * v[r];
-  }
-}
-
 Cholesky::Cholesky(const Matrix& a, double jitter) : jitter_(jitter) {
   HB_REQUIRE(a.rows() == a.cols(), "Cholesky requires a square matrix");
   const std::size_t n = a.rows();

@@ -49,21 +49,6 @@ class Matrix {
   std::span<const double> row(std::size_t r) const;
   std::span<double> row(std::size_t r);
 
-  /// Matrix-vector product (this * v). v.size() must equal cols().
-  std::vector<double> matvec(std::span<const double> v) const;
-
-  /// In-place matrix-vector product: out = this * v. out.size() == rows().
-  /// out must not alias v. Does not allocate.
-  void matvec(std::span<const double> v, std::span<double> out) const;
-
-  /// Transposed matrix-vector product (this^T * v). v.size() == rows().
-  std::vector<double> matvec_transposed(std::span<const double> v) const;
-
-  /// In-place transposed product: out = this^T * v. out.size() == cols().
-  /// out must not alias v. Does not allocate.
-  void matvec_transposed(std::span<const double> v,
-                         std::span<double> out) const;
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;

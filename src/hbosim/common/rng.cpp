@@ -126,16 +126,4 @@ void Rng::dirichlet(std::span<double> out, double alpha) {
   for (auto& v : out) v /= sum;
 }
 
-std::vector<std::size_t> Rng::permutation(std::size_t n) {
-  std::vector<std::size_t> idx(n);
-  for (std::size_t i = 0; i < n; ++i) idx[i] = i;
-  for (std::size_t i = n; i > 1; --i) {
-    const std::size_t j = static_cast<std::size_t>(uniform_index(i));
-    std::swap(idx[i - 1], idx[j]);
-  }
-  return idx;
-}
-
-Rng Rng::split() { return Rng(next_u64()); }
-
 }  // namespace hbosim

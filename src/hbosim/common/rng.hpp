@@ -60,12 +60,6 @@ class Rng {
   /// bitwise the same values as dirichlet(out.size(), alpha).
   void dirichlet(std::span<double> out, double alpha = 1.0);
 
-  /// Fisher-Yates shuffle of indices [0, n).
-  std::vector<std::size_t> permutation(std::size_t n);
-
-  /// Derive an independent child generator (stable given call order).
-  Rng split();
-
  private:
   std::uint64_t s_[4];
   bool has_cached_normal_ = false;

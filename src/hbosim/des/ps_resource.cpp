@@ -186,22 +186,6 @@ JobId PsResource::submit(double demand, Completion done, const char* cls) {
   return submit(demand, 1.0, std::move(done), cls);
 }
 
-bool PsResource::cancel(JobId id) {
-  const auto it = std::lower_bound(
-      jobs_.begin(), jobs_.end(), id,
-      [](const Job& job, JobId key) { return job.id < key; });
-  if (it == jobs_.end() || it->id != id) return false;
-  advance_progress();
-  requested_cores_ -= it->cores;
-  const char* cls = it->cls;
-  jobs_.erase(it);
-  if (jobs_.empty()) requested_cores_ = 0.0;
-  reschedule();
-  if (SchedSink* sink = sched())
-    sched_record(*sink, SchedEventKind::Cancel, id, cls, 0.0, 0.0, 0.0);
-  return true;
-}
-
 double PsResource::settled_work_done() const {
   const double elapsed = sim_.now() - last_update_;
   double extra = 0.0;
@@ -234,19 +218,13 @@ void PsResource::set_max_rate_per_job(double max_rate) {
 
 void PsResource::set_background_utilization(double u) {
   HB_REQUIRE(u >= 0.0 && u <= 1.0, "background utilization must be in [0,1]");
-  const double clamped = std::min(u, max_background_);
+  const double clamped = std::min(u, kMaxBackground);
   if (clamped == background_) return;
   advance_progress();
   background_ = clamped;
   reschedule();
   if (SchedSink* sink = sched())
     sched_record(*sink, SchedEventKind::Rescale, 0, nullptr, 0.0, 0.0, 0.0);
-}
-
-void PsResource::set_max_background(double u) {
-  HB_REQUIRE(u >= 0.0 && u < 1.0, "max background must be in [0,1)");
-  max_background_ = u;
-  if (background_ > max_background_) set_background_utilization(max_background_);
 }
 
 }  // namespace hbosim::des

@@ -73,8 +73,8 @@ class PsResource {
   /// inference holds several cores; accelerator kernels hold 1). When the
   /// sum of requested cores exceeds the available capacity every job
   /// slows down by the same factor. `done` is invoked (once) when the job
-  /// completes; it may submit to or cancel on this resource but must not
-  /// destroy it. Returns a handle for cancel().
+  /// completes; it may submit to this resource but must not destroy it.
+  /// Returns the job's id, which its sched records carry.
   ///
   /// `cls` optionally tags the job with a class for scheduler forensics
   /// (the AI engine passes its interned "model@delegate" span name). The
@@ -84,18 +84,16 @@ class PsResource {
                const char* cls = nullptr);
   JobId submit(double demand, Completion done, const char* cls = nullptr);
 
-  /// Cancel an in-flight job; returns false if it already completed.
-  bool cancel(JobId id);
-
   /// Set the fraction of capacity consumed by background (render) work,
-  /// in [0, max_background]. Takes effect immediately for running jobs.
+  /// in [0, 1], clamped to kMaxBackground. Takes effect immediately for
+  /// running jobs.
   void set_background_utilization(double u);
   double background_utilization() const { return background_; }
 
   /// Background utilization is clamped to this value so AI jobs can never
   /// be starved to a full stop (the OS scheduler always lets GPU compute
-  /// kernels through eventually). Default 0.95.
-  void set_max_background(double u);
+  /// kernels through eventually).
+  static constexpr double kMaxBackground = 0.95;
 
   std::size_t active_jobs() const { return jobs_.size(); }
 
@@ -160,7 +158,6 @@ class PsResource {
   double capacity_;
   double max_rate_per_job_;
   double background_ = 0.0;
-  double max_background_ = 0.95;
 
   /// Live jobs in ascending id (= submission) order. Every walk visits
   /// them in that order, which keeps the floating-point sums

@@ -107,13 +107,12 @@ class Replay {
             .ideal_s = ev.solo_rate > 0.0 ? ev.demand / ev.solo_rate : 0.0};
         break;
       }
-      case SchedEventKind::Complete:
-      case SchedEventKind::Cancel: {
+      case SchedEventKind::Complete: {
         const auto it = std::lower_bound(
             live_.begin(), live_.end(), ev.job,
             [](const Job& j, JobId id) { return j.id < id; });
         if (it != live_.end() && it->id == ev.job) {
-          close(*it, ev.time, ev.kind == SchedEventKind::Complete, closed);
+          close(*it, ev.time, true, closed);
           live_.erase(it);
         }
         // else: the Submit fell off a wrapped ring — the job is not
@@ -273,7 +272,7 @@ void SchedAnalyzer::replay(const SchedTrace& trace) {
   resource_names_.resize(n_res);
   resources_.resize(n_res);
   resource_jobs_.assign(n_res + 1, 0);
-  // Each job leaves a Submit and a Complete or Cancel record.
+  // Each job leaves a Submit and a Complete record.
   jobs_.reserve(static_cast<std::size_t>(
       (trace.total_recorded() - trace.total_dropped()) / 2));
   job_class_.reserve(jobs_.capacity());

@@ -47,14 +47,14 @@ struct SchedJobRecord {
   JobId job = 0;
   const char* cls = nullptr;  ///< Interned class tag; null -> untagged.
   double submit_s = 0.0;
-  double end_s = 0.0;       ///< Completion/cancel time, or trace end.
+  double end_s = 0.0;       ///< Completion time, or trace end.
   double demand = 0.0;      ///< Rate-1 seconds requested.
   double cores = 0.0;
   double ideal_s = 0.0;     ///< demand / solo_rate.
   double turnaround_s = 0.0;
   double wait_s = 0.0;      ///< max(0, turnaround - ideal).
   double slowdown = 1.0;    ///< turnaround / ideal.
-  bool completed = false;   ///< False: cancelled or still in flight.
+  bool completed = false;   ///< False: still in service at trace end.
 };
 
 /// Wait/slowdown roll-up for one job class on one resource, over its

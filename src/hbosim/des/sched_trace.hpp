@@ -11,15 +11,16 @@
 /// Structured per-job scheduler lifecycle event stream.
 ///
 /// A SchedSink receives every scheduling-relevant transition of the
-/// PsResources attached to one Simulator: job admission, completion,
-/// cancellation, and every mid-service rescale (DVFS capacity step,
-/// rate-cap change, background-utilization change). Each record carries
-/// the per-job service rate in effect *after* the transition, which makes
-/// the stream exactly replayable: a processor-sharing resource changes
-/// its per-job rate only at these transitions, so between two consecutive
-/// events every active job accrues `share * dt` service — no sampling, no
-/// approximation. `des::SchedMeter` folds it into SchedHealth as it
-/// arrives; a SchedTrace keeps it for the offline `des::SchedAnalyzer`.
+/// PsResources attached to one Simulator: job admission, completion, and
+/// every mid-service rescale (DVFS capacity step, rate-cap change,
+/// background-utilization change). No job leaves service any other way.
+/// Each record carries the per-job service rate in effect *after* the
+/// transition, which makes the stream exactly replayable: a
+/// processor-sharing resource changes its per-job rate only at these
+/// transitions, so between two consecutive events every active job
+/// accrues `share * dt` service — no sampling, no approximation.
+/// `des::SchedMeter` folds it into SchedHealth as it arrives; a SchedTrace
+/// keeps it for the offline `des::SchedAnalyzer`.
 ///
 /// Recording is strictly observational. A PsResource reaches its sink
 /// through `Simulator::sched_trace()` (a plain pointer read); when no
@@ -45,7 +46,6 @@ enum class SchedEventKind : std::uint8_t {
   Submit,    ///< Job entered service (admission == start under PS).
   Rescale,   ///< Capacity / rate cap / background changed mid-service.
   Complete,  ///< Job finished; its completion callback is about to run.
-  Cancel,    ///< Job removed without completing.
 };
 
 /// One lifecycle record. `share` is the per-job service rate in effect

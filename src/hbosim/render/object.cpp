@@ -13,11 +13,6 @@ VirtualObject::VirtualObject(ObjectId id,
   HB_REQUIRE(base_distance_m_ > 0.0, "object distance must be positive");
 }
 
-void VirtualObject::set_base_distance(double d) {
-  HB_REQUIRE(d > 0.0, "object distance must be positive");
-  base_distance_m_ = d;
-}
-
 void VirtualObject::set_ratio(double r) {
   HB_REQUIRE(r >= 0.0 && r <= 1.0, "decimation ratio must be in [0,1]");
   ratio_ = r;

@@ -21,7 +21,6 @@ class VirtualObject {
 
   /// Distance at which the object was placed (meters).
   double base_distance() const { return base_distance_m_; }
-  void set_base_distance(double d);
 
   /// Decimation ratio currently on screen (selected/max triangles).
   double ratio() const { return ratio_; }

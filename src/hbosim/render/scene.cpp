@@ -90,11 +90,6 @@ void Scene::set_ratio(ObjectId id, double ratio) {
   notify();
 }
 
-void Scene::set_uniform_ratio(double ratio) {
-  for (auto& [id, obj] : objects_) obj.set_ratio(ratio);
-  notify();
-}
-
 void Scene::set_change_listener(ChangeListener listener) {
   listener_ = std::move(listener);
 }

@@ -55,8 +55,6 @@ class Scene {
 
   /// Apply a per-object decimation ratio (from the triangle distributor).
   void set_ratio(ObjectId id, double ratio);
-  /// Apply one ratio to all objects.
-  void set_uniform_ratio(double ratio);
 
   /// Invoked after every mutation that changes render load (add/remove,
   /// ratio change, distance change) — the app wires this to the SoC's

@@ -1,8 +1,11 @@
-// Allocation accounting for the BO hot path: the acquisition loop scores
-// hundreds of candidates per suggest, so the batched predict and the
-// per-suggest target re-solve must be allocation-free once warmed up.
-// This binary replaces the global allocation functions with counting
-// versions and asserts the steady-state count is exactly zero.
+// Allocation accounting for the two hot paths. BO: the acquisition loop
+// scores hundreds of candidates per suggest, so the batched predict and
+// the per-suggest target re-solve must be allocation-free once warmed up.
+// DES: every inference phase is an event or a PS job whose handler must
+// fit std::function's inline buffer, so the warm inference loop must not
+// allocate either. This binary replaces the global allocation functions
+// with counting versions and asserts the steady-state count is exactly
+// zero.
 
 #include <gtest/gtest.h>
 
@@ -22,21 +25,6 @@ void* counted_alloc(std::size_t sz) {
   if (!p) throw std::bad_alloc();
   return p;
 }
-}  // namespace
-
-void* operator new(std::size_t sz) { return counted_alloc(sz); }
-void* operator new[](std::size_t sz) { return counted_alloc(sz); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
-#include "bo_reference.hpp"
-#include "hbosim/bo/gp.hpp"
-#include "hbosim/common/rng.hpp"
-
-namespace hbosim::bo {
-namespace {
 
 class AllocGuard {
  public:
@@ -50,6 +38,24 @@ class AllocGuard {
   }
   ~AllocGuard() { g_counting.store(false); }
 };
+}  // namespace
+
+void* operator new(std::size_t sz) { return counted_alloc(sz); }
+void* operator new[](std::size_t sz) { return counted_alloc(sz); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+#include "bo_reference.hpp"
+#include "hbosim/ai/engine.hpp"
+#include "hbosim/bo/gp.hpp"
+#include "hbosim/common/rng.hpp"
+#include "hbosim/soc/devices_builtin.hpp"
+#include "hbosim/telemetry/telemetry.hpp"
+
+namespace hbosim::bo {
+namespace {
 
 GaussianProcess fitted_gp(std::size_t n) {
   hbosim::Rng rng(7);
@@ -99,3 +105,34 @@ TEST(Allocations, TriangularSolvesAreAllocationFree) {
 
 }  // namespace
 }  // namespace hbosim::bo
+
+namespace hbosim {
+namespace {
+
+TEST(Allocations, WarmInferenceLoopIsAllocationFree) {
+  // Three tasks on the GPU and CPU of a bare Pixel 7, telemetry off. Once
+  // the plans are built and the event slots and job lists have grown,
+  // every gap, phase and completion reuses storage.
+  ASSERT_FALSE(telemetry::enabled());
+  const soc::DeviceProfile device = soc::pixel7();
+  des::Simulator sim;
+  soc::SocRuntime soc(sim, device);
+  ai::InferenceEngine engine(sim, soc);
+  engine.add_task("mnist", "digits", soc::Delegate::Gpu);
+  engine.add_task("deeplabv3", "segment", soc::Delegate::Cpu);
+  engine.add_task("mobilenet-v1", "classify", soc::Delegate::Gpu);
+  engine.start();
+  sim.run_until(5.0);  // warm up
+
+  const std::uint64_t events = sim.events_executed();
+  const std::uint64_t inferences = engine.completed_inferences();
+  AllocGuard guard;
+  sim.run_until(20.0);
+  const long allocations = guard.stop();
+  EXPECT_EQ(allocations, 0) << "the warm inference loop allocated";
+  EXPECT_GT(sim.events_executed() - events, 1000u);
+  EXPECT_GT(engine.completed_inferences() - inferences, 300u);
+}
+
+}  // namespace
+}  // namespace hbosim

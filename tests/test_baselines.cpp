@@ -82,8 +82,9 @@ TEST(AllN, EveryCompatibleTaskGoesToNnapi) {
   const auto models = app->task_models();
   for (std::size_t i = 0; i < models.size(); ++i) {
     ASSERT_TRUE(app->device().supports(models[i], out.allocation[i]));
-    if (app->device().supports(models[i], soc::Delegate::Nnapi))
+    if (app->device().supports(models[i], soc::Delegate::Nnapi)) {
       EXPECT_EQ(out.allocation[i], soc::Delegate::Nnapi);
+    }
   }
 }
 

@@ -96,17 +96,6 @@ TEST(Engine, RenderLoadInflatesGpuLatency) {
   EXPECT_NEAR(after, before + 22.6, 2.5);
 }
 
-TEST(Engine, RemoveTaskCancelsInFlightWork) {
-  Fixture f;
-  const TaskId id = f.engine.add_task("deeplabv3", "is", soc::Delegate::Cpu);
-  f.engine.start();
-  f.sim.run_until(0.05);  // mid-inference (isolation 110.1 ms)
-  f.engine.remove_task(id);
-  EXPECT_EQ(f.engine.task_count(), 0u);
-  EXPECT_NO_THROW(f.sim.run_until(1.0));  // no stale callbacks fire
-  EXPECT_THROW(f.engine.task(id), hbosim::Error);
-}
-
 TEST(Engine, AddTaskWhileRunningJoinsTheSystem) {
   Fixture f;
   f.engine.add_task("mnist", "d1", soc::Delegate::Cpu);
@@ -130,6 +119,30 @@ TEST(Engine, ObserverSeesEveryCompletion) {
   f.sim.run_until(1.0);
   EXPECT_EQ(observed, f.engine.window_count(id));
   EXPECT_GT(observed, 0u);
+}
+
+// Tasks are stored so that adding one keeps references to the others
+// valid: an observer may add a task while it holds the completed one.
+TEST(Engine, ObserverMayAddATask) {
+  Fixture f;
+  const TaskId first = f.engine.add_task("mnist", "d1", soc::Delegate::Gpu);
+  std::vector<TaskId> added;
+  f.engine.set_observer([&](const AiTask& task, double) {
+    const TaskId id = task.id;
+    if (f.engine.task_count() < 6) {
+      added.push_back(f.engine.add_task("mnist", "d", soc::Delegate::Cpu));
+    }
+    EXPECT_EQ(task.id, id);  // still the completed task after the add
+    EXPECT_EQ(task.model, "mnist");
+  });
+  f.engine.start();
+  f.sim.run_until(2.0);
+  ASSERT_EQ(f.engine.task_count(), 6u);
+  EXPECT_EQ(added, (std::vector<TaskId>{2, 3, 4, 5, 6}));
+  EXPECT_GT(f.engine.window_count(first), 0u);
+  for (const TaskId id : added) {
+    EXPECT_GT(f.engine.window_count(id), 0u) << "task " << id;  // joined
+  }
 }
 
 TEST(Engine, InferenceGapsStayWithinTheJitterBand) {
@@ -160,16 +173,6 @@ TEST(Engine, InferenceGapsStayWithinTheJitterBand) {
   EXPECT_GT(hi, gap * 1.1);
 }
 
-TEST(Engine, ObserverMayRemoveTheTask) {
-  Fixture f;
-  const TaskId id = f.engine.add_task("mnist", "d", soc::Delegate::Gpu);
-  f.engine.set_observer(
-      [&](const AiTask& task, double) { f.engine.remove_task(task.id); });
-  f.engine.start();
-  EXPECT_NO_THROW(f.sim.run_until(1.0));
-  EXPECT_THROW(f.engine.task(id), hbosim::Error);
-}
-
 TEST(Engine, WindowResetClearsCountsButKeepsLastLatency) {
   Fixture f;
   const TaskId id = f.engine.add_task("mnist", "d", soc::Delegate::Gpu);
@@ -198,6 +201,48 @@ TEST(Engine, NoiseIsReproducibleAcrossSeeds) {
   };
   EXPECT_DOUBLE_EQ(run(1), run(1));
   EXPECT_NE(run(1), run(2));
+}
+
+// The remote executor runs while the engine holds the routed task's
+// state, which it still writes afterwards; a task added from inside the
+// executor must leave that state valid.
+TEST(Engine, RemoteExecutorMayAddATask) {
+  Fixture f;
+  const TaskId id = f.engine.add_task("mnist", "d1", soc::Delegate::Gpu);
+  f.engine.set_edge_share(id, 1.0);
+  TaskId added = 0;
+  f.engine.set_remote_executor([&](const AiTask& task, double) {
+    if (added == 0) {
+      added = f.engine.add_task("mnist", "d2", soc::Delegate::Cpu);
+    }
+    EXPECT_EQ(task.id, id);  // only the task with a share is routed
+    return RemoteResult{true, 0.004};
+  });
+  f.engine.start();
+  f.sim.run_until(2.0);
+  ASSERT_EQ(f.engine.task_count(), 2u);
+  EXPECT_EQ(added, id + 1);
+  // Every completion of d1 came back from the edge; d2 ran locally.
+  EXPECT_GT(f.engine.window_count(id), 0u);
+  EXPECT_EQ(f.engine.remote_inferences(), f.engine.window_count(id));
+  EXPECT_GT(f.engine.window_count(added), 0u);
+}
+
+// Ids index the task store: id 0 and ids past the last task are
+// rejected, never read out of bounds.
+TEST(Engine, UnknownTaskIdThrows) {
+  Fixture f;
+  EXPECT_THROW(f.engine.task(1), hbosim::Error);  // no task yet
+  const TaskId id = f.engine.add_task("mnist", "d", soc::Delegate::Gpu);
+  EXPECT_EQ(id, 1u);
+  EXPECT_NO_THROW(f.engine.task(id));
+  EXPECT_THROW(f.engine.task(0), hbosim::Error);
+  EXPECT_THROW(f.engine.task(id + 1), hbosim::Error);
+  EXPECT_THROW(f.engine.set_delegate(id + 1, soc::Delegate::Cpu),
+               hbosim::Error);
+  EXPECT_THROW(f.engine.set_edge_share(0, 0.5), hbosim::Error);
+  EXPECT_THROW(f.engine.window_count(id + 1), hbosim::Error);
+  EXPECT_THROW(f.engine.last_latency_s(0), hbosim::Error);
 }
 
 TEST(Engine, TaskIdsAreOrderedAndStable) {

@@ -105,11 +105,12 @@ TEST(MarApp, ApplyRatiosValidatesWidth) {
   EXPECT_THROW(app->apply_object_ratios({0.5}), hbosim::Error);
 }
 
-TEST(MarApp, UniformRatioHelperCoversTheScene) {
+TEST(MarApp, UniformObjectRatiosCoverTheScene) {
   auto app = scenario::make_app(soc::pixel7(), scenario::ObjectSet::SC2,
                                 scenario::TaskSet::CF2);
   app->start();
-  app->apply_uniform_ratio(0.25);
+  app->apply_object_ratios(
+      std::vector<double>(app->scene().object_count(), 0.25));
   app->run_period(1.0);
   EXPECT_LT(app->scene().current_ratio(), 0.3);
 }
@@ -146,7 +147,8 @@ TEST(MarApp, DistanceScaleImprovesQualityMetric) {
   auto app = scenario::make_app(soc::pixel7(), scenario::ObjectSet::SC1,
                                 scenario::TaskSet::CF2);
   app->start();
-  app->apply_uniform_ratio(0.4);
+  app->apply_object_ratios(
+      std::vector<double>(app->scene().object_count(), 0.4));
   app->run_period(1.0);
   const double q_near = app->snapshot().average_quality;
   app->set_user_distance_scale(2.5);

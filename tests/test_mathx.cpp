@@ -30,15 +30,6 @@ TEST(Stdev, KnownValue) {
   EXPECT_EQ(stdev(std::vector<double>{1.0}), 0.0);
 }
 
-TEST(Linspace, EndpointsAndSpacing) {
-  const auto v = linspace(0.0, 1.0, 5);
-  ASSERT_EQ(v.size(), 5u);
-  EXPECT_DOUBLE_EQ(v.front(), 0.0);
-  EXPECT_DOUBLE_EQ(v.back(), 1.0);
-  EXPECT_DOUBLE_EQ(v[2], 0.5);
-  EXPECT_EQ(linspace(3.0, 9.0, 1), std::vector<double>{3.0});
-}
-
 TEST(NormalDistribution, KnownPdfCdfValues) {
   EXPECT_NEAR(norm_pdf(0.0), 0.3989422804, 1e-9);
   EXPECT_NEAR(norm_cdf(0.0), 0.5, 1e-12);
@@ -61,12 +52,6 @@ TEST(Euclidean, DistanceAndMismatch) {
   EXPECT_DOUBLE_EQ(euclidean_distance(a, b), 5.0);
   const std::vector<double> c = {1.0};
   EXPECT_THROW(euclidean_distance(a, c), Error);
-}
-
-TEST(ApproxEqual, Tolerances) {
-  EXPECT_TRUE(approx_equal(1.0, 1.0 + 1e-12));
-  EXPECT_FALSE(approx_equal(1.0, 1.001));
-  EXPECT_TRUE(approx_equal(1.0, 1.001, 1e-2));
 }
 
 TEST(SimplexProjection, FeasiblePointIsFixed) {

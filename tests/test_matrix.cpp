@@ -21,31 +21,6 @@ TEST(Matrix, IdentityAndIndexing) {
   EXPECT_DOUBLE_EQ(m(0, 1), 2.0);
 }
 
-TEST(Matrix, MatvecKnownValues) {
-  Matrix m(2, 3);
-  // [1 2 3; 4 5 6]
-  m(0, 0) = 1; m(0, 1) = 2; m(0, 2) = 3;
-  m(1, 0) = 4; m(1, 1) = 5; m(1, 2) = 6;
-  const std::vector<double> v = {1.0, 0.0, -1.0};
-  const auto r = m.matvec(v);
-  ASSERT_EQ(r.size(), 2u);
-  EXPECT_DOUBLE_EQ(r[0], -2.0);
-  EXPECT_DOUBLE_EQ(r[1], -2.0);
-
-  const std::vector<double> w = {1.0, 1.0};
-  const auto t = m.matvec_transposed(w);
-  ASSERT_EQ(t.size(), 3u);
-  EXPECT_DOUBLE_EQ(t[0], 5.0);
-  EXPECT_DOUBLE_EQ(t[1], 7.0);
-  EXPECT_DOUBLE_EQ(t[2], 9.0);
-}
-
-TEST(Matrix, MatvecDimensionMismatchThrows) {
-  Matrix m(2, 3);
-  EXPECT_THROW(m.matvec(std::vector<double>{1.0, 2.0}), Error);
-  EXPECT_THROW(m.matvec_transposed(std::vector<double>{1.0, 2.0, 3.0}), Error);
-}
-
 TEST(Cholesky, KnownFactorization) {
   // A = [[4, 2], [2, 3]] -> L = [[2, 0], [1, sqrt(2)]].
   Matrix a(2, 2);
@@ -84,7 +59,9 @@ TEST(Cholesky, RandomSpdRoundTrip) {
     }
     std::vector<double> x(n);
     for (auto& v : x) v = rng.normal();
-    const auto rhs = a.matvec(x);
+    std::vector<double> rhs(n, 0.0);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j) rhs[i] += a(i, j) * x[j];
     const auto solved = Cholesky(a).solve(rhs);
     for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(solved[i], x[i], 1e-8);
   }
@@ -152,9 +129,13 @@ TEST(Matrix, ConservativeResizePreservesBlockAndZeroFills) {
   EXPECT_DOUBLE_EQ(m(0, 1), 2.0);
   EXPECT_DOUBLE_EQ(m(1, 0), 3.0);
   EXPECT_DOUBLE_EQ(m(1, 1), 4.0);
-  for (std::size_t r = 0; r < 3; ++r)
-    for (std::size_t c = 0; c < 4; ++c)
-      if (r >= 2 || c >= 2) EXPECT_DOUBLE_EQ(m(r, c), 0.0);
+  for (std::size_t r = 0; r < 3; ++r) {
+    for (std::size_t c = 0; c < 4; ++c) {
+      if (r >= 2 || c >= 2) {
+        EXPECT_DOUBLE_EQ(m(r, c), 0.0);
+      }
+    }
+  }
 
   // Shrink then regrow: the regrown region must be zeroed, not stale.
   m(2, 3) = 9.0;
@@ -175,20 +156,6 @@ TEST(Matrix, ReserveMakesGrowthInPlace) {
   }
   EXPECT_DOUBLE_EQ(m(0, 0), 7.0);
   EXPECT_GE(m.stride(), m.cols());
-}
-
-TEST(Matrix, MatvecSpanOverloadsMatchValueVersions) {
-  Rng rng(91);
-  Matrix m(3, 4);
-  for (std::size_t i = 0; i < 3; ++i)
-    for (std::size_t j = 0; j < 4; ++j) m(i, j) = rng.normal();
-  std::vector<double> v4 = {0.5, -1.0, 2.0, 0.25};
-  std::vector<double> v3 = {1.0, -2.0, 0.5};
-  std::vector<double> out3(3), out4(4);
-  m.matvec(v4, out3);
-  m.matvec_transposed(v3, out4);
-  EXPECT_EQ(out3, m.matvec(v4));
-  EXPECT_EQ(out4, m.matvec_transposed(v3));
 }
 
 TEST(Cholesky, AppendRowMatchesFromScratchFactorization) {

@@ -52,7 +52,9 @@ TEST(Profiler, ExpectedIsMinimumAcrossDelegates) {
   for (const std::string& model : table.model_names()) {
     const ModelProfile& p = table.get(model);
     for (const auto& v : p.isolation_ms) {
-      if (v) EXPECT_GE(*v, p.expected_ms);
+      if (v) {
+        EXPECT_GE(*v, p.expected_ms);
+      }
     }
     EXPECT_NEAR(
         *p.isolation_ms[static_cast<std::size_t>(

@@ -138,31 +138,5 @@ TEST_P(DirichletTest, SumsToOneWithNonNegativeEntries) {
 INSTANTIATE_TEST_SUITE_P(Dimensions, DirichletTest,
                          ::testing::Values(1, 2, 3, 5, 16));
 
-TEST(Rng, PermutationIsAPermutation) {
-  Rng rng(14);
-  for (std::size_t n : {0u, 1u, 2u, 17u, 100u}) {
-    const auto p = rng.permutation(n);
-    ASSERT_EQ(p.size(), n);
-    std::set<std::size_t> seen(p.begin(), p.end());
-    EXPECT_EQ(seen.size(), n);
-    if (n > 0) {
-      EXPECT_EQ(*seen.begin(), 0u);
-      EXPECT_EQ(*seen.rbegin(), n - 1);
-    }
-  }
-}
-
-TEST(Rng, SplitProducesIndependentDeterministicChild) {
-  Rng a(15);
-  Rng b(15);
-  Rng ca = a.split();
-  Rng cb = b.split();
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(ca.next_u64(), cb.next_u64());
-  // Child and parent streams differ.
-  Rng p(16);
-  Rng c = p.split();
-  EXPECT_NE(p.next_u64(), c.next_u64());
-}
-
 }  // namespace
 }  // namespace hbosim

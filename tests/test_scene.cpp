@@ -45,11 +45,11 @@ TEST(Scene, AddRemoveAndTotals) {
 TEST(Scene, RatiosDriveCurrentTriangles) {
   Scene scene;
   const ObjectId a = scene.add_object(make_asset("a", 1000), 1.0);
-  scene.add_object(make_asset("b", 3000), 2.0);
+  const ObjectId b = scene.add_object(make_asset("b", 3000), 2.0);
   scene.set_ratio(a, 0.5);
   EXPECT_EQ(scene.current_triangles(), 3500u);
   EXPECT_NEAR(scene.current_ratio(), 3500.0 / 4000.0, 1e-12);
-  scene.set_uniform_ratio(0.5);
+  scene.set_ratio(b, 0.5);
   EXPECT_EQ(scene.current_triangles(), 2000u);
 }
 
@@ -64,8 +64,8 @@ TEST(Scene, AverageQualityIsEquationTwo) {
 
 TEST(Scene, DistanceScaleImprovesQualityAndCutsCulledLoad) {
   Scene scene;
-  scene.add_object(make_asset("a", 100000), 1.5);
-  scene.set_uniform_ratio(0.4);
+  const ObjectId a = scene.add_object(make_asset("a", 100000), 1.5);
+  scene.set_ratio(a, 0.4);
   const double q_near = scene.average_quality();
   const double load_near = scene.culled_triangles();
   scene.set_user_distance_scale(3.0);
@@ -88,7 +88,7 @@ TEST(Scene, ChangeListenerFiresOnEveryMutation) {
   const ObjectId a = scene.add_object(make_asset("a", 1000), 1.0);
   scene.set_ratio(a, 0.5);
   scene.set_user_distance_scale(2.0);
-  scene.set_uniform_ratio(1.0);
+  scene.set_ratio(a, 1.0);
   scene.remove_object(a);
   EXPECT_EQ(fired, 5);
 }
@@ -108,12 +108,12 @@ TEST(RenderLoadBinder, PushesSceneLoadIntoSoc) {
   RenderLoadBinder binder(scene, soc);
   EXPECT_DOUBLE_EQ(soc.gpu().background_utilization(), 0.0);
 
-  scene.add_object(make_asset("big", 900000), 1.0);
+  const ObjectId big = scene.add_object(make_asset("big", 900000), 1.0);
   const double expected = device.render().gpu_load(scene.culled_triangles());
   EXPECT_NEAR(soc.gpu().background_utilization(), expected, 1e-12);
   EXPECT_NEAR(binder.current_gpu_load(), expected, 1e-12);
 
-  scene.set_uniform_ratio(0.2);
+  scene.set_ratio(big, 0.2);
   EXPECT_LT(soc.gpu().background_utilization(), expected);
 }
 
@@ -124,10 +124,9 @@ TEST(VirtualObject, AccessorsAndValidation) {
   EXPECT_EQ(obj.triangles(), 1000u);
   obj.set_ratio(0.25);
   EXPECT_EQ(obj.triangles(), 250u);
-  obj.set_base_distance(4.0);
-  EXPECT_DOUBLE_EQ(obj.base_distance(), 4.0);
+  EXPECT_DOUBLE_EQ(obj.base_distance(), 2.0);
   EXPECT_THROW(obj.set_ratio(2.0), hbosim::Error);
-  EXPECT_THROW(obj.set_base_distance(-1.0), hbosim::Error);
+  EXPECT_THROW(VirtualObject(2, asset, -1.0), hbosim::Error);
   EXPECT_THROW(VirtualObject(2, nullptr, 1.0), hbosim::Error);
 }
 

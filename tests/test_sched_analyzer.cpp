@@ -250,26 +250,6 @@ TEST(SchedAnalyzer, StarvationDetectorFlagsKnownVictimWithContenders) {
   EXPECT_EQ(an.health().starved_jobs, 1u);
 }
 
-TEST(SchedAnalyzer, CancelledJobsAreExcludedFromLatencyStats) {
-  des::Simulator sim;
-  des::SchedTrace trace;
-  sim.set_sched_trace(&trace);
-  des::PsResource cpu(sim, "cpu", 1.0, 1.0);
-  const JobId doomed = cpu.submit(5.0, [] {}, "doomed");
-  cpu.submit(0.1, [] {}, "ok");
-  sim.schedule_at(0.3, [&] { EXPECT_TRUE(cpu.cancel(doomed)); });
-  sim.run();
-
-  des::SchedAnalyzer an(trace);
-  ASSERT_EQ(an.jobs().size(), 2u);  // Gantt still shows the cancel...
-  EXPECT_EQ(an.health().jobs, 1u);  // ...stats count completed jobs only.
-  std::size_t completed = 0;
-  for (const des::SchedJobRecord& j : an.jobs()) {
-    if (j.completed) ++completed;
-  }
-  EXPECT_EQ(completed, 1u);
-}
-
 // Jobs still in service when the stream ends keep their place in the
 // Gantt, ending at the last record, and stay out of the health numbers.
 TEST(SchedAnalyzer, JobsInServiceAtTraceEndStayInTheGantt) {
@@ -459,9 +439,9 @@ TEST(SchedAnalyzer, WaitAtTheStarvationLimitDoesNotStarve) {
 // name-keyed maps, fully sorted samples and an all-pairs contender scan.
 // The analyzer (dense class ids, jobs kept in submission order, a
 // contender sweep) must agree with it bit for bit on random multi-class
-// streams with rescales, cancellations and wrapped rings: job records,
-// per-resource and per-class distributions, fairness windows and service,
-// starved jobs and contenders.
+// streams with rescales and wrapped rings: job records, per-resource and
+// per-class distributions, fairness windows and service, starved jobs and
+// contenders.
 
 struct Reference {
   std::vector<des::SchedJobRecord> jobs;
@@ -555,11 +535,10 @@ Reference reference_analyze(const des::SchedTrace& trace,
         l.solo_rate = ev.solo_rate;
         l.remaining = ev.demand;
         live[ev.job] = l;
-      } else if (ev.kind != des::SchedEventKind::Rescale) {
+      } else if (ev.kind == des::SchedEventKind::Complete) {
         const auto it = live.find(ev.job);
         if (it != live.end()) {
-          finalize(it->second, ev.time,
-                   ev.kind == des::SchedEventKind::Complete);
+          finalize(it->second, ev.time, true);
           live.erase(it);
         }
       }
@@ -648,8 +627,8 @@ Reference reference_analyze(const des::SchedTrace& trace,
 
 /// A random multi-class processor-sharing workload on two units: Poisson
 /// arrivals, exponential demands, 1- and 2-core jobs, an untagged class,
-/// DVFS-style capacity and rate-cap steps, render-load changes, and a few
-/// cancellations. The GPU runs close to saturation, so jobs starve there.
+/// DVFS-style capacity and rate-cap steps and render-load changes. The GPU
+/// runs close to saturation, so jobs starve there.
 void run_random_stream(des::SchedSink& sink, std::uint64_t seed,
                        std::size_t jobs) {
   des::Simulator sim;
@@ -669,11 +648,8 @@ void run_random_stream(des::SchedSink& sink, std::uint64_t seed,
     const double demand = exponential(res == &gpu ? 0.03 : 0.08);
     const double cores = res == &cpu && rng.uniform() < 0.3 ? 2.0 : 1.0;
     const char* cls = kClasses[rng.uniform_index(4)];
-    const double cancel_after = rng.uniform() < 0.05 ? rng.uniform() * 0.1 : -1.0;
-    sim.schedule_at(t, [&sim, res, demand, cores, cls, cancel_after] {
-      const JobId id = res->submit(demand, cores, [] {}, cls);
-      if (cancel_after >= 0.0)
-        sim.schedule_after(cancel_after, [res, id] { res->cancel(id); });
+    sim.schedule_at(t, [res, demand, cores, cls] {
+      res->submit(demand, cores, [] {}, cls);
     });
   }
   for (double s = 0.3; s < t; s += 0.7) {

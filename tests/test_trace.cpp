@@ -51,64 +51,6 @@ TEST(TraceRecorder, WindowMeanEdgeCases) {
   EXPECT_THROW(trace.window_mean("nope", 0.0, 1.0), hbosim::Error);
 }
 
-TEST(TraceRecorder, SeriesIdInternsAndRecords) {
-  TraceRecorder trace;
-  const SeriesId lat = trace.series_id("lat");
-  EXPECT_EQ(trace.series_id("lat"), lat);  // idempotent
-  const SeriesId other = trace.series_id("other");
-  EXPECT_NE(lat, other);
-
-  trace.record(lat, 1.0, 10.0);
-  trace.record("lat", 2.0, 20.0);  // string API appends to the same series
-  trace.record(other, 1.0, 5.0);
-
-  EXPECT_EQ(trace.series("lat").size(), 2u);
-  EXPECT_EQ(trace.series(lat).size(), 2u);
-  EXPECT_DOUBLE_EQ(trace.series(lat)[1].value, 20.0);
-  EXPECT_EQ(trace.series_names(), (std::vector<std::string>{"lat", "other"}));
-
-  // Handles are invalidated by clear(); stale use throws.
-  trace.clear();
-  EXPECT_THROW(trace.record(lat, 3.0, 1.0), hbosim::Error);
-}
-
-TEST(TraceRecorder, SeriesIdCreatesEmptySeries) {
-  TraceRecorder trace;
-  trace.series_id("pending");
-  EXPECT_TRUE(trace.has_series("pending"));
-  EXPECT_TRUE(trace.series("pending").empty());
-}
-
-TEST(TraceRecorder, DumpAllCsvLongFormat) {
-  TraceRecorder trace;
-  trace.record("a", 1.0, 10.0);
-  trace.record("b", 1.0, 5.0);
-  trace.record("a", 3.0, 30.0);
-  trace.mark(1.0, "N1");
-  trace.mark(2.0, "C5");
-  std::ostringstream os;
-  trace.dump_all_csv(os);
-  EXPECT_EQ(os.str(),
-            "time,series,value\n"
-            "1,a,10\n"
-            "1,b,5\n"
-            "1,marker,N1\n"
-            "2,marker,C5\n"
-            "3,a,30\n");
-}
-
-TEST(TraceRecorder, DumpAllCsvEscapesFreeFormFields) {
-  TraceRecorder trace;
-  trace.record("a,b", 1.0, 10.0);
-  trace.mark(2.0, "change \"C5\", N2");
-  std::ostringstream os;
-  trace.dump_all_csv(os);
-  EXPECT_EQ(os.str(),
-            "time,series,value\n"
-            "1,\"a,b\",10\n"
-            "2,marker,\"change \"\"C5\"\", N2\"\n");
-}
-
 TEST(TraceRecorder, MarkersAccumulate) {
   TraceRecorder trace;
   trace.mark(1.0, "N1");
@@ -117,15 +59,12 @@ TEST(TraceRecorder, MarkersAccumulate) {
   EXPECT_EQ(trace.markers()[1].second, "C5");
 }
 
-TEST(TraceRecorder, CsvDumpAndClear) {
+TEST(TraceRecorder, SeriesCsvDump) {
   TraceRecorder trace;
   trace.record("v", 1.0, 2.0);
   std::ostringstream os;
   trace.dump_series_csv("v", os);
   EXPECT_EQ(os.str(), "time,v\n1,2\n");
-  trace.clear();
-  EXPECT_FALSE(trace.has_series("v"));
-  EXPECT_TRUE(trace.markers().empty());
 }
 
 }  // namespace
